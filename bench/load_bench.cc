@@ -3,11 +3,12 @@
 //
 // The dataset is LUBM (PARJ_LUBM_UNIV universities) exported to N-Triples,
 // so the bench exercises the full pipeline: chunked parse, sharded
-// dictionary encode, grouped store build, metadata/statistics, and the
-// parallel snapshot decode. For every thread count the loaded store must
-// be byte-identical to the serial one (same v2 snapshot bytes — which
-// pins dictionary IDs, triple order, and term spellings) and must return
-// identical rows for the LUBM queries; any divergence aborts the bench.
+// dictionary encode, grouped store build and metadata/statistics, plus a
+// snapshot load (serial decode, store build on the same thread count).
+// For every thread count the loaded store must be byte-identical to the
+// serial one (same snapshot bytes — which pins dictionary IDs, triple
+// order, and term spellings) and must return identical rows for the LUBM
+// queries; any divergence aborts the bench.
 //
 // Speedups are wall-clock and therefore honest about the machine: on a
 // single-core container every thread count reports ~1x. The JSON artifact
@@ -29,7 +30,7 @@
 namespace parj::bench {
 namespace {
 
-/// The v2 snapshot bytes of a database: a canonical fingerprint of the
+/// The snapshot bytes of a database: a canonical fingerprint of the
 /// dictionary (IDs and spellings) plus every triple in table order.
 std::string SnapshotBytes(const storage::Database& db) {
   std::ostringstream out;
@@ -119,16 +120,14 @@ int Main() {
         << "parallel load with " << threads
         << " threads produced a different store than the serial load";
 
-    // Parallel snapshot decode timing over the same data.
+    // Snapshot load timing over the same data: the one streaming reader,
+    // with the store build on `threads` workers.
     {
       std::istringstream in(reference_snapshot);
-      storage::SnapshotLoadOptions load;
-      load.threads = threads;
-      storage::SnapshotLoadStats snap_stats;
       storage::DatabaseOptions db_options;
       db_options.build_threads = threads;
       Stopwatch decode_timer;
-      auto db = storage::ReadSnapshot(in, db_options, load, &snap_stats);
+      auto db = storage::ReadSnapshot(in, db_options);
       PARJ_CHECK(db.ok()) << db.status().ToString();
       run.snapshot_decode_millis = decode_timer.ElapsedMillis();
       PARJ_CHECK(SnapshotBytes(*db) == reference_snapshot)

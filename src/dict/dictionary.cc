@@ -37,32 +37,6 @@ Dictionary Dictionary::Clone() const {
   return copy;
 }
 
-Result<Dictionary> Dictionary::FromTerms(std::vector<rdf::Term> resources,
-                                         std::vector<rdf::Term> predicates) {
-  Dictionary dict;
-  dict.resources_ = std::move(resources);
-  dict.predicates_ = std::move(predicates);
-  dict.resource_ids_.reserve(dict.resources_.size());
-  dict.predicate_ids_.reserve(dict.predicates_.size());
-  for (size_t i = 0; i < dict.resources_.size(); ++i) {
-    auto [it, inserted] = dict.resource_ids_.emplace(
-        dict.resources_[i].DictionaryKey(), static_cast<TermId>(i + 1));
-    if (!inserted) {
-      return Status::ParseError("duplicate resource term '" + it->first +
-                                "' in bulk dictionary build");
-    }
-  }
-  for (size_t i = 0; i < dict.predicates_.size(); ++i) {
-    auto [it, inserted] = dict.predicate_ids_.emplace(
-        dict.predicates_[i].DictionaryKey(), static_cast<PredicateId>(i + 1));
-    if (!inserted) {
-      return Status::ParseError("duplicate predicate term '" + it->first +
-                                "' in bulk dictionary build");
-    }
-  }
-  return dict;
-}
-
 void Dictionary::Reserve(size_t resources, size_t predicates) {
   resources_.reserve(resources);
   predicates_.reserve(predicates);

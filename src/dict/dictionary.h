@@ -62,13 +62,6 @@ class Dictionary {
   /// Explicit deep copy preserving all ID assignments.
   Dictionary Clone() const;
 
-  /// Bulk-builds a dictionary whose ID assignment is positional:
-  /// resources[i] gets ID i+1, predicates[i] gets ID i+1. Used by the
-  /// parallel snapshot loader, which decodes the term arrays up front.
-  /// A duplicate term in either list yields ParseError.
-  static Result<Dictionary> FromTerms(std::vector<rdf::Term> resources,
-                                      std::vector<rdf::Term> predicates);
-
   /// Pre-sizes the hash tables and term arrays (load-time optimization;
   /// never required for correctness).
   void Reserve(size_t resources, size_t predicates);

@@ -293,14 +293,11 @@ Result<ParjEngine> ParjEngine::FromSnapshotFile(const std::string& path,
   if (effective.load.threads > 1 && effective.database.build_threads <= 1) {
     effective.database.build_threads = effective.load.threads;
   }
-  storage::SnapshotLoadOptions snapshot_load;
-  snapshot_load.threads = effective.load.threads;
   storage::SnapshotLoadStats snapshot_stats;
   PARJ_ASSIGN_OR_RETURN(storage::Database db,
                         storage::LoadSnapshot(path, effective.database,
-                                              snapshot_load, &snapshot_stats));
+                                              &snapshot_stats));
   LoadStats stats;
-  stats.read_millis = snapshot_stats.read_millis;
   stats.parse_millis = snapshot_stats.decode_millis;  // decode == "parse"
   stats.build_millis = snapshot_stats.build_millis;
   stats.triples = db.total_triples();
@@ -311,8 +308,8 @@ Result<ParjEngine> ParjEngine::FromSnapshotFile(const std::string& path,
     engine.Calibrate();
     stats.calibrate_millis = calibrate_timer.ElapsedMillis();
   }
-  stats.total_millis = stats.read_millis + stats.parse_millis +
-                       stats.build_millis + stats.calibrate_millis;
+  stats.total_millis =
+      stats.parse_millis + stats.build_millis + stats.calibrate_millis;
   engine.load_stats_ = stats;
   if (effective.wal.enabled()) {
     PARJ_RETURN_NOT_OK(engine.EnableWal(effective.wal));
@@ -336,12 +333,9 @@ Result<ParjEngine> ParjEngine::RecoverFromWal(const mut::WalOptions& wal,
   if (effective.load.threads > 1 && effective.database.build_threads <= 1) {
     effective.database.build_threads = effective.load.threads;
   }
-  storage::SnapshotLoadOptions snapshot_load;
-  snapshot_load.threads = effective.load.threads;
   Stopwatch total_timer;
-  PARJ_ASSIGN_OR_RETURN(
-      mut::Wal::Recovered recovered,
-      mut::Wal::Recover(wal, effective.database, snapshot_load));
+  PARJ_ASSIGN_OR_RETURN(mut::Wal::Recovered recovered,
+                        mut::Wal::Recover(wal, effective.database));
   ParjEngine engine(std::move(recovered.base), effective.calibration,
                     effective.database, recovered.epoch);
   // Replay before the WAL is attached: the batches are already in the

@@ -24,7 +24,8 @@ namespace parj::engine {
 /// `threads` is; only wall time changes.
 struct LoadOptions {
   /// Worker threads for every load phase (parse, encode, build, index,
-  /// calibrate, snapshot decode). <= 1 runs the pipeline serially.
+  /// calibrate). A snapshot load streams its decode serially and uses
+  /// the threads for the store build. <= 1 runs the pipeline serially.
   int threads = 1;
   /// Parser chunk size in bytes; chunks split at newline boundaries so a
   /// triple never straddles two chunks.
@@ -200,8 +201,9 @@ class ParjEngine {
                                         std::vector<EncodedTriple> triples,
                                         const EngineOptions& options = {});
 
-  /// Loads a snapshot file (see storage/snapshot.h) and wraps it, using
-  /// options.load.threads for the parallel snapshot decode.
+  /// Loads a snapshot file (see storage/snapshot.h) and wraps it. The
+  /// decode streams serially; options.load.threads feeds the store build
+  /// (database.build_threads, unless set explicitly).
   static Result<ParjEngine> FromSnapshotFile(const std::string& path,
                                              const EngineOptions& options = {});
 

@@ -190,26 +190,6 @@ Result<std::string> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-rdf::Term MakeTerm(uint8_t kind, std::string lexical, std::string datatype,
-                   std::string lang) {
-  switch (static_cast<rdf::TermKind>(kind)) {
-    case rdf::TermKind::kIri:
-      return rdf::Term::Iri(std::move(lexical));
-    case rdf::TermKind::kBlank:
-      return rdf::Term::Blank(std::move(lexical));
-    case rdf::TermKind::kLiteral:
-      if (!lang.empty()) {
-        return rdf::Term::LangLiteral(std::move(lexical), std::move(lang));
-      }
-      if (!datatype.empty()) {
-        return rdf::Term::TypedLiteral(std::move(lexical),
-                                       std::move(datatype));
-      }
-      return rdf::Term::Literal(std::move(lexical));
-  }
-  return rdf::Term::Iri(std::move(lexical));  // unreachable; kind validated
-}
-
 void PutTerm(std::string* out, const rdf::Term& term) {
   PutU8(out, static_cast<uint8_t>(term.kind()));
   PutString(out, term.lexical());
@@ -220,21 +200,16 @@ void PutTerm(std::string* out, const rdf::Term& term) {
 bool GetTerm(Cursor* cur, rdf::Term* out) {
   uint8_t kind;
   std::string lexical, datatype, lang;
-  if (!cur->U8(&kind) || kind > 2) return false;
-  if (!cur->String(&lexical) || !cur->String(&datatype) ||
+  if (!cur->U8(&kind) || !cur->String(&lexical) || !cur->String(&datatype) ||
       !cur->String(&lang)) {
     return false;
   }
-  // Datatype and language tag are mutually exclusive (RDF 1.1), and only
-  // literals carry either; the writer never emits such a term, so seeing
-  // one means the payload is corrupt despite a matching CRC.
-  if (!datatype.empty() && !lang.empty()) return false;
-  if (kind != static_cast<uint8_t>(rdf::TermKind::kLiteral) &&
-      (!datatype.empty() || !lang.empty())) {
-    return false;
-  }
-  *out = MakeTerm(kind, std::move(lexical), std::move(datatype),
-                  std::move(lang));
+  // A term the writer never emits means the payload is corrupt despite a
+  // matching CRC.
+  Result<rdf::Term> term = rdf::Term::FromParts(
+      kind, std::move(lexical), std::move(datatype), std::move(lang));
+  if (!term.ok()) return false;
+  *out = std::move(term).value();
   return true;
 }
 
@@ -846,8 +821,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(const WalOptions& options,
 }
 
 Result<Wal::Recovered> Wal::Recover(const WalOptions& options,
-                                    const storage::DatabaseOptions& database,
-                                    const storage::SnapshotLoadOptions& load) {
+                                    const storage::DatabaseOptions& database) {
   if (!options.enabled()) {
     return Status::InvalidArgument("WAL directory not set");
   }
@@ -885,7 +859,7 @@ Result<Wal::Recovered> Wal::Recover(const WalOptions& options,
   PARJ_ASSIGN_OR_RETURN(
       storage::Database base,
       storage::LoadSnapshot(options.dir + "/" + manifest.snapshot_file,
-                            database, load));
+                            database));
   stats.snapshot_load_millis = load_timer.ElapsedMillis();
 
   PARJ_ASSIGN_OR_RETURN(auto segments, ListSegments(options.dir));

@@ -161,8 +161,7 @@ class Wal {
   /// (ftruncate + fsync) so the next writer appends after a clean frame.
   static Result<Recovered> Recover(
       const WalOptions& options,
-      const storage::DatabaseOptions& database = {},
-      const storage::SnapshotLoadOptions& load = {});
+      const storage::DatabaseOptions& database = {});
 
   /// Resumes logging after Recover() on a fresh segment `next_segment`.
   static Result<std::unique_ptr<Wal>> Open(const WalOptions& options,

@@ -121,6 +121,30 @@ void Term::AppendNTriples(std::string* out) const {
   }
 }
 
+Result<Term> Term::FromParts(uint8_t kind, std::string lexical,
+                             std::string datatype, std::string lang) {
+  if (kind > static_cast<uint8_t>(TermKind::kBlank)) {
+    return Status::ParseError("term has unknown kind " + std::to_string(kind));
+  }
+  if (!datatype.empty() && !lang.empty()) {
+    return Status::ParseError("term has both a datatype and a language tag");
+  }
+  const TermKind term_kind = static_cast<TermKind>(kind);
+  if (term_kind != TermKind::kLiteral) {
+    if (!datatype.empty() || !lang.empty()) {
+      return Status::ParseError(
+          "non-literal term has a datatype or language tag");
+    }
+    return term_kind == TermKind::kIri ? Iri(std::move(lexical))
+                                       : Blank(std::move(lexical));
+  }
+  if (!lang.empty()) return LangLiteral(std::move(lexical), std::move(lang));
+  if (!datatype.empty()) {
+    return TypedLiteral(std::move(lexical), std::move(datatype));
+  }
+  return Literal(std::move(lexical));
+}
+
 std::string Term::ToNTriples() const {
   std::string out;
   AppendNTriples(&out);

@@ -55,6 +55,14 @@ class Term {
     return t;
   }
 
+  /// Rebuilds a term from its binary record {u8 kind, lexical, datatype,
+  /// lang}, the layout snapshots and the WAL share. A kind byte outside
+  /// TermKind, a literal with both a datatype and a language tag, or a
+  /// datatype / language tag on an IRI or blank node is ParseError: no
+  /// writer emits one, so seeing it means the record is corrupt.
+  static Result<Term> FromParts(uint8_t kind, std::string lexical,
+                                std::string datatype, std::string lang);
+
   TermKind kind() const { return kind_; }
   bool is_iri() const { return kind_ == TermKind::kIri; }
   bool is_literal() const { return kind_ == TermKind::kLiteral; }

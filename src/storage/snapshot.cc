@@ -5,15 +5,12 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "common/crc32c.h"
 #include "common/durable_io.h"
 #include "common/failpoint.h"
-#include "common/logging.h"
 #include "common/timer.h"
-#include "server/thread_pool.h"
 #include "storage/compressed.h"
 
 namespace parj::storage {
@@ -29,10 +26,8 @@ constexpr char kMagic[8] = {'P', 'A', 'R', 'J', 'S', 'N', 'A', 'P'};
 constexpr size_t kMaxStringLength = 1u << 24;  // 16 MB per term, sanity cap
 
 // Section ids. The trailer id spells "TRLR" so a hex dump of a healthy
-// snapshot ends recognizably. v2 data lives in kSectionTriples, v3 data
-// in kSectionTables (bit-packed SO replicas).
+// snapshot ends recognizably.
 constexpr uint32_t kSectionDictionary = 1;
-constexpr uint32_t kSectionTriples = 2;
 constexpr uint32_t kSectionTables = 3;
 constexpr uint32_t kSectionTrailer = 0x524C5254u;  // "TRLR" in an LE dump
 
@@ -143,28 +138,17 @@ class SnapshotReader {
     return s;
   }
   Result<rdf::Term> ReadTerm() {
-    PARJ_ASSIGN_OR_RETURN(uint8_t kind_byte, ReadU8("term"));
+    PARJ_ASSIGN_OR_RETURN(uint8_t kind, ReadU8("term"));
     PARJ_ASSIGN_OR_RETURN(std::string lexical, ReadString());
     PARJ_ASSIGN_OR_RETURN(std::string datatype, ReadString());
     PARJ_ASSIGN_OR_RETURN(std::string lang, ReadString());
-    switch (static_cast<rdf::TermKind>(kind_byte)) {
-      case rdf::TermKind::kIri:
-        return rdf::Term::Iri(std::move(lexical));
-      case rdf::TermKind::kBlank:
-        return rdf::Term::Blank(std::move(lexical));
-      case rdf::TermKind::kLiteral:
-        if (!lang.empty()) {
-          return rdf::Term::LangLiteral(std::move(lexical), std::move(lang));
-        }
-        if (!datatype.empty()) {
-          return rdf::Term::TypedLiteral(std::move(lexical),
-                                         std::move(datatype));
-        }
-        return rdf::Term::Literal(std::move(lexical));
+    Result<rdf::Term> term = rdf::Term::FromParts(
+        kind, std::move(lexical), std::move(datatype), std::move(lang));
+    if (!term.ok()) {
+      return Status::ParseError("snapshot " + term.status().message() +
+                                " at offset " + std::to_string(offset_));
     }
-    return Status::ParseError("snapshot term has unknown kind " +
-                              std::to_string(kind_byte) + " at offset " +
-                              std::to_string(offset_));
+    return term;
   }
 
   void BeginCrc() {
@@ -391,12 +375,9 @@ Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
   }
   PARJ_FAILPOINT("snapshot.read.header");
   PARJ_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32("version"));
-  if (version != kSnapshotVersion && version != kSnapshotVersionV2 &&
-      version != kSnapshotVersionLegacy) {
+  if (version != kSnapshotVersion) {
     return Status::Unsupported("snapshot version " + std::to_string(version) +
                                " (supported: " +
-                               std::to_string(kSnapshotVersionLegacy) + ", " +
-                               std::to_string(kSnapshotVersionV2) + ", " +
                                std::to_string(kSnapshotVersion) + ")");
   }
   info->version = version;
@@ -404,20 +385,32 @@ Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
   if (flags != 0) {
     return Status::Unsupported("snapshot uses unknown flags");
   }
-  const bool checked = version >= kSnapshotVersionV2;
   std::vector<uint32_t> section_crcs;
+  // Reads a section header and starts the payload CRC.
+  const auto begin_section = [&](uint32_t expected,
+                                 const char* name) -> Status {
+    PARJ_ASSIGN_OR_RETURN(uint32_t id, reader.ReadU32("section id"));
+    if (id != expected) {
+      return Status::DataLoss("snapshot " + std::string(name) +
+                              " section has wrong id " + std::to_string(id) +
+                              " at offset " +
+                              std::to_string(reader.offset() - 4));
+    }
+    reader.BeginCrc();
+    return Status::OK();
+  };
+  // Checks the stored payload CRC and records it for the trailer.
+  const auto end_section = [&](const char* name) -> Status {
+    const uint32_t computed = reader.EndCrc();
+    PARJ_RETURN_NOT_OK(reader.VerifySectionCrc(name, computed));
+    section_crcs.push_back(computed);
+    ++info->sections_verified;
+    return Status::OK();
+  };
 
   // --- dictionary section -----------------------------------------------
   PARJ_FAILPOINT("snapshot.read.dictionary");
-  if (checked) {
-    PARJ_ASSIGN_OR_RETURN(uint32_t id, reader.ReadU32("section id"));
-    if (id != kSectionDictionary) {
-      return Status::DataLoss(
-          "snapshot dictionary section has wrong id " + std::to_string(id) +
-          " at offset " + std::to_string(reader.offset() - 4));
-    }
-    reader.BeginCrc();
-  }
+  PARJ_RETURN_NOT_OK(begin_section(kSectionDictionary, "dictionary"));
   PARJ_ASSIGN_OR_RETURN(uint32_t resource_count,
                         reader.ReadU32("resource count"));
   info->resource_count = resource_count;
@@ -443,476 +436,84 @@ Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
       }
     }
   }
-  if (checked) {
-    const uint32_t computed = reader.EndCrc();
-    PARJ_RETURN_NOT_OK(reader.VerifySectionCrc("dictionary", computed));
-    section_crcs.push_back(computed);
-    ++info->sections_verified;
-  }
+  PARJ_RETURN_NOT_OK(end_section("dictionary"));
 
-  // --- data section (v1/v2: raw triples; v3: packed tables) -------------
+  // --- tables section ---------------------------------------------------
   PARJ_FAILPOINT("snapshot.read.triples");
-  if (version >= kSnapshotVersion) {
-    PARJ_ASSIGN_OR_RETURN(uint32_t id, reader.ReadU32("section id"));
-    if (id != kSectionTables) {
-      return Status::DataLoss(
-          "snapshot tables section has wrong id " + std::to_string(id) +
-          " at offset " + std::to_string(reader.offset() - 4));
-    }
-    reader.BeginCrc();
-    PARJ_ASSIGN_OR_RETURN(uint64_t triple_count,
-                          reader.ReadU64("triple count"));
-    info->triple_count = triple_count;
-    PARJ_ASSIGN_OR_RETURN(uint32_t table_count, reader.ReadU32("table count"));
-    if (table_count != info->predicate_count) {
-      return Status::DataLoss(
-          "snapshot has " + std::to_string(table_count) +
-          " tables for " + std::to_string(info->predicate_count) +
-          " predicates");
-    }
-    if (build) {
-      triples->reserve(std::min<uint64_t>(triple_count, uint64_t{1} << 24));
-    }
-    uint64_t decoded = 0;
-    for (uint32_t p = 0; p < table_count; ++p) {
-      PARJ_ASSIGN_OR_RETURN(
-          uint64_t pairs,
-          ReadPackedReplica(reader, static_cast<PredicateId>(p + 1),
-                            build ? triples : nullptr));
-      decoded += pairs;
-    }
-    if (decoded != triple_count) {
-      return Status::DataLoss("snapshot tables hold " +
-                              std::to_string(decoded) + " triples, header "
-                              "says " + std::to_string(triple_count));
-    }
-    const uint32_t computed = reader.EndCrc();
-    PARJ_RETURN_NOT_OK(reader.VerifySectionCrc("tables", computed));
-    section_crcs.push_back(computed);
-    ++info->sections_verified;
-  } else {
-    if (checked) {
-      PARJ_ASSIGN_OR_RETURN(uint32_t id, reader.ReadU32("section id"));
-      if (id != kSectionTriples) {
-        return Status::DataLoss(
-            "snapshot triples section has wrong id " + std::to_string(id) +
-            " at offset " + std::to_string(reader.offset() - 4));
-      }
-      reader.BeginCrc();
-    }
-    PARJ_ASSIGN_OR_RETURN(uint64_t triple_count,
-                          reader.ReadU64("triple count"));
-    info->triple_count = triple_count;
-    if (build) {
-      // Do not trust the header for a giant up-front allocation; a
-      // corrupted count will fail on the truncated read (or the CRC)
-      // instead.
-      triples->reserve(std::min<uint64_t>(triple_count, uint64_t{1} << 24));
-    }
-    for (uint64_t i = 0; i < triple_count; ++i) {
-      EncodedTriple t;
-      PARJ_ASSIGN_OR_RETURN(t.subject, reader.ReadU32("triple subject"));
-      PARJ_ASSIGN_OR_RETURN(t.predicate, reader.ReadU32("triple predicate"));
-      PARJ_ASSIGN_OR_RETURN(t.object, reader.ReadU32("triple object"));
-      if (build) triples->push_back(t);
-    }
-    if (checked) {
-      const uint32_t computed = reader.EndCrc();
-      PARJ_RETURN_NOT_OK(reader.VerifySectionCrc("triples", computed));
-      section_crcs.push_back(computed);
-      ++info->sections_verified;
-    }
+  PARJ_RETURN_NOT_OK(begin_section(kSectionTables, "tables"));
+  PARJ_ASSIGN_OR_RETURN(uint64_t triple_count, reader.ReadU64("triple count"));
+  info->triple_count = triple_count;
+  PARJ_ASSIGN_OR_RETURN(uint32_t table_count, reader.ReadU32("table count"));
+  if (table_count != info->predicate_count) {
+    return Status::DataLoss("snapshot has " + std::to_string(table_count) +
+                            " tables for " +
+                            std::to_string(info->predicate_count) +
+                            " predicates");
   }
+  if (build) {
+    // Do not trust the header for a giant up-front allocation; a corrupted
+    // count fails on the table totals (or the CRC) instead.
+    triples->reserve(std::min<uint64_t>(triple_count, uint64_t{1} << 24));
+  }
+  uint64_t decoded = 0;
+  for (uint32_t p = 0; p < table_count; ++p) {
+    PARJ_ASSIGN_OR_RETURN(
+        uint64_t pairs,
+        ReadPackedReplica(reader, static_cast<PredicateId>(p + 1),
+                          build ? triples : nullptr));
+    decoded += pairs;
+  }
+  if (decoded != triple_count) {
+    return Status::DataLoss("snapshot tables hold " + std::to_string(decoded) +
+                            " triples, header says " +
+                            std::to_string(triple_count));
+  }
+  PARJ_RETURN_NOT_OK(end_section("tables"));
 
   // --- trailer ----------------------------------------------------------
-  if (checked) {
-    PARJ_FAILPOINT("snapshot.read.trailer");
-    PARJ_ASSIGN_OR_RETURN(uint32_t id, reader.ReadU32("trailer id"));
-    if (id != kSectionTrailer) {
-      return Status::DataLoss("snapshot trailer has wrong id " +
-                              std::to_string(id) + " at offset " +
-                              std::to_string(reader.offset() - 4));
-    }
-    PARJ_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64("trailer count"));
-    if (count != section_crcs.size()) {
-      return Status::DataLoss("snapshot trailer records " +
-                              std::to_string(count) + " sections, expected " +
-                              std::to_string(section_crcs.size()));
-    }
-    PARJ_ASSIGN_OR_RETURN(uint32_t stored, reader.ReadU32("trailer CRC"));
-    const uint32_t computed = Crc32c(section_crcs.data(),
-                                     section_crcs.size() * sizeof(uint32_t));
-    if (stored != computed) {
-      GlobalSnapshotStats().crc_mismatches.fetch_add(
-          1, std::memory_order_relaxed);
-      return Status::DataLoss("snapshot section 'trailer' CRC mismatch at "
-                              "offset " + std::to_string(reader.offset() - 4));
-    }
-    GlobalSnapshotStats().crc_sections_verified.fetch_add(
-        1, std::memory_order_relaxed);
-    ++info->sections_verified;
-    if (!reader.AtEof()) {
-      return Status::DataLoss("snapshot has trailing bytes after trailer at "
-                              "offset " + std::to_string(reader.offset()));
-    }
+  PARJ_FAILPOINT("snapshot.read.trailer");
+  PARJ_ASSIGN_OR_RETURN(uint32_t trailer_id, reader.ReadU32("trailer id"));
+  if (trailer_id != kSectionTrailer) {
+    return Status::DataLoss("snapshot trailer has wrong id " +
+                            std::to_string(trailer_id) + " at offset " +
+                            std::to_string(reader.offset() - 4));
+  }
+  PARJ_ASSIGN_OR_RETURN(uint64_t count, reader.ReadU64("trailer count"));
+  if (count != section_crcs.size()) {
+    return Status::DataLoss("snapshot trailer records " +
+                            std::to_string(count) + " sections, expected " +
+                            std::to_string(section_crcs.size()));
+  }
+  PARJ_ASSIGN_OR_RETURN(uint32_t stored, reader.ReadU32("trailer CRC"));
+  const uint32_t computed =
+      Crc32c(section_crcs.data(), section_crcs.size() * sizeof(uint32_t));
+  if (stored != computed) {
+    GlobalSnapshotStats().crc_mismatches.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    return Status::DataLoss("snapshot section 'trailer' CRC mismatch at "
+                            "offset " + std::to_string(reader.offset() - 4));
+  }
+  GlobalSnapshotStats().crc_sections_verified.fetch_add(
+      1, std::memory_order_relaxed);
+  ++info->sections_verified;
+  if (!reader.AtEof()) {
+    return Status::DataLoss("snapshot has trailing bytes after trailer at "
+                            "offset " + std::to_string(reader.offset()));
   }
   info->bytes = reader.offset();
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Buffered parallel load path (v2 snapshots, SnapshotLoadOptions.threads > 1)
-//
-// A serial structural scan walks the buffer once — cheap, it only follows
-// length fields — recording section payload spans, every term record's
-// offset, and the triple array's span. The expensive work (CRC-32C over the
-// payloads, term string materialization, triple record decode) then runs in
-// parallel over disjoint ranges. Every structural check of the streaming
-// reader is replicated with the same status codes, messages, and offsets,
-// so corruption reports do not depend on which path loaded the file.
-// ---------------------------------------------------------------------------
-
-/// Byte spans of one v2 section: [payload_begin, payload_end) is CRC-covered;
-/// the stored CRC word sits at payload_end.
-struct SectionSpan {
-  size_t payload_begin = 0;
-  size_t payload_end = 0;
-  uint32_t stored_crc = 0;
-};
-
-/// Everything the structural scan learns about a v2 snapshot buffer.
-struct SnapshotLayout {
-  SectionSpan dictionary;
-  SectionSpan triples;
-  uint32_t resource_count = 0;
-  uint32_t predicate_count = 0;
-  /// Offset of each term record, resources first then predicates.
-  std::vector<size_t> term_offsets;
-  uint64_t triple_count = 0;
-  size_t triples_begin = 0;  ///< offset of the first 12-byte triple record
-  uint64_t trailer_section_count = 0;
-  uint32_t trailer_stored_crc = 0;
-  size_t trailer_crc_offset = 0;  ///< offset just past the stored trailer CRC
-  size_t end = 0;                 ///< offset just past the trailer
-};
-
-/// Bounds-checked cursor over the snapshot buffer; mirrors SnapshotReader's
-/// error wording ("truncated snapshot (<what>) at offset N").
-class BufferCursor {
- public:
-  BufferCursor(const char* data, size_t size) : data_(data), size_(size) {}
-
-  Status Skip(size_t n, const char* what) {
-    if (n > size_ - pos_ || pos_ > size_) {
-      return Status::IoError("truncated snapshot (" + std::string(what) +
-                             ") at offset " + std::to_string(pos_));
-    }
-    pos_ += n;
-    return Status::OK();
-  }
-  Result<uint8_t> ReadU8(const char* what) {
-    PARJ_RETURN_NOT_OK(Skip(1, what));
-    return static_cast<uint8_t>(data_[pos_ - 1]);
-  }
-  Result<uint32_t> ReadU32(const char* what) {
-    PARJ_RETURN_NOT_OK(Skip(4, what));
-    uint32_t v;
-    std::memcpy(&v, data_ + pos_ - 4, 4);
-    return v;
-  }
-  Result<uint64_t> ReadU64(const char* what) {
-    PARJ_RETURN_NOT_OK(Skip(8, what));
-    uint64_t v;
-    std::memcpy(&v, data_ + pos_ - 8, 8);
-    return v;
-  }
-  /// Skips one length-prefixed string, enforcing the sanity cap with the
-  /// streaming reader's message and offset.
-  Status SkipString() {
-    PARJ_ASSIGN_OR_RETURN(uint32_t length, ReadU32("string length"));
-    if (length > kMaxStringLength) {
-      return Status::ParseError(
-          "snapshot string length exceeds sanity cap at offset " +
-          std::to_string(pos_ - 4));
-    }
-    return Skip(length, "string");
-  }
-  size_t pos() const { return pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-/// Structural scan of a v2 snapshot. Validates everything the streaming
-/// walker validates except the CRCs themselves (recorded for later parallel
-/// verification) and term uniqueness (checked by Dictionary::FromTerms).
-Status ScanSnapshotV2(const char* data, size_t size, SnapshotLayout* layout,
-                      SnapshotInfo* info) {
-  BufferCursor cur(data, size);
-  PARJ_RETURN_NOT_OK(cur.Skip(sizeof(kMagic), "magic"));
-  PARJ_FAILPOINT("snapshot.read.header");
-  PARJ_ASSIGN_OR_RETURN(uint32_t version, cur.ReadU32("version"));
-  PARJ_CHECK(version == kSnapshotVersionV2)
-      << "ScanSnapshotV2 called for version " << version;
-  info->version = version;
-  PARJ_ASSIGN_OR_RETURN(uint32_t flags, cur.ReadU32("flags"));
-  if (flags != 0) {
-    return Status::Unsupported("snapshot uses unknown flags");
-  }
-
-  // Scans one term record: kind byte + three strings. The streaming reader
-  // materializes the strings before judging the kind byte, so string errors
-  // take precedence and the unknown-kind offset is the record's END.
-  const auto scan_term = [&]() -> Status {
-    PARJ_ASSIGN_OR_RETURN(uint8_t kind_byte, cur.ReadU8("term"));
-    PARJ_RETURN_NOT_OK(cur.SkipString());
-    PARJ_RETURN_NOT_OK(cur.SkipString());
-    PARJ_RETURN_NOT_OK(cur.SkipString());
-    if (kind_byte > static_cast<uint8_t>(rdf::TermKind::kBlank)) {
-      return Status::ParseError("snapshot term has unknown kind " +
-                                std::to_string(kind_byte) + " at offset " +
-                                std::to_string(cur.pos()));
-    }
-    return Status::OK();
-  };
-
-  // --- dictionary section -----------------------------------------------
-  PARJ_FAILPOINT("snapshot.read.dictionary");
-  {
-    PARJ_ASSIGN_OR_RETURN(uint32_t id, cur.ReadU32("section id"));
-    if (id != kSectionDictionary) {
-      return Status::DataLoss("snapshot dictionary section has wrong id " +
-                              std::to_string(id) + " at offset " +
-                              std::to_string(cur.pos() - 4));
-    }
-  }
-  layout->dictionary.payload_begin = cur.pos();
-  PARJ_ASSIGN_OR_RETURN(layout->resource_count, cur.ReadU32("resource count"));
-  info->resource_count = layout->resource_count;
-  layout->term_offsets.reserve(static_cast<size_t>(layout->resource_count));
-  for (uint32_t i = 0; i < layout->resource_count; ++i) {
-    layout->term_offsets.push_back(cur.pos());
-    PARJ_RETURN_NOT_OK(scan_term());
-  }
-  PARJ_ASSIGN_OR_RETURN(layout->predicate_count,
-                        cur.ReadU32("predicate count"));
-  info->predicate_count = layout->predicate_count;
-  for (uint32_t i = 0; i < layout->predicate_count; ++i) {
-    layout->term_offsets.push_back(cur.pos());
-    PARJ_RETURN_NOT_OK(scan_term());
-  }
-  layout->dictionary.payload_end = cur.pos();
-  PARJ_ASSIGN_OR_RETURN(layout->dictionary.stored_crc,
-                        cur.ReadU32("section CRC"));
-
-  // --- triples section --------------------------------------------------
-  PARJ_FAILPOINT("snapshot.read.triples");
-  {
-    PARJ_ASSIGN_OR_RETURN(uint32_t id, cur.ReadU32("section id"));
-    if (id != kSectionTriples) {
-      return Status::DataLoss("snapshot triples section has wrong id " +
-                              std::to_string(id) + " at offset " +
-                              std::to_string(cur.pos() - 4));
-    }
-  }
-  layout->triples.payload_begin = cur.pos();
-  PARJ_ASSIGN_OR_RETURN(layout->triple_count, cur.ReadU64("triple count"));
-  info->triple_count = layout->triple_count;
-  layout->triples_begin = cur.pos();
-  for (uint64_t i = 0; i < layout->triple_count; ++i) {
-    PARJ_RETURN_NOT_OK(cur.Skip(4, "triple subject"));
-    PARJ_RETURN_NOT_OK(cur.Skip(4, "triple predicate"));
-    PARJ_RETURN_NOT_OK(cur.Skip(4, "triple object"));
-  }
-  layout->triples.payload_end = cur.pos();
-  PARJ_ASSIGN_OR_RETURN(layout->triples.stored_crc, cur.ReadU32("section CRC"));
-
-  // --- trailer ----------------------------------------------------------
-  PARJ_FAILPOINT("snapshot.read.trailer");
-  {
-    PARJ_ASSIGN_OR_RETURN(uint32_t id, cur.ReadU32("trailer id"));
-    if (id != kSectionTrailer) {
-      return Status::DataLoss("snapshot trailer has wrong id " +
-                              std::to_string(id) + " at offset " +
-                              std::to_string(cur.pos() - 4));
-    }
-  }
-  PARJ_ASSIGN_OR_RETURN(layout->trailer_section_count,
-                        cur.ReadU64("trailer count"));
-  if (layout->trailer_section_count != 2) {
-    return Status::DataLoss("snapshot trailer records " +
-                            std::to_string(layout->trailer_section_count) +
-                            " sections, expected 2");
-  }
-  PARJ_ASSIGN_OR_RETURN(layout->trailer_stored_crc, cur.ReadU32("trailer CRC"));
-  layout->trailer_crc_offset = cur.pos();
-  if (cur.pos() != size) {
-    return Status::DataLoss("snapshot has trailing bytes after trailer at "
-                            "offset " + std::to_string(cur.pos()));
-  }
-  layout->end = cur.pos();
-  info->bytes = cur.pos();
-  return Status::OK();
-}
-
-/// Decodes the term record at `pos` (already bounds- and kind-validated by
-/// the scan), mirroring SnapshotReader::ReadTerm's construction rules.
-rdf::Term DecodeTermAt(const char* data, size_t pos) {
-  const uint8_t kind_byte = static_cast<uint8_t>(data[pos]);
-  pos += 1;
-  const auto take_string = [&]() {
-    uint32_t length;
-    std::memcpy(&length, data + pos, 4);
-    pos += 4;
-    std::string s(data + pos, length);
-    pos += length;
-    return s;
-  };
-  std::string lexical = take_string();
-  std::string datatype = take_string();
-  std::string lang = take_string();
-  switch (static_cast<rdf::TermKind>(kind_byte)) {
-    case rdf::TermKind::kIri:
-      return rdf::Term::Iri(std::move(lexical));
-    case rdf::TermKind::kBlank:
-      return rdf::Term::Blank(std::move(lexical));
-    case rdf::TermKind::kLiteral:
-      break;
-  }
-  if (!lang.empty()) {
-    return rdf::Term::LangLiteral(std::move(lexical), std::move(lang));
-  }
-  if (!datatype.empty()) {
-    return rdf::Term::TypedLiteral(std::move(lexical), std::move(datatype));
-  }
-  return rdf::Term::Literal(std::move(lexical));
-}
-
-/// Verifies one section's computed CRC against the stored word, with the
-/// streaming reader's exact diagnostics and counter updates.
-Status CheckSectionCrc(const char* section, const SectionSpan& span,
-                       uint32_t computed) {
-  if (span.stored_crc != computed) {
-    GlobalSnapshotStats().crc_mismatches.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    char detail[64];
-    std::snprintf(detail, sizeof(detail), " (stored %08x, computed %08x)",
-                  span.stored_crc, computed);
-    return Status::DataLoss("snapshot section '" + std::string(section) +
-                            "' CRC mismatch at offset " +
-                            std::to_string(span.payload_end) + detail);
-  }
-  GlobalSnapshotStats().crc_sections_verified.fetch_add(
-      1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-/// The parallel v2 load: scan serially, then CRC + decode on `pool`.
-/// Returns the decoded dictionary terms and triples; CRC failures are
-/// reported in the streaming walker's section order.
-Status DecodeSnapshotParallel(const char* data, size_t size,
-                              server::ThreadPool* pool,
-                              std::vector<rdf::Term>* resources,
-                              std::vector<rdf::Term>* predicates,
-                              std::vector<EncodedTriple>* triples,
-                              SnapshotInfo* info) {
-  SnapshotLayout layout;
-  PARJ_RETURN_NOT_OK(ScanSnapshotV2(data, size, &layout, info));
-
-  resources->resize(layout.resource_count);
-  predicates->resize(layout.predicate_count);
-  triples->resize(layout.triple_count);
-
-  // Task list: two section CRCs + term-range decodes + triple-range
-  // decodes, all over disjoint inputs and outputs.
-  uint32_t dict_crc = 0;
-  uint32_t triples_crc = 0;
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([&] {
-    dict_crc = Crc32c(data + layout.dictionary.payload_begin,
-                      layout.dictionary.payload_end -
-                          layout.dictionary.payload_begin);
-  });
-  tasks.push_back([&] {
-    triples_crc = Crc32c(data + layout.triples.payload_begin,
-                         layout.triples.payload_end -
-                             layout.triples.payload_begin);
-  });
-  const size_t total_terms = layout.term_offsets.size();
-  const size_t term_stride = std::max<size_t>(
-      1024, total_terms / (static_cast<size_t>(pool->thread_count()) * 4 + 1));
-  for (size_t begin = 0; begin < total_terms; begin += term_stride) {
-    const size_t end = std::min(begin + term_stride, total_terms);
-    tasks.push_back([&, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        rdf::Term term = DecodeTermAt(data, layout.term_offsets[i]);
-        if (i < layout.resource_count) {
-          (*resources)[i] = std::move(term);
-        } else {
-          (*predicates)[i - layout.resource_count] = std::move(term);
-        }
-      }
-    });
-  }
-  const size_t triple_stride = std::max<size_t>(
-      size_t{64} << 10,
-      layout.triple_count / (static_cast<size_t>(pool->thread_count()) * 4 + 1));
-  for (size_t begin = 0; begin < layout.triple_count; begin += triple_stride) {
-    const size_t end =
-        std::min<size_t>(begin + triple_stride, layout.triple_count);
-    tasks.push_back([&, begin, end] {
-      const char* records = data + layout.triples_begin;
-      for (size_t i = begin; i < end; ++i) {
-        EncodedTriple& t = (*triples)[i];
-        std::memcpy(&t.subject, records + i * 12, 4);
-        std::memcpy(&t.predicate, records + i * 12 + 4, 4);
-        std::memcpy(&t.object, records + i * 12 + 8, 4);
-      }
-    });
-  }
-  pool->ParallelFor(tasks.size(), [&](size_t i) { tasks[i](); });
-
-  // Verify in the streaming walker's order so a multi-corruption file
-  // reports the same first error on both paths.
-  PARJ_RETURN_NOT_OK(CheckSectionCrc("dictionary", layout.dictionary,
-                                     dict_crc));
-  ++info->sections_verified;
-  PARJ_RETURN_NOT_OK(CheckSectionCrc("triples", layout.triples, triples_crc));
-  ++info->sections_verified;
-  const uint32_t section_crcs[2] = {layout.dictionary.stored_crc,
-                                    layout.triples.stored_crc};
-  const uint32_t trailer_computed = Crc32c(section_crcs, sizeof(section_crcs));
-  if (layout.trailer_stored_crc != trailer_computed) {
-    GlobalSnapshotStats().crc_mismatches.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    return Status::DataLoss(
-        "snapshot section 'trailer' CRC mismatch at offset " +
-        std::to_string(layout.trailer_crc_offset - 4));
-  }
-  GlobalSnapshotStats().crc_sections_verified.fetch_add(
-      1, std::memory_order_relaxed);
-  ++info->sections_verified;
-  return Status::OK();
-}
-
 }  // namespace
 
-Status WriteSnapshot(const Database& db, std::ostream& out, uint32_t version) {
-  if (version != kSnapshotVersion && version != kSnapshotVersionV2 &&
-      version != kSnapshotVersionLegacy) {
-    return Status::InvalidArgument("cannot write snapshot version " +
-                                   std::to_string(version));
-  }
-  const bool checked = version >= kSnapshotVersionV2;
+Status WriteSnapshot(const Database& db, std::ostream& out) {
   SnapshotWriter writer(out);
   writer.WriteBytes(kMagic, sizeof(kMagic));
-  writer.WriteU32(version);
+  writer.WriteU32(kSnapshotVersion);
   writer.WriteU32(0);  // flags, reserved
 
   const dict::Dictionary& dict = db.dictionary();
-  if (checked) writer.BeginSection(kSectionDictionary);
+  writer.BeginSection(kSectionDictionary);
   writer.WriteU32(dict.resource_count());
   for (TermId id = 1; id <= dict.resource_count(); ++id) {
     writer.WriteTerm(dict.DecodeResource(id));
@@ -921,50 +522,29 @@ Status WriteSnapshot(const Database& db, std::ostream& out, uint32_t version) {
   for (PredicateId id = 1; id <= dict.predicate_count(); ++id) {
     writer.WriteTerm(dict.DecodePredicate(id));
   }
-  if (checked) writer.EndSection();
+  writer.EndSection();
 
   PARJ_FAILPOINT("snapshot.write.triples");
-  if (version >= kSnapshotVersion) {
-    // v3: each predicate's SO replica through the deterministic block
-    // encoder — byte-identical output whether the in-memory store is flat
-    // (packed here on the fly) or already compressed (reused as is).
-    writer.BeginSection(kSectionTables);
-    writer.WriteU64(db.total_triples());
-    writer.WriteU32(static_cast<uint32_t>(db.predicate_count()));
-    for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
-      const TableReplica& so = db.entry(pid).table.so();
-      if (so.empty()) {
-        writer.WriteU32(0);
-        writer.WriteU64(0);
-      } else if (so.is_compressed()) {
-        WritePackedReplica(writer, *so.packed());
-      } else {
-        WritePackedReplica(
-            writer, CompressReplica(so.keys(), so.offsets(), so.values()));
-      }
-    }
-    writer.EndSection();
-    writer.WriteTrailer();
-  } else {
-    if (checked) writer.BeginSection(kSectionTriples);
-    writer.WriteU64(db.total_triples());
-    for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
-      const TableReplica& so = db.entry(pid).table.so();
-      // ForEachRun works in both storage modes, emitting the identical
-      // (key, run) sequence a flat walk produces.
-      so.ForEachRun([&](size_t, TermId key, std::span<const TermId> run) {
-        for (TermId o : run) {
-          writer.WriteU32(key);
-          writer.WriteU32(pid);
-          writer.WriteU32(o);
-        }
-      });
-    }
-    if (checked) {
-      writer.EndSection();
-      writer.WriteTrailer();
+  // Each predicate's SO replica through the deterministic block encoder —
+  // byte-identical output whether the in-memory store is flat (packed here
+  // on the fly) or already compressed (reused as is).
+  writer.BeginSection(kSectionTables);
+  writer.WriteU64(db.total_triples());
+  writer.WriteU32(static_cast<uint32_t>(db.predicate_count()));
+  for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
+    const TableReplica& so = db.entry(pid).table.so();
+    if (so.empty()) {
+      writer.WriteU32(0);
+      writer.WriteU64(0);
+    } else if (so.is_compressed()) {
+      WritePackedReplica(writer, *so.packed());
+    } else {
+      WritePackedReplica(
+          writer, CompressReplica(so.keys(), so.offsets(), so.values()));
     }
   }
+  writer.EndSection();
+  writer.WriteTrailer();
   if (!writer.good()) {
     return Status::IoError("write failure while saving snapshot");
   }
@@ -1017,46 +597,13 @@ Status SaveSnapshot(const Database& db, const std::string& path) {
 }
 
 Result<Database> ReadSnapshot(std::istream& in, const DatabaseOptions& options,
-                              const SnapshotLoadOptions& load,
                               SnapshotLoadStats* stats) {
   dict::Dictionary dict;
   std::vector<EncodedTriple> triples;
   SnapshotInfo info;
   Stopwatch decode_timer;
-  if (load.threads > 1) {
-    // Buffered path: slurp, then scan + parallel CRC/decode. A v1 stream
-    // (or anything that is not exactly v2) is replayed through the serial
-    // walker so its structural diagnostics stay authoritative.
-    Stopwatch read_timer;
-    std::ostringstream slurp;
-    slurp << in.rdbuf();
-    std::string buffer = std::move(slurp).str();
-    if (stats != nullptr) stats->read_millis = read_timer.ElapsedMillis();
-    decode_timer.Restart();
-    uint32_t version = 0;
-    if (buffer.size() >= sizeof(kMagic) + 4) {
-      std::memcpy(&version, buffer.data() + sizeof(kMagic), 4);
-    }
-    if (version == kSnapshotVersionV2 &&
-        std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) == 0) {
-      server::ThreadPool pool(load.threads);
-      std::vector<rdf::Term> resources;
-      std::vector<rdf::Term> predicates;
-      PARJ_RETURN_NOT_OK(DecodeSnapshotParallel(buffer.data(), buffer.size(),
-                                                &pool, &resources, &predicates,
-                                                &triples, &info));
-      PARJ_ASSIGN_OR_RETURN(dict, dict::Dictionary::FromTerms(
-                                      std::move(resources),
-                                      std::move(predicates)));
-    } else {
-      std::istringstream replay(std::move(buffer));
-      PARJ_RETURN_NOT_OK(ParseSnapshot(replay, /*build=*/true, &dict,
-                                       &triples, &info));
-    }
-  } else {
-    PARJ_RETURN_NOT_OK(ParseSnapshot(in, /*build=*/true, &dict, &triples,
-                                     &info));
-  }
+  PARJ_RETURN_NOT_OK(
+      ParseSnapshot(in, /*build=*/true, &dict, &triples, &info));
   if (stats != nullptr) stats->decode_millis = decode_timer.ElapsedMillis();
   GlobalSnapshotStats().snapshots_loaded.fetch_add(1,
                                                    std::memory_order_relaxed);
@@ -1068,11 +615,10 @@ Result<Database> ReadSnapshot(std::istream& in, const DatabaseOptions& options,
 
 Result<Database> LoadSnapshot(const std::string& path,
                               const DatabaseOptions& options,
-                              const SnapshotLoadOptions& load,
                               SnapshotLoadStats* stats) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
-  return ReadSnapshot(in, options, load, stats);
+  return ReadSnapshot(in, options, stats);
 }
 
 Result<SnapshotInfo> VerifySnapshot(std::istream& in) {

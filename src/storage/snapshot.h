@@ -18,7 +18,7 @@ namespace parj::storage {
 /// loading rebuilds the property tables, indexes and statistics (which is
 /// fast and keeps the format independent of layout details).
 ///
-/// Format v3 (little-endian; v1 and v2 files remain readable):
+/// Format v3 (little-endian; the only version read or written):
 ///   magic "PARJSNAP"  u32 version=3  u32 flags
 ///   section { u32 section_id, payload..., u32 crc32c(payload) }:
 ///     id 1 "dictionary": u32 resource_count, terms...,
@@ -30,48 +30,28 @@ namespace parj::storage {
 ///   trailer: u32 id 0x524C5254 ("TRLR" in a little-endian dump),
 ///            u64 section_count,
 ///            u32 crc32c(per-section CRC words), then EOF
-/// v2 is identical except the data section is
-///     id 2 "triples":    u64 triple_count, { u32 s, u32 p, u32 o }...
-/// Terms are { u8 kind, varlen lexical, varlen datatype, varlen lang };
-/// strings are u32 length + bytes.
+/// Terms are { u8 kind, varlen lexical, varlen datatype, varlen lang }
+/// (decoded by rdf::Term::FromParts); strings are u32 length + bytes.
 ///
-/// The v3 tables section is written through the deterministic block
-/// encoder whatever the in-memory store mode, so a flat and a compressed
-/// store produce byte-identical snapshots (~3x smaller than v2 on typical
-/// RDF data). Loading any version rebuilds the property tables, indexes
-/// and statistics under the caller's DatabaseOptions — including its
-/// compression mode — so the on-disk layout never constrains the
-/// in-memory one.
+/// The tables section is written through the deterministic block encoder
+/// whatever the in-memory store mode, so a flat and a compressed store
+/// produce byte-identical snapshots. Loading rebuilds the property tables,
+/// indexes and statistics under the caller's DatabaseOptions — including
+/// its compression mode and build_threads — so the on-disk layout never
+/// constrains the in-memory one.
 ///
 /// Every section payload is covered by a CRC-32C record; the reader
 /// verifies each section as it streams past and returns
 /// StatusCode::kDataLoss naming the failing section and byte offset on
 /// any mismatch, truncation inside a verified region, or trailing
-/// garbage. A v1 snapshot (no CRCs) still loads, with integrity limited
-/// to the structural checks.
+/// garbage. Any other version word is StatusCode::kUnsupported.
 
-/// Current and legacy on-disk format versions.
+/// The on-disk format version.
 inline constexpr uint32_t kSnapshotVersion = 3;
-inline constexpr uint32_t kSnapshotVersionV2 = 2;
-inline constexpr uint32_t kSnapshotVersionLegacy = 1;
-
-/// Options for ReadSnapshot/LoadSnapshot beyond the DatabaseOptions that
-/// shape the rebuilt store.
-struct SnapshotLoadOptions {
-  /// Worker threads for snapshot decode: with > 1 (and a v2 snapshot) the
-  /// file is read into memory, a serial structural scan locates section
-  /// and term boundaries, and then CRC verification, term decode, and
-  /// triple decode run in parallel. <= 1 streams serially. v1 and v3
-  /// snapshots always stream serially (v1 has no section structure to
-  /// scan; v3's packed blocks decode faster than they scan). The loaded
-  /// database is identical either way.
-  int threads = 1;
-};
 
 /// Per-phase wall-clock breakdown of one snapshot load.
 struct SnapshotLoadStats {
-  double read_millis = 0.0;    ///< file -> memory (parallel path only)
-  double decode_millis = 0.0;  ///< scan + CRC + term/triple decode
+  double decode_millis = 0.0;  ///< stream + CRC + term/table decode
   double build_millis = 0.0;   ///< Database::Build on the decoded data
 };
 
@@ -81,7 +61,7 @@ struct SnapshotInfo {
   uint32_t resource_count = 0;
   uint32_t predicate_count = 0;
   uint64_t triple_count = 0;
-  /// CRC-verified sections (0 for v1 files).
+  /// CRC-verified sections (dictionary, tables, trailer).
   uint64_t sections_verified = 0;
   /// Total bytes consumed.
   uint64_t bytes = 0;
@@ -97,11 +77,8 @@ struct SnapshotStats {
 };
 SnapshotStats& GlobalSnapshotStats();
 
-/// Writes `db`'s dictionary and triples to `out`. `version` selects the
-/// on-disk format — kSnapshotVersion unless writing a legacy file for
-/// compatibility testing.
-Status WriteSnapshot(const Database& db, std::ostream& out,
-                     uint32_t version = kSnapshotVersion);
+/// Writes `db`'s dictionary and packed tables to `out`.
+Status WriteSnapshot(const Database& db, std::ostream& out);
 
 /// Convenience file wrapper. Writes to `<path>.tmp` and renames into
 /// place only after a fully successful write + flush, so a crash or
@@ -110,17 +87,15 @@ Status SaveSnapshot(const Database& db, const std::string& path);
 
 /// Reads a snapshot and rebuilds a Database with `options`. CRC or
 /// structural failures return kDataLoss/kParseError/kIoError — never a
-/// partially-populated database. `load` selects serial streaming vs the
-/// buffered parallel decode; `stats` (optional) receives phase timings.
+/// partially-populated database. `stats` (optional) receives phase
+/// timings.
 Result<Database> ReadSnapshot(std::istream& in,
                               const DatabaseOptions& options = {},
-                              const SnapshotLoadOptions& load = {},
                               SnapshotLoadStats* stats = nullptr);
 
 /// Convenience file wrapper.
 Result<Database> LoadSnapshot(const std::string& path,
                               const DatabaseOptions& options = {},
-                              const SnapshotLoadOptions& load = {},
                               SnapshotLoadStats* stats = nullptr);
 
 /// Walks and CRC-verifies a snapshot without building the database

@@ -508,18 +508,10 @@ TEST(CompressedSnapshot, V3ByteIdenticalFromEitherStoreMode) {
   }
 }
 
-TEST(CompressedSnapshot, V2StillReadsAndV3Verifies) {
+TEST(CompressedSnapshot, V3Verifies) {
   const Spec spec = ChainSpec();
   storage::Database packed = test::MakeDatabase(
       spec, {.compression = storage::Compression::kBlocked});
-
-  std::stringstream v2;
-  ASSERT_TRUE(
-      storage::WriteSnapshot(packed, v2, storage::kSnapshotVersionV2).ok());
-  auto from_v2 = storage::ReadSnapshot(
-      v2, {.compression = storage::Compression::kBlocked});
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  ASSERT_EQ(from_v2->total_triples(), packed.total_triples());
 
   std::stringstream v3;
   ASSERT_TRUE(storage::WriteSnapshot(packed, v3).ok());
@@ -527,10 +519,7 @@ TEST(CompressedSnapshot, V2StillReadsAndV3Verifies) {
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   ASSERT_EQ(info->version, storage::kSnapshotVersion);
   ASSERT_EQ(info->triple_count, packed.total_triples());
-  ASSERT_GE(info->sections_verified, 2u);
-  // v3's packed tables section is substantially smaller than the v2
-  // triples section.
-  ASSERT_LT(v3.str().size(), v2.str().size());
+  ASSERT_EQ(info->sections_verified, 3u);
 }
 
 TEST(CompressedSnapshot, CorruptPackedSectionIsDataLoss) {

@@ -119,27 +119,6 @@ TEST(DictionaryTest, LookupByPrecomputedKey) {
             kInvalidPredicateId);  // separate ID space
 }
 
-TEST(DictionaryTest, FromTermsAssignsPositionalIds) {
-  auto dict = Dictionary::FromTerms(
-      {Term::Iri("r1"), Term::Literal("r2"), Term::Blank("r3")},
-      {Term::Iri("p1"), Term::Iri("p2")});
-  ASSERT_TRUE(dict.ok()) << dict.status().ToString();
-  EXPECT_EQ(dict->resource_count(), 3u);
-  EXPECT_EQ(dict->predicate_count(), 2u);
-  EXPECT_EQ(dict->LookupResource(Term::Literal("r2")), 2u);
-  EXPECT_EQ(dict->LookupPredicate(Term::Iri("p2")), 2u);
-  EXPECT_EQ(dict->DecodeResource(3), Term::Blank("r3"));
-}
-
-TEST(DictionaryTest, FromTermsRejectsDuplicates) {
-  auto dup_resource = Dictionary::FromTerms(
-      {Term::Iri("same"), Term::Iri("same")}, {Term::Iri("p")});
-  EXPECT_EQ(dup_resource.status().code(), StatusCode::kParseError);
-  auto dup_predicate = Dictionary::FromTerms(
-      {Term::Iri("r")}, {Term::Iri("p"), Term::Iri("p")});
-  EXPECT_EQ(dup_predicate.status().code(), StatusCode::kParseError);
-}
-
 TEST(DictionaryTest, CloneIsDeepAndIndependent) {
   Dictionary dict;
   dict.EncodeResource(Term::Iri("a"));

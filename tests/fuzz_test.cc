@@ -123,9 +123,8 @@ TEST_P(FuzzTest, MutatedSnapshotsFailCleanly) {
           static_cast<char>(1 + rng.Uniform(255));
     }
     if (mutated == bytes) continue;
-    // With per-section CRC-32C coverage (format v2), any altered byte —
-    // header, payload, CRC record or trailer — must be rejected; the
-    // pre-CRC format merely required not crashing.
+    // With per-section CRC-32C coverage, any altered byte — header,
+    // payload, CRC record or trailer — must be rejected.
     std::stringstream in(mutated);
     auto result = storage::ReadSnapshot(in);
     EXPECT_FALSE(result.ok()) << "iteration " << i;

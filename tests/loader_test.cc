@@ -196,7 +196,7 @@ namespace parj::engine {
 namespace {
 
 std::string SnapshotBytes(const storage::Database& db) {
-  std::ostringstream out;  // v2 snapshot bytes pin IDs, order, spellings
+  std::ostringstream out;  // snapshot bytes pin IDs, order, spellings
   Status written = storage::WriteSnapshot(db, out);
   PARJ_CHECK(written.ok()) << written.ToString();
   return std::move(out).str();

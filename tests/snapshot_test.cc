@@ -1,11 +1,13 @@
 #include "storage/snapshot.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "engine/parj_engine.h"
 #include "test_util.h"
@@ -148,28 +150,14 @@ TEST(SnapshotTest, RejectsFutureVersion) {
   Database original = MakeDatabase(kData);
   std::stringstream buffer;
   ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
-  std::string bytes = buffer.str();
-  bytes[8] = 99;  // version field
-  std::stringstream patched(bytes);
-  EXPECT_EQ(ReadSnapshot(patched).status().code(), StatusCode::kUnsupported);
-}
-
-TEST(SnapshotTest, LegacyV1RoundTripStillReads) {
-  Database original = MakeDatabase(kData);
-  std::stringstream buffer;
-  ASSERT_TRUE(
-      WriteSnapshot(original, buffer, kSnapshotVersionLegacy).ok());
-  auto restored = ReadSnapshot(buffer);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->total_triples(), original.total_triples());
-
-  // Verify walks it too, with zero CRC-verified sections (v1 has none).
-  std::stringstream again;
-  ASSERT_TRUE(WriteSnapshot(original, again, kSnapshotVersionLegacy).ok());
-  auto info = VerifySnapshot(again);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, kSnapshotVersionLegacy);
-  EXPECT_EQ(info->sections_verified, 0u);
+  // Retired versions 1 and 2 are as unreadable as a future one.
+  for (char version : {char{1}, char{2}, char{99}}) {
+    std::string bytes = buffer.str();
+    bytes[8] = version;  // low byte of the version field
+    std::stringstream patched(bytes);
+    EXPECT_EQ(ReadSnapshot(patched).status().code(), StatusCode::kUnsupported)
+        << "version " << int{version};
+  }
 }
 
 TEST(SnapshotTest, VerifyReportsSectionsAndCounts) {
@@ -203,23 +191,69 @@ TEST(SnapshotTest, CorruptDictionaryNamedInDataLoss) {
 
 TEST(SnapshotTest, CorruptDataSectionNamedInDataLoss) {
   Database original = MakeDatabase(kData);
-  // v2 names its data section "triples"; v3 packs the tables themselves
-  // and names it "tables". Either way the failing section is identified.
-  for (const auto& [version, section] :
-       {std::pair<uint32_t, const char*>{kSnapshotVersionV2, "triples"},
-        std::pair<uint32_t, const char*>{kSnapshotVersion, "tables"}}) {
-    std::stringstream buffer;
-    ASSERT_TRUE(WriteSnapshot(original, buffer, version).ok());
-    std::string bytes = buffer.str();
-    // The last 16 bytes are the trailer, 4 more the data-section CRC;
-    // flip a payload byte just before them.
-    bytes[bytes.size() - 16 - 4 - 2] ^= 0x01;
-    std::stringstream corrupted(bytes);
-    Status status = VerifySnapshot(corrupted).status();
-    ASSERT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
-    EXPECT_NE(status.message().find(section), std::string::npos)
-        << "v" << version << ": " << status.ToString();
-  }
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
+  std::string bytes = buffer.str();
+  // The last 16 bytes are the trailer, 4 more the tables-section CRC;
+  // flip a payload byte just before them.
+  bytes[bytes.size() - 16 - 4 - 2] ^= 0x01;
+  std::stringstream corrupted(bytes);
+  Status status = VerifySnapshot(corrupted).status();
+  ASSERT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("tables"), std::string::npos)
+      << status.ToString();
+}
+
+// A term record no writer emits — here an IRI carrying a datatype — is
+// rejected even when every CRC matches, exactly as the WAL rejects it.
+TEST(SnapshotTest, CrcValidMalformedTermIsParseError) {
+  Database original = MakeDatabase(kData);
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
+  std::string bytes = buffer.str();
+  const auto u32_at = [&](size_t pos) {
+    uint32_t v;
+    std::memcpy(&v, bytes.data() + pos, 4);
+    return v;
+  };
+  // magic(8) version(4) flags(4) section id(4), then the dictionary
+  // payload: resource count(4) and the first term record.
+  constexpr size_t kPayload = 20;
+  constexpr size_t kFirstTerm = kPayload + 4;
+  ASSERT_EQ(bytes[kFirstTerm], static_cast<char>(rdf::TermKind::kIri));
+  const size_t datatype_pos = kFirstTerm + 1 + 4 + u32_at(kFirstTerm + 1);
+  ASSERT_EQ(u32_at(datatype_pos), 0u);
+  const std::string datatype = "http://dt";
+  const uint32_t datatype_len = static_cast<uint32_t>(datatype.size());
+  std::memcpy(bytes.data() + datatype_pos, &datatype_len, 4);
+  bytes.insert(datatype_pos + 4, datatype);
+
+  // Walk the dictionary payload to its end, where its CRC word sits.
+  size_t pos = kPayload;
+  const auto skip_terms = [&] {
+    const uint32_t count = u32_at(pos);
+    pos += 4;
+    for (uint32_t i = 0; i < count; ++i) {
+      pos += 1;
+      for (int field = 0; field < 3; ++field) pos += 4 + u32_at(pos);
+    }
+  };
+  skip_terms();  // resources
+  skip_terms();  // predicates
+  uint32_t section_crcs[2] = {Crc32c(bytes.data() + kPayload, pos - kPayload),
+                              u32_at(bytes.size() - 16 - 4)};
+  std::memcpy(bytes.data() + pos, &section_crcs[0], 4);
+  const uint32_t trailer_crc = Crc32c(section_crcs, sizeof(section_crcs));
+  std::memcpy(bytes.data() + bytes.size() - 4, &trailer_crc, 4);
+
+  std::stringstream in(bytes);
+  Status status = ReadSnapshot(in).status();
+  ASSERT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("datatype"), std::string::npos)
+      << status.ToString();
+  std::stringstream verify_in(bytes);
+  EXPECT_EQ(VerifySnapshot(verify_in).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(SnapshotTest, TrailingGarbageRejected) {
@@ -271,61 +305,19 @@ TEST(SnapshotTest, ParallelLoadMatchesSerialByteForByte) {
     PARJ_CHECK(WriteSnapshot(db, out).ok());
     return out.str();
   };
-  std::stringstream serial_in(bytes);
-  auto serial = ReadSnapshot(serial_in);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
+  // The one reader decodes serially; the store build behind it runs on
+  // build_threads workers and must rebuild a byte-identical store.
   for (int threads : {2, 8}) {
     std::stringstream in(bytes);
-    SnapshotLoadOptions load;
-    load.threads = threads;
     DatabaseOptions db_options;
     db_options.build_threads = threads;
     SnapshotLoadStats stats;
-    auto parallel = ReadSnapshot(in, db_options, load, &stats);
+    auto parallel = ReadSnapshot(in, db_options, &stats);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(rewrite(*parallel), rewrite(*serial)) << threads << " threads";
+    EXPECT_EQ(rewrite(*parallel), bytes) << threads << " threads";
     EXPECT_GE(stats.decode_millis, 0.0);
+    EXPECT_GE(stats.build_millis, 0.0);
   }
-}
-
-TEST(SnapshotTest, ParallelLoadDetectsCorruption) {
-  Database original = MakeDatabase(kData);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
-  std::string bytes = buffer.str();
-  bytes[30] ^= 0x40;  // inside the first term's text: CRC-only damage
-  SnapshotLoadOptions load;
-  load.threads = 4;
-  std::stringstream corrupted(bytes);
-  Status status = ReadSnapshot(corrupted, {}, load).status();
-  ASSERT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
-  EXPECT_NE(status.message().find("dictionary"), std::string::npos);
-}
-
-TEST(SnapshotTest, ParallelLoadRejectsTruncation) {
-  Database original = MakeDatabase(kData);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
-  const std::string bytes = buffer.str();
-  SnapshotLoadOptions load;
-  load.threads = 4;
-  for (size_t cut : {size_t{4}, size_t{12}, size_t{20}, bytes.size() / 2,
-                     bytes.size() - 1}) {
-    std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_FALSE(ReadSnapshot(truncated, {}, load).ok()) << "cut at " << cut;
-  }
-}
-
-TEST(SnapshotTest, ParallelLoadFallsBackOnLegacyV1) {
-  Database original = MakeDatabase(kData);
-  std::stringstream buffer;
-  ASSERT_TRUE(WriteSnapshot(original, buffer, kSnapshotVersionLegacy).ok());
-  SnapshotLoadOptions load;
-  load.threads = 4;  // v1 has no sections: must fall back to the serial walk
-  auto restored = ReadSnapshot(buffer, {}, load);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->total_triples(), original.total_triples());
 }
 
 TEST(SnapshotTest, SaveIsAtomicUnderRenameFault) {

@@ -11,9 +11,9 @@
 //   parj_cli verify-wal DIR
 //
 // `--load-threads N` runs the bulk-load pipeline (chunked parse, sharded
-// dictionary encode, parallel store build, parallel snapshot decode) on N
-// threads; the loaded store is identical at any thread count. `--chunk-mb`
-// sets the parser chunk size. Every load prints a per-phase time breakdown
+// dictionary encode, parallel store build) on N threads; the loaded store
+// is identical at any thread count. `--chunk-mb` sets the parser chunk
+// size. Every load prints a per-phase time breakdown
 // (read/parse/encode/build/index/calibrate).
 //
 // `verify-snapshot FILE` walks FILE section by section, checking every
