@@ -47,6 +47,15 @@ double EnvDouble(const char* name, double fallback) {
   return std::atof(value);
 }
 
+/// `value` printed with `digits` decimals, sized to fit whatever the
+/// magnitude (no fixed buffer to truncate).
+std::string Fixed(double value, int digits) {
+  const int n = std::snprintf(nullptr, 0, "%.*f", digits, value);
+  std::string out(static_cast<size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", digits, value);
+  return out;
+}
+
 constexpr const char* kPrefixes =
     "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
     "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n";
@@ -217,21 +226,13 @@ int Main() {
   TablePrinter table({"mix", "groups", "strategy", "serial ms",
                       std::to_string(threads) + "t ms", "speedup",
                       "equiv runs"});
-  char buf[64];
   for (const MixReport& report : reports) {
     for (const StrategyTiming& t : report.strategies) {
-      std::vector<std::string> row;
-      row.push_back(report.mix->name);
-      row.push_back(std::to_string(report.groups));
-      row.push_back(join::AggStrategyName(t.strategy));
-      std::snprintf(buf, sizeof(buf), "%.2f", t.serial_millis);
-      row.push_back(buf);
-      std::snprintf(buf, sizeof(buf), "%.2f", t.par_millis);
-      row.push_back(buf);
-      std::snprintf(buf, sizeof(buf), "%.2fx", t.speedup);
-      row.push_back(buf);
-      row.push_back(std::to_string(report.equivalence_runs));
-      table.AddRow(std::move(row));
+      table.AddRow({report.mix->name, std::to_string(report.groups),
+                    join::AggStrategyName(t.strategy),
+                    Fixed(t.serial_millis, 2), Fixed(t.par_millis, 2),
+                    Fixed(t.speedup, 2) + "x",
+                    std::to_string(report.equivalence_runs)});
     }
   }
   table.Print();
@@ -251,11 +252,8 @@ int Main() {
   json += "  \"universities\": " + std::to_string(universities) + ",\n";
   json += "  \"threads\": " + std::to_string(threads) + ",\n";
   json += "  \"equivalence\": \"ok\",\n";
-  std::snprintf(buf, sizeof(buf), "  \"min_speedup\": %.2f,\n", min_speedup);
-  json += buf;
-  std::snprintf(buf, sizeof(buf), "  \"adaptive_factor\": %.2f,\n",
-                adaptive_factor);
-  json += buf;
+  json += "  \"min_speedup\": " + Fixed(min_speedup, 2) + ",\n";
+  json += "  \"adaptive_factor\": " + Fixed(adaptive_factor, 2) + ",\n";
   json += std::string("  \"speedup_gate\": ") +
           (speedup_gate_ok ? "true" : "false") + ",\n";
   json += std::string("  \"adaptive_gate\": ") +
@@ -267,17 +265,15 @@ int Main() {
             "\", \"groups\": " + std::to_string(report.groups) +
             ", \"equivalence_runs\": " +
             std::to_string(report.equivalence_runs) + ",\n";
-    std::snprintf(buf, sizeof(buf), "%.3f", report.adaptive_vs_best_fixed);
-    json += std::string("     \"adaptive_vs_best_fixed\": ") + buf +
-            ", \"strategies\": [\n";
+    json += "     \"adaptive_vs_best_fixed\": " +
+            Fixed(report.adaptive_vs_best_fixed, 3) + ", \"strategies\": [\n";
     for (size_t s = 0; s < report.strategies.size(); ++s) {
       const StrategyTiming& t = report.strategies[s];
-      std::snprintf(buf, sizeof(buf),
-                    "\"serial_millis\": %.3f, \"par_millis\": %.3f, "
-                    "\"speedup\": %.3f}",
-                    t.serial_millis, t.par_millis, t.speedup);
       json += std::string("      {\"name\": \"") +
-              join::AggStrategyName(t.strategy) + "\", " + buf;
+              join::AggStrategyName(t.strategy) +
+              "\", \"serial_millis\": " + Fixed(t.serial_millis, 3) +
+              ", \"par_millis\": " + Fixed(t.par_millis, 3) +
+              ", \"speedup\": " + Fixed(t.speedup, 3) + "}";
       json += (s + 1 < report.strategies.size()) ? ",\n" : "\n";
     }
     json += "    ]}";

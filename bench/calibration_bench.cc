@@ -4,13 +4,9 @@
 // ID-to-Position index. The paper's machine calibrated to ~200 positions
 // for binary search and ~20 for the index (a ~10x ratio).
 //
-// Each window is calibrated twice: once with the vectorized kernels the
-// executor actually runs (SIMD sequential scan, branchless gallop+cmov
-// binary, popcount-block rank lookup) and once with the legacy scalar
-// kernels (CalibrationOptions::legacy_kernels), so the shift the new
-// kernels cause in the break-even point is visible side by side. Faster
-// sequential scans push the windows up; a faster fallback pushes them
-// down.
+// Windows are calibrated with the kernels the executor actually runs
+// (SIMD sequential scan, branchless gallop+cmov binary, popcount-block
+// rank lookup), so they are the windows production probes use.
 
 #include "bench_util.h"
 #include "join/calibration.h"
@@ -21,8 +17,7 @@ namespace {
 int Run() {
   PrintHeader("Calibration reproduction (Algorithm 2)",
               "LUBM scale: " + std::to_string(LubmUniversities()) +
-              " | windows in key-array positions; new = vectorized kernels, "
-              "old = legacy scalar kernels");
+              " | windows in key-array positions");
 
   workload::GeneratedData data =
       workload::GenerateLubm({.universities = LubmUniversities(), .seed = 42});
@@ -32,13 +27,10 @@ int Run() {
   join::CalibrationOptions opts;
   opts.searches_per_step = 4096;
   opts.max_iterations = 16;
-  join::CalibrationOptions legacy_opts = opts;
-  legacy_opts.legacy_kernels = true;
 
-  TablePrinter table({"Property", "Replica", "Keys", "BinWin new", "BinWin old",
-                      "IdxWin new", "IdxWin old", "Win ratio"});
+  TablePrinter table(
+      {"Property", "Replica", "Keys", "BinWin", "IdxWin", "Win ratio"});
   std::vector<double> ratios;
-  std::vector<double> bin_shifts;
   for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
     const storage::PropertyEntry& entry = db.entry(pid);
     for (storage::ReplicaKind kind :
@@ -48,46 +40,31 @@ int Run() {
       auto binary = join::CalibrateWindow(
           replica.keys(), join::CalibrationMode::kVersusBinarySearch, nullptr,
           opts);
-      auto binary_old = join::CalibrateWindow(
-          replica.keys(), join::CalibrationMode::kVersusBinarySearch, nullptr,
-          legacy_opts);
       auto indexed = join::CalibrateWindow(
           replica.keys(), join::CalibrationMode::kVersusIndexLookup,
           &entry.meta(kind).id_index, opts);
-      auto indexed_old = join::CalibrateWindow(
-          replica.keys(), join::CalibrationMode::kVersusIndexLookup,
-          &entry.meta(kind).id_index, legacy_opts);
       const double ratio =
           binary.window_positions / std::max(1.0, indexed.window_positions);
       ratios.push_back(ratio);
-      bin_shifts.push_back(binary.window_positions /
-                           std::max(1.0, binary_old.window_positions));
       char ratio_str[32];
       std::snprintf(ratio_str, sizeof(ratio_str), "%.1fx", ratio);
       char pname[32];
       std::snprintf(pname, sizeof(pname), "p%u", pid);
-      char bwin[32], bwin_old[32], iwin[32], iwin_old[32];
+      char bwin[32], iwin[32];
       std::snprintf(bwin, sizeof(bwin), "%.0f", binary.window_positions);
-      std::snprintf(bwin_old, sizeof(bwin_old), "%.0f",
-                    binary_old.window_positions);
       std::snprintf(iwin, sizeof(iwin), "%.0f", indexed.window_positions);
-      std::snprintf(iwin_old, sizeof(iwin_old), "%.0f",
-                    indexed_old.window_positions);
       table.AddRow({pname, storage::ReplicaKindName(kind),
-                    FormatCount(replica.key_count()), bwin, bwin_old, iwin,
-                    iwin_old, ratio_str});
+                    FormatCount(replica.key_count()), bwin, iwin, ratio_str});
     }
   }
   table.Print();
 
   if (!ratios.empty()) {
     Aggregate a = Aggregates(ratios);
-    Aggregate shift = Aggregates(bin_shifts);
     std::printf(
-        "\nGeomean binary/index window ratio (new kernels): %.1fx (paper:\n"
-        "~10x — window ~200 positions for binary search vs ~20 for the\n"
-        "index). Geomean new/old binary window: %.2fx.\n",
-        a.geomean, shift.geomean);
+        "\nGeomean binary/index window ratio: %.1fx (paper: ~10x — window\n"
+        "~200 positions for binary search vs ~20 for the index).\n",
+        a.geomean);
   }
   return 0;
 }

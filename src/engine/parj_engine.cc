@@ -47,6 +47,20 @@ void DeduplicateRows(std::vector<TermId>* rows, size_t width,
   *row_count = order.size();
 }
 
+/// The executor options every query path copies from QueryOptions. Each
+/// caller adds its own extras: mode, visitor, limits and, where wanted,
+/// probe tracing.
+join::ExecOptions BaseExecOptions(const QueryOptions& options) {
+  join::ExecOptions exec;
+  exec.num_threads = options.num_threads;
+  exec.strategy = options.strategy;
+  exec.scheduling = options.scheduling;
+  exec.batch_probes = options.batch_probes;
+  exec.emulate_parallel = options.emulate_parallel;
+  exec.cancel = options.cancel;
+  return exec;
+}
+
 /// Evaluates a UNION query: every arm is encoded, planned and executed
 /// independently (projection is by name, so arms with different variable
 /// numberings still align column-wise); rows are bag-unioned, then
@@ -92,14 +106,8 @@ Result<engine::QueryResult> ExecuteUnionAst(
     result.optimize_millis += optimize_timer.ElapsedMillis();
     if (plan.known_empty) continue;
 
-    join::ExecOptions exec;
-    exec.num_threads = options.num_threads;
-    exec.strategy = options.strategy;
-    exec.scheduling = options.scheduling;
-    exec.batch_probes = options.batch_probes;
-    exec.emulate_parallel = options.emulate_parallel;
+    join::ExecOptions exec = BaseExecOptions(options);
     exec.mode = join::ResultMode::kMaterialize;
-    exec.cancel = options.cancel;
     PARJ_ASSIGN_OR_RETURN(join::ExecResult arm_result,
                           executor.Execute(plan, exec));
     result.row_count += arm_result.row_count;
@@ -386,14 +394,8 @@ namespace {
 join::ExecOptions MakeExecOptions(const query::Plan& plan,
                                   const QueryOptions& options,
                                   join::LimitGate* gate) {
-  join::ExecOptions exec;
-  exec.num_threads = options.num_threads;
-  exec.strategy = options.strategy;
-  exec.scheduling = options.scheduling;
-  exec.batch_probes = options.batch_probes;
-  exec.emulate_parallel = options.emulate_parallel;
+  join::ExecOptions exec = BaseExecOptions(options);
   exec.collect_probe_trace = options.collect_probe_trace;
-  exec.cancel = options.cancel;
   const bool need_rows =
       plan.distinct || options.mode == join::ResultMode::kMaterialize;
   exec.mode = need_rows ? join::ResultMode::kMaterialize
@@ -476,14 +478,8 @@ Result<QueryResult> ExecuteShapedPlan(const storage::Database& db,
   join::Executor executor(&db, &delta);
   const size_t workers = static_cast<size_t>(std::max(1, options.num_threads));
 
-  join::ExecOptions exec;
-  exec.num_threads = options.num_threads;
-  exec.strategy = options.strategy;
-  exec.scheduling = options.scheduling;
-  exec.batch_probes = options.batch_probes;
-  exec.emulate_parallel = options.emulate_parallel;
+  join::ExecOptions exec = BaseExecOptions(options);
   exec.collect_probe_trace = options.collect_probe_trace;
-  exec.cancel = options.cancel;
   exec.mode = join::ResultMode::kVisit;
 
   if (plan.aggregate.enabled) {
@@ -804,15 +800,9 @@ Result<QueryResult> ParjEngine::ExecuteStreaming(
       query::Optimize(encoded, db, options.optimizer, &delta));
   result.optimize_millis = optimize_timer.ElapsedMillis();
 
-  join::ExecOptions exec;
-  exec.num_threads = options.num_threads;
-  exec.strategy = options.strategy;
-  exec.scheduling = options.scheduling;
-  exec.batch_probes = options.batch_probes;
-  exec.emulate_parallel = options.emulate_parallel;
+  join::ExecOptions exec = BaseExecOptions(options);
   exec.mode = join::ResultMode::kVisit;
   exec.visitor = visitor;
-  exec.cancel = options.cancel;
   if (plan.limit != 0) exec.per_shard_limit = plan.limit;
   if (options.max_rows != 0 &&
       (exec.per_shard_limit == 0 || options.max_rows < exec.per_shard_limit)) {

@@ -72,23 +72,19 @@ CalibrationResult CalibrateWindow(std::span<const TermId> array,
   double next_window = std::clamp(options.starting_window, 1.0, max_window);
   double window = next_window;
 
-  const bool legacy = options.legacy_kernels;
-  auto sequential = [legacy](std::span<const TermId> a, TermId v,
-                             size_t* cursor) {
-    return legacy ? SequentialSearchScalar(a, v, cursor)
-                  : SequentialSearch(a, v, cursor);
+  auto sequential = [](std::span<const TermId> a, TermId v, size_t* cursor) {
+    return SequentialSearch(a, v, cursor);
   };
   // The production binary kernel's gallop cap tracks the window under
   // calibration (&window), exactly as the executor derives it from the
   // calibrated window afterwards — so the timings being balanced are the
   // timings production probes will see.
-  auto fallback = [mode, index, legacy, &window](std::span<const TermId> a,
-                                                 TermId v, size_t* cursor) {
+  auto fallback = [mode, index, &window](std::span<const TermId> a, TermId v,
+                                         size_t* cursor) {
     if (mode == CalibrationMode::kVersusIndexLookup) {
       DirectMemory mem;
       return IndexSearchWith(a, v, cursor, *index, mem);
     }
-    if (legacy) return BranchyBinarySearch(a, v, cursor);
     return BinarySearch(a, v, cursor, GallopCapForWindow(window));
   };
   double fraction = 0.0;

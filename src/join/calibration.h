@@ -35,12 +35,6 @@ struct CalibrationOptions {
   /// algorithm is self-damping (stop_ratio / max_adjust_factor), so the
   /// resulting windows stay in the same regime.
   int threads = 1;
-  /// Measure the pre-vectorization kernels (branchy binary search +
-  /// scalar sequential scan) instead of the production ones. Only used by
-  /// calibration_bench for old-vs-new side-by-side reporting; production
-  /// calibration always times the kernels the executor will actually run,
-  /// so the crossover window reflects their real costs.
-  bool legacy_kernels = false;
 };
 
 /// Result of one calibration run.

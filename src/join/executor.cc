@@ -980,6 +980,166 @@ Status ValidateExecOptions(const Plan& plan, const ExecOptions& options) {
   return Status::OK();
 }
 
+/// The work units of one execution over [begin, end) of the first step's
+/// work source and the workers that share them (DESIGN.md §8).
+struct Schedule {
+  std::vector<Morsel> morsels;
+  size_t workers = 1;
+  /// kMorsel with several workers and a divisible range. Off, the list
+  /// holds one equal-count shard per worker — the paper's §3 cut — and
+  /// worker w runs exactly shard w.
+  bool steal = false;
+};
+
+Schedule PlanSchedule(const ExecOptions& options, const StepInfo& first,
+                      const WorkSource& src, size_t begin, size_t end) {
+  Schedule schedule;
+  const size_t items = end - begin;
+  schedule.workers = std::max<size_t>(
+      1, std::min<size_t>(static_cast<size_t>(options.num_threads), items));
+  // A fully constant first pattern is one existence check either way.
+  schedule.steal = options.scheduling == Scheduling::kMorsel &&
+                   schedule.workers > 1 &&
+                   src.kind != WorkSource::Kind::kSingle;
+  if (!schedule.steal) {
+    schedule.morsels =
+        MorselScheduler::EqualSplit(begin, end, schedule.workers);
+  } else if (src.kind == WorkSource::Kind::kKeyRange) {
+    // Cost-balanced morsels: cut where the CSR offsets cross equal shares
+    // of cumulative run length (prefix sums are already materialized, so
+    // the split is a handful of binary searches). Delta-only key ranges
+    // cut on the insert replica's CSR; the merged scan's positional
+    // ownership rule keeps any cut correct either way.
+    const storage::TableReplica& replica =
+        src.keys_from_delta ? *first.ins : *first.replica;
+    const uint64_t cost = replica.RangeCost(begin, end);
+    schedule.morsels = MorselScheduler::MorselsFromCuts(
+        replica.CostBalancedSplit(begin, end,
+                                  MorselTarget(schedule.workers, items, cost)));
+  } else {
+    // A constant key's value run: every item costs one descent, so an
+    // equal-count cut is already cost-balanced.
+    schedule.morsels = MorselScheduler::EqualSplit(
+        begin, end, MorselTarget(schedule.workers, items, items));
+  }
+  return schedule;
+}
+
+/// Per-worker outcome of one RunSchedule call.
+struct DriveResult {
+  std::vector<MorselWorkerStats> workers;
+  /// Accumulated unit time per worker. Under emulation (or with one
+  /// worker) max(clocks) is the straggler model of parallel wall time.
+  std::vector<double> clocks;
+};
+
+/// Runs one unit [morsel.begin, morsel.end) as `worker`; returns false
+/// once that worker must claim nothing more (its limit is reached or the
+/// query is cancelled).
+using UnitFn = std::function<bool(size_t worker, const Morsel& morsel)>;
+
+/// The one scheduler driver behind Execute and ExecuteShared: static and
+/// morsel schedules, emulated and real, solo and shared scans. With one
+/// worker or under emulation, units run on the calling thread, each
+/// dispatched to the virtual worker whose accumulated clock is lowest —
+/// the assignment a real dispenser run converges to. With one un-stolen
+/// morsel per worker that dispatch runs shards 0..n-1 in order, which is
+/// the static emulation. Otherwise the workers are a gang on the pool:
+/// members start on idle pool workers via direct handoff and the caller
+/// claims any member the pool cannot start, so saturation or nesting
+/// degrades to fewer effective workers, never to deadlock. A faulted unit
+/// fails the run with the first recorded Status; the pool itself is
+/// untouched and immediately reusable.
+Status RunSchedule(Schedule schedule, bool emulate, server::ThreadPool* pool,
+                   const UnitFn& unit, DriveResult* out) {
+  const size_t n = schedule.workers;
+  MorselScheduler scheduler(std::move(schedule.morsels), n, schedule.steal);
+  const char* failpoint_name =
+      schedule.steal ? "join.worker.morsel" : "join.worker.shard";
+  out->workers.assign(n, MorselWorkerStats());
+  out->clocks.assign(n, 0.0);
+  FaultCollector faults;
+
+  // Claims and runs worker w's next unit; false once w is finished.
+  auto step = [&](size_t w) {
+    Morsel morsel;
+    bool stolen = false;
+    if (!scheduler.Next(w, &morsel, &stolen)) return false;
+    bool more = true;
+    Stopwatch timer;
+    const Status status = RunContained([&]() -> Status {
+      PARJ_RETURN_NOT_OK(failpoint::Check(failpoint_name));
+      more = unit(w, morsel);
+      return Status::OK();
+    });
+    if (!status.ok()) {
+      faults.Record(status);
+      return false;
+    }
+    out->clocks[w] += timer.ElapsedMillis();
+    MorselWorkerStats& stats = out->workers[w];
+    ++stats.morsels;
+    if (stolen) ++stats.stolen;
+    stats.items += morsel.size();
+    return more;
+  };
+
+  if (n == 1 || emulate) {
+    std::vector<bool> drained(n, false);
+    size_t active = n;
+    while (active > 0 && !faults.Faulted()) {
+      size_t w = SIZE_MAX;
+      for (size_t i = 0; i < n; ++i) {
+        if (!drained[i] && (w == SIZE_MAX || out->clocks[i] < out->clocks[w])) {
+          w = i;
+        }
+      }
+      if (!step(w)) {
+        drained[w] = true;
+        --active;
+      }
+    }
+  } else {
+    server::ThreadPool& gang_pool =
+        pool != nullptr ? *pool : server::ThreadPool::Shared();
+    gang_pool.RunWorkers(static_cast<int>(n), [&](int w) {
+      while (!faults.Faulted() && step(static_cast<size_t>(w))) {
+      }
+    });
+  }
+  return faults.Faulted() ? faults.Take() : Status::OK();
+}
+
+/// Merges per-shard buffers into `result` in shard order — the only
+/// post-processing step; during the join there is no cross-thread
+/// traffic.
+void MergeShards(const ExecOptions& options, size_t step_count,
+                 const std::vector<ShardContext>& contexts,
+                 ExecResult* result) {
+  result->step_rows.assign(step_count, 0);
+  for (const ShardContext& ctx : contexts) {
+    result->row_count += ctx.row_count;
+    result->rows_skipped_by_limit += ctx.rows_skipped;
+    result->counters.Add(ctx.counters);
+    for (size_t s = 0; s < step_count; ++s) {
+      result->step_rows[s] += ctx.step_rows[s];
+    }
+    if (options.mode == ResultMode::kMaterialize) {
+      result->rows.insert(result->rows.end(), ctx.rows.begin(),
+                          ctx.rows.end());
+    }
+  }
+  if (options.collect_probe_trace) {
+    result->trace.step_values.resize(step_count);
+    for (const ShardContext& ctx : contexts) {
+      for (size_t s = 0; s < ctx.trace.size(); ++s) {
+        auto& dst = result->trace.step_values[s];
+        dst.insert(dst.end(), ctx.trace[s].begin(), ctx.trace[s].end());
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Result<ExecResult> Executor::Execute(const Plan& plan,
@@ -1011,217 +1171,48 @@ Result<ExecResult> Executor::Execute(const Plan& plan,
   const size_t worker_end =
       src.size * (static_cast<size_t>(options.worker_index) + 1) /
       static_cast<size_t>(options.total_workers);
-  const size_t slice_size = worker_end - worker_begin;
-  if (slice_size == 0) {
+  if (worker_end == worker_begin) {
     result.wall_millis = total_timer.ElapsedMillis();
     return result;
   }
 
-  const size_t num_shards = std::max<size_t>(
-      1,
-      std::min<size_t>(static_cast<size_t>(options.num_threads), slice_size));
-
+  Schedule schedule =
+      PlanSchedule(options, steps[0], src, worker_begin, worker_end);
+  const size_t num_shards = schedule.workers;
+  const bool morsel_run = schedule.steal;
   std::vector<ShardContext> contexts(num_shards);
   for (size_t shard = 0; shard < num_shards; ++shard) {
     InitShardContext(&contexts[shard], shard, resolved, plan, options,
                      num_shards);
   }
 
-  auto shard_range = [&](size_t shard) {
-    const size_t begin = worker_begin + slice_size * shard / num_shards;
-    const size_t end = worker_begin + slice_size * (shard + 1) / num_shards;
-    return std::pair<size_t, size_t>(begin, end);
-  };
-
-  FaultCollector faults;
-
-  // kMorsel only matters with several workers and a divisible work range;
-  // a fully constant first pattern is one existence check either way.
-  const bool use_morsel = options.scheduling == Scheduling::kMorsel &&
-                          num_shards > 1 &&
-                          src.kind != WorkSource::Kind::kSingle;
-
-  if (use_morsel) {
-    // Cost-balanced morsels: for a key range, cut where the CSR offsets
-    // cross equal shares of cumulative run length (prefix sums are already
-    // materialized, so the split is a handful of binary searches); for a
-    // constant key's value run, every item costs one descent, so an
-    // equal-count cut is already cost-balanced.
-    std::vector<Morsel> morsels;
-    // Delta-only key ranges cut on the insert replica's CSR; the merged
-    // scan's positional ownership rule keeps any cut correct either way.
-    const storage::TableReplica& first = src.keys_from_delta
-                                             ? *steps[0].ins
-                                             : *steps[0].replica;
-    if (src.kind == WorkSource::Kind::kKeyRange) {
-      const uint64_t cost = first.RangeCost(worker_begin, worker_end);
-      morsels = MorselScheduler::MorselsFromCuts(first.CostBalancedSplit(
-          worker_begin, worker_end,
-          MorselTarget(num_shards, slice_size, cost)));
-    } else {
-      morsels = MorselScheduler::EqualSplit(
-          worker_begin, worker_end,
-          MorselTarget(num_shards, slice_size, slice_size));
-    }
-    MorselScheduler scheduler(std::move(morsels), num_shards);
-    std::vector<MorselWorkerStats> worker_stats(num_shards);
-
-    auto worker_loop = [&](size_t w) {
-      ShardContext& ctx = contexts[w];
-      MorselWorkerStats& stats = worker_stats[w];
-      Morsel morsel;
-      bool stolen = false;
-      while (!ctx.limit_reached && !faults.Faulted() &&
-             scheduler.Next(w, &morsel, &stolen)) {
-        const Status unit = RunContained([&]() -> Status {
-          Status injected = failpoint::Check("join.worker.morsel");
-          if (!injected.ok()) return injected;
-          RunShard(steps, src, morsel.begin, morsel.end, options.strategy,
-                   &ctx);
-          return Status::OK();
-        });
-        if (!unit.ok()) {
-          faults.Record(unit);
-          break;
-        }
-        ++stats.morsels;
-        if (stolen) ++stats.stolen;
-        stats.items += morsel.size();
-      }
-    };
-
-    if (options.emulate_parallel) {
-      // Discrete-event emulation of the dynamic schedule: morsels run
-      // sequentially on the calling thread, but each is dispatched to
-      // the virtual worker whose accumulated clock is lowest — the
-      // assignment a real dispenser run converges to. max(clock) is then
-      // the same straggler model the static emulation uses.
-      std::vector<double> clocks(num_shards, 0.0);
-      std::vector<bool> drained(num_shards, false);
-      size_t active = num_shards;
-      while (active > 0) {
-        size_t w = SIZE_MAX;
-        for (size_t i = 0; i < num_shards; ++i) {
-          if (!drained[i] && (w == SIZE_MAX || clocks[i] < clocks[w])) w = i;
-        }
+  DriveResult drive;
+  PARJ_RETURN_NOT_OK(RunSchedule(
+      std::move(schedule), options.emulate_parallel, options.pool,
+      [&](size_t w, const Morsel& morsel) {
         ShardContext& ctx = contexts[w];
-        Morsel morsel;
-        bool stolen = false;
-        if (ctx.limit_reached || !scheduler.Next(w, &morsel, &stolen)) {
-          drained[w] = true;
-          --active;
-          continue;
-        }
-        Stopwatch morsel_timer;
-        const Status unit = RunContained([&]() -> Status {
-          Status injected = failpoint::Check("join.worker.morsel");
-          if (!injected.ok()) return injected;
-          RunShard(steps, src, morsel.begin, morsel.end, options.strategy,
-                   &ctx);
-          return Status::OK();
-        });
-        if (!unit.ok()) {
-          faults.Record(unit);
-          break;
-        }
-        clocks[w] += morsel_timer.ElapsedMillis();
-        ++worker_stats[w].morsels;
-        if (stolen) ++worker_stats[w].stolen;
-        worker_stats[w].items += morsel.size();
-      }
-      result.shard_millis = std::move(clocks);
-      result.emulated_parallel_millis = *std::max_element(
-          result.shard_millis.begin(), result.shard_millis.end());
-    } else {
-      // A worker gang on the shared pool: members start on idle pool
-      // workers via direct handoff; the caller participates and claims
-      // any member the pool cannot start, so saturation or nesting
-      // degrades to fewer effective workers, never to deadlock.
-      server::ThreadPool& pool = options.pool != nullptr
-                                     ? *options.pool
-                                     : server::ThreadPool::Shared();
-      pool.RunWorkers(static_cast<int>(num_shards),
-                      [&](int w) { worker_loop(static_cast<size_t>(w)); });
-    }
-    for (size_t w = 0; w < num_shards; ++w) {
-      worker_stats[w].rows = contexts[w].row_count;
-    }
-    result.morsel_workers = std::move(worker_stats);
-  } else if (options.emulate_parallel || num_shards == 1) {
-    result.shard_millis.reserve(num_shards);
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      auto [begin, end] = shard_range(shard);
-      Stopwatch shard_timer;
-      const Status unit = RunContained([&]() -> Status {
-        Status injected = failpoint::Check("join.worker.shard");
-        if (!injected.ok()) return injected;
-        RunShard(steps, src, begin, end, options.strategy, &contexts[shard]);
-        return Status::OK();
-      });
-      if (!unit.ok()) {
-        faults.Record(unit);
-        break;
-      }
-      result.shard_millis.push_back(shard_timer.ElapsedMillis());
-    }
-    if (!result.shard_millis.empty()) {
-      result.emulated_parallel_millis =
-          *std::max_element(result.shard_millis.begin(),
-                            result.shard_millis.end());
-    }
-  } else {
-    // Shards are tasks on the shared pool (the serving layer's one
-    // threading idiom) — no per-query thread spawn/join. The calling
-    // thread participates, so pool-run queries can fan out safely.
-    server::ThreadPool& pool =
-        options.pool != nullptr ? *options.pool : server::ThreadPool::Shared();
-    pool.ParallelFor(num_shards, [&](size_t shard) {
-      if (faults.Faulted()) return;
-      const Status unit = RunContained([&]() -> Status {
-        Status injected = failpoint::Check("join.worker.shard");
-        if (!injected.ok()) return injected;
-        auto [begin, end] = shard_range(shard);
-        RunShard(steps, src, begin, end, options.strategy, &contexts[shard]);
-        return Status::OK();
-      });
-      if (!unit.ok()) faults.Record(unit);
-    });
-  }
-
-  // A faulted worker fails its query with the first recorded Status; the
-  // pool itself is untouched and immediately reusable.
-  if (faults.Faulted()) return faults.Take();
+        RunShard(steps, src, morsel.begin, morsel.end, options.strategy,
+                 &ctx);
+        return !ctx.limit_reached;
+      },
+      &drive));
 
   // A cancelled query reports its Status instead of partial results.
   if (options.cancel.StopRequested()) return options.cancel.ToStatus();
 
-  // Merge per-shard buffers (the only post-processing step; during the
-  // join there is no cross-thread traffic).
-  result.step_rows.assign(steps.size(), 0);
-  for (ShardContext& ctx : contexts) {
-    result.row_count += ctx.row_count;
-    result.rows_skipped_by_limit += ctx.rows_skipped;
-    result.counters.Add(ctx.counters);
-    for (size_t s = 0; s < steps.size(); ++s) {
-      result.step_rows[s] += ctx.step_rows[s];
+  if (morsel_run) {
+    for (size_t w = 0; w < num_shards; ++w) {
+      drive.workers[w].rows = contexts[w].row_count;
     }
-    if (options.mode == ResultMode::kMaterialize) {
-      result.rows.insert(result.rows.end(), ctx.rows.begin(), ctx.rows.end());
-    }
+    result.morsel_workers = std::move(drive.workers);
   }
-  if (options.collect_probe_trace) {
-    result.trace.step_values.resize(steps.size());
-    for (ShardContext& ctx : contexts) {
-      for (size_t s = 0; s < ctx.trace.size(); ++s) {
-        auto& dst = result.trace.step_values[s];
-        dst.insert(dst.end(), ctx.trace[s].begin(), ctx.trace[s].end());
-      }
-    }
+  if (options.emulate_parallel || num_shards == 1) {
+    result.emulated_parallel_millis =
+        *std::max_element(drive.clocks.begin(), drive.clocks.end());
+    result.shard_millis = std::move(drive.clocks);
   }
+  MergeShards(options, steps.size(), contexts, &result);
   result.wall_millis = total_timer.ElapsedMillis();
-  if (num_shards == 1 && result.shard_millis.size() == 1) {
-    result.emulated_parallel_millis = result.shard_millis[0];
-  }
   return result;
 }
 
@@ -1288,8 +1279,11 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
   PARJ_CHECK(src.kind == WorkSource::Kind::kKeyRange)
       << "shared scan over a non-key-range work source";
 
-  const size_t num_shards = std::max<size_t>(
-      1, std::min<size_t>(static_cast<size_t>(lead.num_threads), src.size));
+  // The same cuts a solo run of any member would make: the shared leading
+  // replica's CSR is the cost model for all of them.
+  Schedule schedule =
+      PlanSchedule(lead, resolved[0].steps[0], src, 0, src.size);
+  const size_t num_shards = schedule.workers;
 
   // Fully private per-member, per-shard contexts: within a cut each
   // member runs the exact solo pipeline — no cross-member state at all,
@@ -1303,68 +1297,21 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
     }
   }
 
-  FaultCollector faults;
-  server::ThreadPool& pool =
-      lead.pool != nullptr ? *lead.pool : server::ThreadPool::Shared();
-  const bool use_morsel =
-      lead.scheduling == Scheduling::kMorsel && num_shards > 1;
-
-  if (use_morsel) {
-    // Same cost-balanced cuts a solo run of any member would make: the
-    // shared leading replica's CSR is the cost model for all of them.
-    const storage::TableReplica& first = src.keys_from_delta
-                                             ? *resolved[0].steps[0].ins
-                                             : *resolved[0].steps[0].replica;
-    const uint64_t cost = first.RangeCost(0, src.size);
-    std::vector<Morsel> morsels =
-        MorselScheduler::MorselsFromCuts(first.CostBalancedSplit(
-            0, src.size, MorselTarget(num_shards, src.size, cost)));
-    MorselScheduler scheduler(std::move(morsels), num_shards);
-
-    auto worker_loop = [&](size_t w) {
-      Morsel morsel;
-      bool stolen = false;
-      while (!faults.Faulted() && scheduler.Next(w, &morsel, &stolen)) {
-        const Status unit = RunContained([&]() -> Status {
-          Status injected = failpoint::Check("join.worker.morsel");
-          if (!injected.ok()) return injected;
-          for (size_t m = 0; m < n; ++m) {
-            ShardContext& ctx = contexts[m][w];
-            if (ctx.limit_reached) continue;
-            RunShard(resolved[m].steps, src, morsel.begin, morsel.end,
-                     options[m].strategy, &ctx);
-          }
-          return Status::OK();
-        });
-        if (!unit.ok()) {
-          faults.Record(unit);
-          break;
-        }
-      }
-    };
-    pool.RunWorkers(static_cast<int>(num_shards),
-                    [&](int w) { worker_loop(static_cast<size_t>(w)); });
-  } else {
-    pool.ParallelFor(num_shards, [&](size_t shard) {
-      if (faults.Faulted()) return;
-      const Status unit = RunContained([&]() -> Status {
-        Status injected = failpoint::Check("join.worker.shard");
-        if (!injected.ok()) return injected;
-        const size_t begin = src.size * shard / num_shards;
-        const size_t end = src.size * (shard + 1) / num_shards;
-        for (size_t m = 0; m < n; ++m) {
-          RunShard(resolved[m].steps, src, begin, end, options[m].strategy,
-                   &contexts[m][shard]);
-        }
-        return Status::OK();
-      });
-      if (!unit.ok()) faults.Record(unit);
-    });
-  }
-
   // Any member's fault or cancellation fails the whole group; the caller
   // degrades to solo execution per member.
-  if (faults.Faulted()) return faults.Take();
+  DriveResult drive;
+  PARJ_RETURN_NOT_OK(RunSchedule(
+      std::move(schedule), lead.emulate_parallel, lead.pool,
+      [&](size_t w, const Morsel& morsel) {
+        for (size_t m = 0; m < n; ++m) {
+          ShardContext& ctx = contexts[m][w];
+          if (ctx.limit_reached) continue;
+          RunShard(resolved[m].steps, src, morsel.begin, morsel.end,
+                   options[m].strategy, &ctx);
+        }
+        return true;
+      },
+      &drive));
   for (size_t m = 0; m < n; ++m) {
     if (options[m].cancel.StopRequested()) {
       return options[m].cancel.ToStatus();
@@ -1373,21 +1320,9 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
 
   const double wall = total_timer.ElapsedMillis();
   for (size_t m = 0; m < n; ++m) {
-    ExecResult& result = results[m];
-    const size_t step_count = resolved[m].steps.size();
-    result.step_rows.assign(step_count, 0);
-    for (ShardContext& ctx : contexts[m]) {
-      result.row_count += ctx.row_count;
-      result.counters.Add(ctx.counters);
-      for (size_t s = 0; s < step_count; ++s) {
-        result.step_rows[s] += ctx.step_rows[s];
-      }
-      if (options[m].mode == ResultMode::kMaterialize) {
-        result.rows.insert(result.rows.end(), ctx.rows.begin(),
-                           ctx.rows.end());
-      }
-    }
-    result.wall_millis = wall;
+    MergeShards(options[m], resolved[m].steps.size(), contexts[m],
+                &results[m]);
+    results[m].wall_millis = wall;
   }
   return results;
 }

@@ -59,12 +59,14 @@ struct LimitGate {
   std::atomic<uint64_t> emitted{0};
 };
 
-/// How the first step's work range is distributed over threads.
+/// How the first step's work range is distributed over threads. Both are
+/// schedules for the executor's one driver (DESIGN.md §8).
 enum class Scheduling : uint8_t {
   /// The paper's §5 scheme: num_threads equal-count contiguous shards,
-  /// fixed up front. Zero scheduling overhead, but a skewed property
-  /// table (one giant run next to singleton keys) leaves one straggler
-  /// thread doing nearly all the work.
+  /// fixed up front — one morsel per worker with stealing off, so worker
+  /// w runs exactly shard w. Zero scheduling overhead, but a skewed
+  /// property table (one giant run next to singleton keys) leaves one
+  /// straggler thread doing nearly all the work.
   kStatic = 0,
   /// Morsel-driven: the range is cut into cost-balanced morsels (equal
   /// cumulative run length, read off the CSR offsets) that workers pull
@@ -87,11 +89,11 @@ struct ExecOptions {
   /// Work distribution across threads. kMorsel (the default) is
   /// skew-robust and produces the same result set as kStatic; the
   /// paper-replication benches pin kStatic to reproduce §5 exactly.
-  /// Ignored when only one shard runs. Under emulate_parallel a kMorsel
-  /// run is emulated faithfully: morsels are executed sequentially but
-  /// dispatched to the virtual worker with the smallest accumulated
-  /// clock, so emulated_parallel_millis models the dynamic schedule the
-  /// same way it models the static one.
+  /// Ignored when only one shard runs (that run is static). Emulated and
+  /// real runs of either go through the same driver: under
+  /// emulate_parallel units execute sequentially, each dispatched to the
+  /// virtual worker with the smallest accumulated clock, so
+  /// emulated_parallel_millis models both schedules the same way.
   Scheduling scheduling = Scheduling::kMorsel;
   /// Run shards sequentially on the calling thread, timing each shard.
   /// `emulated_parallel_millis` then models wall time on num_threads real
@@ -135,8 +137,9 @@ struct ExecOptions {
   /// partial results are discarded.
   server::CancellationToken cancel;
   /// Pool used for multi-shard dispatch; nullptr means the process-wide
-  /// server::ThreadPool::Shared(). Shards are pool tasks, not per-query
-  /// spawned threads.
+  /// server::ThreadPool::Shared(). Workers are a RunWorkers gang on the
+  /// pool, not per-query spawned threads; one-shard and emulated runs
+  /// never touch the pool.
   server::ThreadPool* pool = nullptr;
 };
 
@@ -176,7 +179,7 @@ struct ExecResult {
   /// of `items` across workers is the load-balance diagnostic the skew
   /// bench reports.
   std::vector<MorselWorkerStats> morsel_workers;
-  /// Per-shard execution times (emulate_parallel mode only).
+  /// Per-shard execution times (emulate_parallel or one-shard runs).
   std::vector<double> shard_millis;
   /// Wall-clock of the whole execution.
   double wall_millis = 0.0;

@@ -7,9 +7,10 @@
 namespace parj::join {
 
 MorselScheduler::MorselScheduler(std::vector<Morsel> morsels,
-                                 size_t num_workers)
+                                 size_t num_workers, bool steal)
     : morsels_(std::move(morsels)),
-      num_workers_(std::max<size_t>(1, num_workers)) {
+      num_workers_(std::max<size_t>(1, num_workers)),
+      steal_(steal) {
   queues_.reset(new LocalQueue[num_workers_]);
   const size_t n = morsels_.size();
   for (size_t w = 0; w < num_workers_; ++w) {
@@ -32,6 +33,7 @@ bool MorselScheduler::Next(size_t worker, Morsel* out, bool* stolen) {
       return true;
     }
   }
+  if (!steal_) return false;
   // Steal sweep, starting at the right-hand neighbour so thieves spread
   // out instead of all raiding queue 0.
   for (size_t k = 1; k < num_workers_; ++k) {

@@ -40,17 +40,23 @@ struct MorselWorkerStats {
 /// exactly once; claiming is wait-free, and there is no communication at
 /// tuple granularity — the paper's zero-communication pipeline is intact
 /// *within* each morsel.
+///
+/// With `steal` off a worker only ever drains its own queue. One morsel
+/// per worker with stealing off is the paper's §3 static schedule: worker
+/// w runs exactly shard w.
 class MorselScheduler {
  public:
-  MorselScheduler(std::vector<Morsel> morsels, size_t num_workers);
+  MorselScheduler(std::vector<Morsel> morsels, size_t num_workers,
+                  bool steal = true);
 
   MorselScheduler(const MorselScheduler&) = delete;
   MorselScheduler& operator=(const MorselScheduler&) = delete;
 
   /// Claims the next morsel for `worker`: its own queue first, then — once
-  /// that drains — a round-robin steal sweep over the other queues.
-  /// Returns false when every queue is empty. `*stolen` reports whether
-  /// the morsel came from a foreign queue.
+  /// that drains and stealing is on — a round-robin steal sweep over the
+  /// other queues. Returns false when no queue it may claim from has a
+  /// morsel left. `*stolen` reports whether the morsel came from a
+  /// foreign queue.
   bool Next(size_t worker, Morsel* out, bool* stolen);
 
   size_t morsel_count() const { return morsels_.size(); }
@@ -78,6 +84,7 @@ class MorselScheduler {
   std::vector<Morsel> morsels_;
   std::unique_ptr<LocalQueue[]> queues_;
   size_t num_workers_ = 1;
+  bool steal_ = true;
 };
 
 }  // namespace parj::join

@@ -82,7 +82,7 @@ inline size_t GallopCapForWindow(double window_positions) {
 }
 
 /// The pre-vectorization binary search (whole-array, branchy, early exit
-/// on equality), kept as the calibration/bench baseline and as the
+/// on equality), kept as the micro-bench baseline and as the
 /// reference for differential tests. `*cursor` is updated to the last
 /// accessed position on both hit and miss.
 template <typename MemoryPolicy>

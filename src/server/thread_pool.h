@@ -31,14 +31,14 @@ namespace parj::server {
 ///    participates in the loop, claiming indices from a shared atomic
 ///    counter alongside the pool workers, so the call always completes
 ///    even when every worker is busy — nested ParallelFor (a pool-run
-///    query fanning out its shards) cannot deadlock.
+///    task fanning out onto the same pool) cannot deadlock.
 ///  - RunGang(): n members that must run CONCURRENTLY (they synchronize
 ///    with barriers, e.g. the exchange baseline). Members are handed
 ///    directly to provably idle workers; the remainder get temporary
 ///    overflow threads, so a gang can never deadlock waiting for pool
 ///    capacity held by another gang.
 ///  - RunWorkers(): n long-lived workers that share a work dispenser
-///    (the morsel executor). Each member must run exactly once but needs
+///    (the join executor, static and morsel schedules alike). Each member must run exactly once but needs
 ///    no concurrency guarantee — a late worker just finds the dispenser
 ///    drained. Members go to idle workers by direct handoff (no queue
 ///    latency), any shortfall is queued, and the caller claims every

@@ -1,8 +1,11 @@
 #include "join/executor.h"
 
+#include <future>
+
 #include <gtest/gtest.h>
 
 #include "query/optimizer.h"
+#include "server/thread_pool.h"
 #include "test_util.h"
 
 namespace parj::join {
@@ -198,17 +201,30 @@ TEST(ExecutorTest, EmulatedParallelMatchesRealThreads) {
   }
   auto db = MakeDatabase(spec);
   const std::string q = "SELECT * WHERE { ?a <p> ?b }";
-  ExecOptions emu;
-  emu.num_threads = 4;
-  emu.emulate_parallel = true;
-  auto r = MustExecute(db, q, emu);
-  EXPECT_EQ(r.row_count, 200u);
-  EXPECT_EQ(r.shard_millis.size(), 4u);
-  EXPECT_GT(r.emulated_parallel_millis, 0.0);
-  // max(shard) <= sum(shards) = wall model.
-  double sum = 0;
-  for (double ms : r.shard_millis) sum += ms;
-  EXPECT_LE(r.emulated_parallel_millis, sum + 1e-9);
+  for (Scheduling scheduling : {Scheduling::kStatic, Scheduling::kMorsel}) {
+    SCOPED_TRACE(SchedulingName(scheduling));
+    ExecOptions emu;
+    emu.num_threads = 4;
+    emu.scheduling = scheduling;
+    emu.emulate_parallel = true;
+    auto r = MustExecute(db, q, emu);
+    EXPECT_EQ(r.row_count, 200u);
+    EXPECT_EQ(r.shard_millis.size(), 4u);
+    EXPECT_GT(r.emulated_parallel_millis, 0.0);
+    // max(shard) <= sum(shards) = wall model.
+    double sum = 0;
+    for (double ms : r.shard_millis) sum += ms;
+    EXPECT_LE(r.emulated_parallel_millis, sum + 1e-9);
+
+    ExecOptions real = emu;
+    real.emulate_parallel = false;
+    auto rr = MustExecute(db, q, real);
+    EXPECT_EQ(rr.row_count, r.row_count);
+    EXPECT_EQ(ToSortedRows(rr.rows, rr.column_count),
+              ToSortedRows(r.rows, r.column_count));
+    EXPECT_EQ(rr.step_rows, r.step_rows);
+    EXPECT_TRUE(rr.shard_millis.empty());
+  }
 }
 
 TEST(ExecutorTest, ConstantFirstKeyShardsItsRun) {
@@ -237,10 +253,35 @@ TEST(ExecutorTest, PerShardLimitStopsEarly) {
     spec.push_back({"s" + std::to_string(i), "p", "o"});
   }
   auto db = MakeDatabase(spec);
+  const std::string q = "SELECT ?x WHERE { ?x <p> <o> }";
   ExecOptions opts;
   opts.per_shard_limit = 5;
-  auto r = MustExecute(db, "SELECT ?x WHERE { ?x <p> <o> }", opts);
+  auto r = MustExecute(db, q, opts);
   EXPECT_EQ(r.row_count, 5u);
+
+  // Static shards are fixed: each of the 4 stops at its own limit, so
+  // exactly 4 x 5 rows, emulated or real. The real runs use a saturated
+  // pool, so the caller runs every worker itself — a static worker must
+  // still run only its own shard.
+  opts.num_threads = 4;
+  opts.scheduling = Scheduling::kStatic;
+  opts.emulate_parallel = true;
+  EXPECT_EQ(MustExecute(db, q, opts).row_count, 20u);
+
+  server::ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.Submit([gate] { gate.wait(); });
+  opts.emulate_parallel = false;
+  opts.pool = &pool;
+  const uint64_t limited = MustExecute(db, q, opts).row_count;
+  // Each shard holds 25 rows, under a limit of 30, so every row comes
+  // back; a worker that stole a second shard would stop at 30.
+  opts.per_shard_limit = 30;
+  const uint64_t under_limit = MustExecute(db, q, opts).row_count;
+  release.set_value();
+  EXPECT_EQ(limited, 20u);
+  EXPECT_EQ(under_limit, 100u);
 }
 
 TEST(ExecutorTest, CountersTallyProbes) {

@@ -71,6 +71,19 @@ TEST(MorselSchedulerTest, LoneActiveWorkerStealsNeighbourQueues) {
   while (scheduler.Next(0, &m, &stolen)) (stolen ? theft : own)++;
   EXPECT_EQ(own, 4);
   EXPECT_EQ(theft, 4);
+
+  // Stealing off (the static schedule): worker 0 drains its own half and
+  // stops; worker 1's morsels stay for worker 1.
+  MorselScheduler fixed(MorselScheduler::EqualSplit(0, 8, 8), 2,
+                        /*steal=*/false);
+  own = 0;
+  theft = 0;
+  while (fixed.Next(0, &m, &stolen)) (stolen ? theft : own)++;
+  EXPECT_EQ(own, 4);
+  EXPECT_EQ(theft, 0);
+  ASSERT_TRUE(fixed.Next(1, &m, &stolen));
+  EXPECT_FALSE(stolen);
+  EXPECT_EQ(m.begin, 4u);
 }
 
 TEST(MorselSchedulerTest, EqualSplitCoversRangeContiguously) {

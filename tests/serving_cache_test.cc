@@ -179,23 +179,28 @@ TEST(ServingCacheTest, EngineExecuteSharedMatchesSoloExecution) {
   ASSERT_TRUE(single.ok());
   plans.push_back(std::move(*single));
 
-  for (int threads : {1, 4}) {
-    std::vector<const query::Plan*> plan_ptrs;
-    std::vector<engine::QueryOptions> options(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      plan_ptrs.push_back(&plans[i]);
-      options[i].num_threads = threads;
-    }
-    auto shared = engine.ExecuteShared(plan_ptrs, options);
-    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-    ASSERT_EQ(shared->size(), plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      EXPECT_TRUE((*shared)[i].shared_scan);
-      auto solo = engine.ExecutePlan(plans[i], options[i]);
-      ASSERT_TRUE(solo.ok());
-      EXPECT_EQ(SortedRows((*shared)[i]), SortedRows(*solo))
-          << "member " << i << " at " << threads << " thread(s)";
-      EXPECT_EQ((*shared)[i].var_names, solo->var_names);
+  for (join::Scheduling scheduling :
+       {join::Scheduling::kStatic, join::Scheduling::kMorsel}) {
+    for (int threads : {1, 4}) {
+      std::vector<const query::Plan*> plan_ptrs;
+      std::vector<engine::QueryOptions> options(plans.size());
+      for (size_t i = 0; i < plans.size(); ++i) {
+        plan_ptrs.push_back(&plans[i]);
+        options[i].num_threads = threads;
+        options[i].scheduling = scheduling;
+      }
+      auto shared = engine.ExecuteShared(plan_ptrs, options);
+      ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+      ASSERT_EQ(shared->size(), plans.size());
+      for (size_t i = 0; i < plans.size(); ++i) {
+        EXPECT_TRUE((*shared)[i].shared_scan);
+        auto solo = engine.ExecutePlan(plans[i], options[i]);
+        ASSERT_TRUE(solo.ok());
+        EXPECT_EQ(SortedRows((*shared)[i]), SortedRows(*solo))
+            << "member " << i << " at " << threads << " thread(s), "
+            << join::SchedulingName(scheduling);
+        EXPECT_EQ((*shared)[i].var_names, solo->var_names);
+      }
     }
   }
 }
