@@ -2,41 +2,38 @@
 // table; the paper's queries stop at join counting, this measures the
 // GROUP BY layer built on top of the same shard/morsel machinery).
 //
-// Runs four LUBM aggregation mixes that stress the strategy spectrum:
-// a balanced low-cardinality GROUP BY (a couple hundred department
-// groups — merge cost is nil, scan parallelism should shine), the
-// skewed low-cardinality rdf:type GROUP BY (one indivisible key run owns
-// ~half the scan, so speedup is data-capped — reported, not gated), a
-// high-cardinality GROUP BY (one group per student — merge cost
-// dominates), and a join-fed GROUP BY with ORDER BY ... LIMIT (the
-// serving-shaped query). For every mix the bench
+// Runs four LUBM aggregation mixes across the cardinality spectrum: a
+// balanced low-cardinality GROUP BY (a couple hundred department groups —
+// merge cost is nil, scan parallelism should shine), the skewed
+// low-cardinality rdf:type GROUP BY (one indivisible key run owns ~half
+// the scan, so speedup is data-capped — reported, not gated), a
+// high-cardinality GROUP BY (one group per student — workers re-bucket
+// into radix partitions and merge cost dominates), and a join-fed GROUP
+// BY with ORDER BY ... LIMIT (the serving-shaped query). For every mix
+// the bench
 //
-//   1. hard-gates equivalence: every strategy x {1,2,8} threads x
-//      {static,morsel} scheduling must produce byte-identical canonical
-//      output (group keys and cells) to the serial thread-local
-//      reference — aborts on any mismatch;
-//   2. times each strategy serially and under the repo's 8-thread
+//   1. hard-gates equivalence: {1,2,8} threads x {static,morsel}
+//      scheduling must produce byte-identical canonical output (group
+//      keys and cells) to the serial run — aborts on any mismatch;
+//   2. times the query serially and under the repo's 8-thread
 //      emulated-parallel straggler model (max worker time, the same
-//      methodology every paper figure uses);
-//   3. gates that the adaptive strategy's 8-thread parallel speedup on
-//      the low-cardinality mix reaches PARJ_AGG_MIN_SPEEDUP (default 3x)
-//      and that adaptive stays within PARJ_AGG_ADAPTIVE_FACTOR (default
-//      1.2x) of the best fixed strategy on every mix.
+//      methodology every paper figure uses), reporting median / min /
+//      max over the repeats;
+//   3. gates that the 8-thread parallel speedup (min over min) on the
+//      low-cardinality mix reaches PARJ_AGG_MIN_SPEEDUP (default 3x).
 //
 // Finishes by writing machine-readable BENCH_agg.json.
 //
 // Environment overrides: PARJ_LUBM_UNIV (default 10), PARJ_THREADS
-// (default 8), PARJ_BENCH_REPEATS (default 3), PARJ_AGG_MIN_SPEEDUP,
-// PARJ_AGG_ADAPTIVE_FACTOR, PARJ_BENCH_JSON_DIR (default ".").
+// (default 8), PARJ_BENCH_REPEATS (default 3, raised to at least 5),
+// PARJ_AGG_MIN_SPEEDUP, PARJ_BENCH_JSON_DIR (default ".").
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "join/aggregate.h"
 
 namespace parj::bench {
 namespace {
@@ -66,32 +63,43 @@ struct Mix {
   bool speedup_gated;  ///< the >=3x low-cardinality acceptance gate
 };
 
-struct StrategyTiming {
-  join::AggStrategy strategy;
-  double serial_millis = 0.0;  ///< 1 thread, min over repeats
-  double par_millis = 0.0;     ///< PARJ_THREADS emulated, min over repeats
-  double speedup = 0.0;
+/// One timed cell over the repeats, in ms.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 };
+
+Spread Summarize(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  Spread out;
+  out.median = n % 2 == 1 ? values[n / 2]
+                          : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  out.min = values.front();
+  out.max = values.back();
+  return out;
+}
+
+std::string SpreadJson(const Spread& s) {
+  return "{\"median\": " + Fixed(s.median, 3) + ", \"min\": " +
+         Fixed(s.min, 3) + ", \"max\": " + Fixed(s.max, 3) + "}";
+}
 
 struct MixReport {
   const Mix* mix = nullptr;
   uint64_t groups = 0;
-  std::vector<StrategyTiming> strategies;
-  double adaptive_vs_best_fixed = 0.0;
+  Spread serial;  ///< 1 thread, wall ms
+  Spread par;     ///< PARJ_THREADS emulated, straggler ms
+  double speedup = 0.0;  ///< serial.min / par.min (the gated figure)
   uint64_t equivalence_runs = 0;
 };
 
-constexpr join::AggStrategy kStrategies[] = {
-    join::AggStrategy::kLocalHash, join::AggStrategy::kRadix,
-    join::AggStrategy::kShared, join::AggStrategy::kAdaptive};
-
 engine::QueryResult RunOnce(const engine::ParjEngine& engine,
                             const std::string& sparql, int threads,
-                            join::AggStrategy strategy,
                             join::Scheduling scheduling, bool emulate) {
   engine::QueryOptions opts;
   opts.num_threads = threads;
-  opts.agg_strategy = strategy;
   opts.scheduling = scheduling;
   opts.emulate_parallel = emulate;
   auto result = engine.Execute(sparql, opts);
@@ -99,27 +107,24 @@ engine::QueryResult RunOnce(const engine::ParjEngine& engine,
   return std::move(result).value();
 }
 
-/// The hard equivalence gate: every configuration's canonical output must
-/// be byte-identical to the serial thread-local reference.
+/// The hard equivalence gate: every thread count x scheduling mode's
+/// canonical output must be byte-identical to the serial run.
 uint64_t CheckEquivalence(const engine::ParjEngine& engine, const Mix& mix,
                           const engine::QueryResult& reference) {
   uint64_t runs = 0;
-  for (join::AggStrategy strategy : kStrategies) {
-    for (int threads : {1, 2, 8}) {
-      for (join::Scheduling scheduling :
-           {join::Scheduling::kStatic, join::Scheduling::kMorsel}) {
-        const engine::QueryResult got = RunOnce(
-            engine, mix.sparql, threads, strategy, scheduling, false);
-        ++runs;
-        PARJ_CHECK(got.row_count == reference.row_count &&
-                   got.agg_rows == reference.agg_rows &&
-                   got.column_kinds == reference.column_kinds &&
-                   got.rows == reference.rows)
-            << "EQUIVALENCE FAILURE: " << mix.name << " under "
-            << join::AggStrategyName(strategy) << "/" << threads << "t/"
-            << join::SchedulingName(scheduling)
-            << " diverges from the serial reference";
-      }
+  for (int threads : {1, 2, 8}) {
+    for (join::Scheduling scheduling :
+         {join::Scheduling::kStatic, join::Scheduling::kMorsel}) {
+      const engine::QueryResult got =
+          RunOnce(engine, mix.sparql, threads, scheduling, false);
+      ++runs;
+      PARJ_CHECK(got.row_count == reference.row_count &&
+                 got.agg_rows == reference.agg_rows &&
+                 got.column_kinds == reference.column_kinds &&
+                 got.rows == reference.rows)
+          << "EQUIVALENCE FAILURE: " << mix.name << " under " << threads
+          << "t/" << join::SchedulingName(scheduling)
+          << " diverges from the serial reference";
     }
   }
   return runs;
@@ -128,15 +133,13 @@ uint64_t CheckEquivalence(const engine::ParjEngine& engine, const Mix& mix,
 int Main() {
   const int universities = LubmUniversities();
   const int threads = BenchThreads();
-  // The strategies differ by a few percent on sub-10ms queries; min-of-N
-  // with too small an N lets scheduler noise cross the adaptive gate, so
-  // the timing loops use at least 5 repeats (PARJ_BENCH_REPEATS can only
-  // raise that).
+  // Sub-millisecond mixes need enough repeats for a median to mean
+  // something, so the timing loops run at least 5 (PARJ_BENCH_REPEATS can
+  // only raise that).
   const int repeats = std::max(5, BenchRepeats());
   const double min_speedup = EnvDouble("PARJ_AGG_MIN_SPEEDUP", 3.0);
-  const double adaptive_factor = EnvDouble("PARJ_AGG_ADAPTIVE_FACTOR", 1.2);
   PrintHeader(
-      "Parallel aggregation (strategy equivalence + scaling)",
+      "Parallel aggregation (schedule equivalence + scaling)",
       "LUBM scale " + std::to_string(universities) + ", " +
           std::to_string(threads) + " emulated threads, " +
           std::to_string(repeats) +
@@ -173,91 +176,70 @@ int Main() {
 
   std::vector<MixReport> reports;
   bool speedup_gate_ok = true;
-  bool adaptive_gate_ok = true;
 
   for (const Mix& mix : mixes) {
     MixReport report;
     report.mix = &mix;
 
     const engine::QueryResult reference =
-        RunOnce(engine, mix.sparql, 1, join::AggStrategy::kLocalHash,
-                join::Scheduling::kStatic, false);
+        RunOnce(engine, mix.sparql, 1, join::Scheduling::kStatic, false);
     report.groups = reference.row_count;
     report.equivalence_runs = CheckEquivalence(engine, mix, reference);
 
-    double best_fixed_par = std::numeric_limits<double>::infinity();
-    double adaptive_par = 0.0;
-    for (join::AggStrategy strategy : kStrategies) {
-      StrategyTiming t;
-      t.strategy = strategy;
-      t.serial_millis = std::numeric_limits<double>::infinity();
-      t.par_millis = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < repeats; ++r) {
-        const engine::QueryResult serial =
-            RunOnce(engine, mix.sparql, 1, strategy,
-                    join::Scheduling::kMorsel, false);
-        t.serial_millis = std::min(t.serial_millis, serial.total_millis());
-        const engine::QueryResult par =
-            RunOnce(engine, mix.sparql, threads, strategy,
-                    join::Scheduling::kMorsel, true);
-        t.par_millis = std::min(t.par_millis, par.emulated_total_millis());
-      }
-      t.speedup = t.par_millis > 0.0 ? t.serial_millis / t.par_millis : 0.0;
-      if (strategy == join::AggStrategy::kAdaptive) {
-        adaptive_par = t.par_millis;
-      } else {
-        best_fixed_par = std::min(best_fixed_par, t.par_millis);
-      }
-      report.strategies.push_back(t);
+    std::vector<double> serial_ms;
+    std::vector<double> par_ms;
+    for (int r = 0; r < repeats; ++r) {
+      serial_ms.push_back(
+          RunOnce(engine, mix.sparql, 1, join::Scheduling::kMorsel, false)
+              .total_millis());
+      par_ms.push_back(
+          RunOnce(engine, mix.sparql, threads, join::Scheduling::kMorsel,
+                  true)
+              .emulated_total_millis());
     }
-    report.adaptive_vs_best_fixed =
-        best_fixed_par > 0.0 ? adaptive_par / best_fixed_par : 0.0;
-
-    if (mix.speedup_gated) {
-      const StrategyTiming& adaptive = report.strategies.back();
-      if (adaptive.speedup < min_speedup) speedup_gate_ok = false;
-    }
-    if (report.adaptive_vs_best_fixed > adaptive_factor) {
-      adaptive_gate_ok = false;
+    report.serial = Summarize(std::move(serial_ms));
+    report.par = Summarize(std::move(par_ms));
+    report.speedup =
+        report.par.min > 0.0 ? report.serial.min / report.par.min : 0.0;
+    if (mix.speedup_gated && report.speedup < min_speedup) {
+      speedup_gate_ok = false;
     }
     reports.push_back(std::move(report));
   }
 
-  TablePrinter table({"mix", "groups", "strategy", "serial ms",
-                      std::to_string(threads) + "t ms", "speedup",
+  const std::string par_label = std::to_string(threads) + "t ms";
+  TablePrinter table({"mix", "groups", "serial ms", "serial min-max",
+                      par_label, par_label + " min-max", "speedup",
                       "equiv runs"});
   for (const MixReport& report : reports) {
-    for (const StrategyTiming& t : report.strategies) {
-      table.AddRow({report.mix->name, std::to_string(report.groups),
-                    join::AggStrategyName(t.strategy),
-                    Fixed(t.serial_millis, 2), Fixed(t.par_millis, 2),
-                    Fixed(t.speedup, 2) + "x",
-                    std::to_string(report.equivalence_runs)});
-    }
+    table.AddRow({report.mix->name, std::to_string(report.groups),
+                  Fixed(report.serial.median, 2),
+                  Fixed(report.serial.min, 2) + "-" +
+                      Fixed(report.serial.max, 2),
+                  Fixed(report.par.median, 2),
+                  Fixed(report.par.min, 2) + "-" + Fixed(report.par.max, 2),
+                  Fixed(report.speedup, 2) + "x",
+                  std::to_string(report.equivalence_runs)});
   }
   table.Print();
-  for (const MixReport& report : reports) {
-    std::printf("%s: adaptive / best fixed = %.2fx\n", report.mix->name,
-                report.adaptive_vs_best_fixed);
-  }
-  std::printf("\nequivalence gate: OK (every strategy/thread/scheduling "
-              "combination matched the serial reference)\n");
-  std::printf("speedup gate (>= %.1fx adaptive @ %d threads, "
-              "low-cardinality): %s\n",
+  std::printf("(ms columns: median over %d repeats; speedup = serial min / "
+              "%dt min)\n",
+              repeats, threads);
+  std::printf("\nequivalence gate: OK (every thread/scheduling combination "
+              "matched the serial reference)\n");
+  std::printf("speedup gate (>= %.1fx @ %d threads, low-cardinality): %s\n",
               min_speedup, threads, speedup_gate_ok ? "OK" : "FAILED");
-  std::printf("adaptive gate (<= %.2fx of best fixed, every mix): %s\n",
-              adaptive_factor, adaptive_gate_ok ? "OK" : "FAILED");
 
   std::string json = "{\n  \"bench\": \"agg\",\n";
-  json += "  \"universities\": " + std::to_string(universities) + ",\n";
+  json += "  \"dataset\": \"lubm\",\n";
+  json += "  \"scale\": " + std::to_string(universities) + ",\n";
   json += "  \"threads\": " + std::to_string(threads) + ",\n";
+  json += "  \"emulated\": true,\n";
+  json += "  \"repeats\": " + std::to_string(repeats) + ",\n";
   json += "  \"equivalence\": \"ok\",\n";
   json += "  \"min_speedup\": " + Fixed(min_speedup, 2) + ",\n";
-  json += "  \"adaptive_factor\": " + Fixed(adaptive_factor, 2) + ",\n";
   json += std::string("  \"speedup_gate\": ") +
           (speedup_gate_ok ? "true" : "false") + ",\n";
-  json += std::string("  \"adaptive_gate\": ") +
-          (adaptive_gate_ok ? "true" : "false") + ",\n";
   json += "  \"mixes\": [\n";
   for (size_t i = 0; i < reports.size(); ++i) {
     const MixReport& report = reports[i];
@@ -265,25 +247,15 @@ int Main() {
             "\", \"groups\": " + std::to_string(report.groups) +
             ", \"equivalence_runs\": " +
             std::to_string(report.equivalence_runs) + ",\n";
-    json += "     \"adaptive_vs_best_fixed\": " +
-            Fixed(report.adaptive_vs_best_fixed, 3) + ", \"strategies\": [\n";
-    for (size_t s = 0; s < report.strategies.size(); ++s) {
-      const StrategyTiming& t = report.strategies[s];
-      json += std::string("      {\"name\": \"") +
-              join::AggStrategyName(t.strategy) +
-              "\", \"serial_millis\": " + Fixed(t.serial_millis, 3) +
-              ", \"par_millis\": " + Fixed(t.par_millis, 3) +
-              ", \"speedup\": " + Fixed(t.speedup, 3) + "}";
-      json += (s + 1 < report.strategies.size()) ? ",\n" : "\n";
-    }
-    json += "    ]}";
+    json += "     \"serial_ms\": " + SpreadJson(report.serial) + ",\n";
+    json += "     \"par_ms\": " + SpreadJson(report.par) + ",\n";
+    json += "     \"speedup\": " + Fixed(report.speedup, 3) + "}";
     json += (i + 1 < reports.size()) ? ",\n" : "\n";
   }
   json += "  ]\n}\n";
   WriteBenchJson("BENCH_agg.json", json);
 
-  if (!speedup_gate_ok || !adaptive_gate_ok) return 1;
-  return 0;
+  return speedup_gate_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "common/timer.h"
 #include "dict/sharded_encoder.h"
+#include "join/aggregate.h"
 #include "rdf/ntriples.h"
 #include "server/thread_pool.h"
 #include "storage/snapshot.h"
@@ -489,8 +490,7 @@ Result<QueryResult> ExecuteShapedPlan(const storage::Database& db,
     result.column_kinds = spec.column_kinds;
     result.var_names = spec.output_names;
 
-    join::Aggregator agg(&spec, plan.numeric_values.get(),
-                         options.agg_strategy, workers);
+    join::Aggregator agg(&spec, plan.numeric_values.get(), workers);
     exec.visitor = [&agg](size_t shard, std::span<const TermId> row) {
       agg.Accumulate(shard, row);
     };

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "join/aggregate.h"
 #include "join/executor.h"
 #include "mutable/delta_store.h"
 #include "mutable/wal.h"
@@ -96,10 +95,6 @@ struct QueryOptions {
   /// or ORDER BY queries — a mid-scan cap would silently change their
   /// answers, not just truncate them.
   uint64_t max_rows = 0;
-  /// Parallel merge strategy for GROUP BY / aggregate queries (see
-  /// join::AggStrategy). kAdaptive picks thread-local vs radix-partitioned
-  /// tables from the observed group cardinality mid-run.
-  join::AggStrategy agg_strategy = join::AggStrategy::kAdaptive;
   /// Cooperative cancellation/deadline token (see join::ExecOptions).
   /// Checked before parsing and throughout execution; a stopped query
   /// returns the token's Status. Default token never fires.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -14,8 +13,8 @@ namespace parj::join {
 
 namespace {
 
-/// splitmix64 finalizer — the shared table's slot hash and the radix
-/// partition selector both need well-mixed high AND low bits.
+/// splitmix64 finalizer — the GroupTable directory probe (low bits) and
+/// the radix partition selector (high bits) both need well-mixed bits.
 inline uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -38,17 +37,6 @@ inline uint64_t DoubleToCell(double d) { return std::bit_cast<uint64_t>(d); }
 /// always replaces it; decodes to an unbound result cell.
 const uint64_t kEmptyCell =
     std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN());
-
-/// Lock-free NaN-aware min/max: CAS only when `v` improves on the cell.
-void AtomicMinMaxCell(std::atomic<uint64_t>& cell, double v, bool is_min) {
-  uint64_t old = cell.load(std::memory_order_relaxed);
-  const uint64_t nv = DoubleToCell(v);
-  while (true) {
-    const double d = CellToDouble(old);
-    if (!std::isnan(d) && (is_min ? d <= v : d >= v)) return;
-    if (cell.compare_exchange_weak(old, nv, std::memory_order_relaxed)) return;
-  }
-}
 
 /// Unsorted gathered groups, the common input of the canonicalize step.
 struct Gathered {
@@ -94,35 +82,6 @@ AggregateOutput Canonicalize(const Gathered& g, int group_cols, int naggs) {
 }
 
 }  // namespace
-
-const char* AggStrategyName(AggStrategy s) {
-  switch (s) {
-    case AggStrategy::kLocalHash:
-      return "local";
-    case AggStrategy::kRadix:
-      return "radix";
-    case AggStrategy::kShared:
-      return "shared";
-    case AggStrategy::kAdaptive:
-      return "adaptive";
-  }
-  return "unknown";
-}
-
-bool ParseAggStrategy(const char* name, AggStrategy* out) {
-  if (std::strcmp(name, "local") == 0) {
-    *out = AggStrategy::kLocalHash;
-  } else if (std::strcmp(name, "radix") == 0) {
-    *out = AggStrategy::kRadix;
-  } else if (std::strcmp(name, "shared") == 0) {
-    *out = AggStrategy::kShared;
-  } else if (std::strcmp(name, "adaptive") == 0) {
-    *out = AggStrategy::kAdaptive;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // GroupTable
@@ -179,10 +138,9 @@ void GroupTable::Grow() {
 
 Aggregator::Aggregator(const query::AggregateSpec* spec,
                        const std::vector<double>* numeric_values,
-                       AggStrategy strategy, size_t num_workers)
+                       size_t num_workers)
     : spec_(spec),
       numeric_values_(numeric_values),
-      strategy_(strategy),
       group_cols_(spec->group_cols),
       naggs_(static_cast<int>(spec->aggs.size())) {
   init_cells_.reserve(naggs_);
@@ -206,32 +164,7 @@ Aggregator::Aggregator(const query::AggregateSpec* spec,
   for (size_t i = 0; i < num_workers; ++i) {
     auto w = std::make_unique<WorkerState>();
     w->local = GroupTable(group_cols_, init_cells_);
-    if (strategy_ == AggStrategy::kRadix) ConvertToRadix(w.get());
     workers_.push_back(std::move(w));
-  }
-  // The lock-free table needs the group key in one CAS-able word: exactly
-  // one group column. Other shapes under kShared (multi-column keys,
-  // global aggregates) take the thread-local path — correct, just not
-  // contention-free.
-  shared_enabled_ =
-      strategy_ == AggStrategy::kShared && group_cols_ == 1;
-  if (shared_enabled_) {
-    shared_capacity_ = size_t{1} << 16;
-    shared_mask_ = shared_capacity_ - 1;
-    shared_stride_ = 1 + static_cast<size_t>(naggs_);
-    shared_max_used_ = shared_capacity_ - shared_capacity_ / 4;
-    shared_slots_ =
-        std::vector<std::atomic<uint64_t>>(shared_capacity_ * shared_stride_);
-    // Key words are zero (empty) from value-init; pre-fill the agg cells
-    // whose initial value is non-zero (MIN/MAX NaN sentinels) so a slot
-    // is update-ready the moment its key CAS publishes.
-    for (int i = 0; i < naggs_; ++i) {
-      if (init_cells_[i] == 0) continue;
-      for (size_t s = 0; s < shared_capacity_; ++s) {
-        shared_slots_[s * shared_stride_ + 1 + i].store(
-            init_cells_[i], std::memory_order_relaxed);
-      }
-    }
   }
 }
 
@@ -278,88 +211,14 @@ void Aggregator::UpdateCells(uint64_t* cells,
 
 void Aggregator::Accumulate(size_t worker, std::span<const TermId> row) {
   WorkerState& w = *workers_[worker];
-  if (shared_enabled_) {
-    AccumulateShared(w, row);
-    return;
-  }
   const TermId* key = row.data();
   if (!w.radix) {
     const size_t r = w.local.FindOrInsert(key);
     UpdateCells(w.local.CellsAt(r), row);
-    if (strategy_ == AggStrategy::kAdaptive &&
-        w.local.size() >= kAggAdaptiveThreshold) {
-      ConvertToRadix(&w);
-    }
+    if (w.local.size() >= kAggAdaptiveThreshold) ConvertToRadix(&w);
   } else {
     GroupTable& t = w.parts[PartitionOf(key)];
     UpdateCells(t.CellsAt(t.FindOrInsert(key)), row);
-  }
-}
-
-void Aggregator::AccumulateShared(WorkerState& w,
-                                  std::span<const TermId> row) {
-  const uint64_t key = row[0];
-  size_t idx = Mix64(key) & shared_mask_;
-  bool found = false;
-  for (size_t probes = 0; probes < shared_capacity_; ++probes) {
-    std::atomic<uint64_t>& kslot = shared_slots_[idx * shared_stride_];
-    const uint64_t cur = kslot.load(std::memory_order_acquire);
-    if (cur == key) {
-      found = true;
-      break;
-    }
-    if (cur == 0) {
-      // Stop claiming past the load-factor cap: long probe chains under
-      // contention cost more than the private-table spill below.
-      if (shared_used_.load(std::memory_order_relaxed) >= shared_max_used_) {
-        break;
-      }
-      uint64_t expected = 0;
-      if (kslot.compare_exchange_strong(expected, key,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        shared_used_.fetch_add(1, std::memory_order_relaxed);
-        found = true;
-        break;
-      }
-      if (expected == key) {
-        found = true;
-        break;
-      }
-      // Lost the claim to a different key; probe onward.
-    }
-    idx = (idx + 1) & shared_mask_;
-  }
-  if (!found) {
-    // Saturated table: overflow keys live in this worker's private table
-    // and meet the shared table again in Finish.
-    const size_t r = w.local.FindOrInsert(row.data());
-    UpdateCells(w.local.CellsAt(r), row);
-    return;
-  }
-  for (int i = 0; i < naggs_; ++i) {
-    std::atomic<uint64_t>& cell = shared_slots_[idx * shared_stride_ + 1 + i];
-    const query::EncodedAggregate& a = spec_->aggs[i];
-    if (a.func == query::AggFunc::kCount ||
-        a.func == query::AggFunc::kCountStar) {
-      cell.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const TermId id = row[a.input_col];
-    const double v = (numeric_values_ != nullptr &&
-                      id < numeric_values_->size())
-                         ? (*numeric_values_)[id]
-                         : std::numeric_limits<double>::quiet_NaN();
-    if (std::isnan(v)) continue;
-    if (a.func == query::AggFunc::kSum) {
-      uint64_t old = cell.load(std::memory_order_relaxed);
-      while (!cell.compare_exchange_weak(
-          old, DoubleToCell(CellToDouble(old) + v),
-          std::memory_order_relaxed)) {
-      }
-    } else {
-      AtomicMinMaxCell(cell, v, a.func == query::AggFunc::kMin);
-    }
   }
 }
 
@@ -412,14 +271,6 @@ void Aggregator::MergeTableInto(const GroupTable& src,
   }
 }
 
-bool Aggregator::adapted() const {
-  if (strategy_ != AggStrategy::kAdaptive) return false;
-  for (const auto& w : workers_) {
-    if (w->radix) return true;
-  }
-  return false;
-}
-
 Result<AggregateOutput> Aggregator::Finish(server::ThreadPool* pool) {
   PARJ_RETURN_NOT_OK(failpoint::Check("agg.merge"));
 
@@ -427,28 +278,10 @@ Result<AggregateOutput> Aggregator::Finish(server::ThreadPool* pool) {
   bool any_radix = false;
   for (const auto& w : workers_) any_radix |= w->radix;
 
-  if (shared_enabled_) {
-    // Scan the lock-free table into a central table, then fold in any
-    // per-worker overflow tables (the same key may appear in both).
-    GroupTable central(group_cols_, init_cells_);
-    std::vector<uint64_t> tmp(naggs_);
-    for (size_t s = 0; s < shared_capacity_; ++s) {
-      const uint64_t key64 =
-          shared_slots_[s * shared_stride_].load(std::memory_order_acquire);
-      if (key64 == 0) continue;
-      for (int i = 0; i < naggs_; ++i) {
-        tmp[i] = shared_slots_[s * shared_stride_ + 1 + i].load(
-            std::memory_order_relaxed);
-      }
-      const TermId key = static_cast<TermId>(key64);
-      MergeRow(&central, &key, tmp.data());
-    }
-    for (const auto& w : workers_) MergeTableInto(w->local, &central);
-    AppendTable(central, group_cols_, naggs_, &gathered);
-  } else if (any_radix) {
-    // Bring adaptive stragglers (still thread-local, so < threshold
-    // groups) into partitioned form, then merge each partition across
-    // workers in parallel — partitions are disjoint, so no contention.
+  if (any_radix) {
+    // Bring stragglers (still thread-local, so < threshold groups) into
+    // partitioned form, then merge each partition across workers in
+    // parallel — partitions are disjoint, so no contention.
     for (const auto& w : workers_) {
       if (!w->radix) ConvertToRadix(w.get());
     }

@@ -1,7 +1,6 @@
 #ifndef PARJ_JOIN_AGGREGATE_H_
 #define PARJ_JOIN_AGGREGATE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -17,25 +16,6 @@ class ThreadPool;
 
 namespace parj::join {
 
-/// Parallel aggregation strategy (DESIGN.md §16). All four produce the
-/// identical canonical output (groups sorted by key TermIds); they differ
-/// only in how per-worker updates meet: thread-local tables merged
-/// centrally, radix-partitioned tables merged per partition without
-/// contention, one lock-free shared table updated with CAS/fetch_add, or
-/// an adaptive policy that starts thread-local and re-buckets into radix
-/// partitions when the observed group cardinality crosses a threshold.
-enum class AggStrategy : uint8_t {
-  kLocalHash = 0,
-  kRadix = 1,
-  kShared = 2,
-  kAdaptive = 3,
-};
-
-const char* AggStrategyName(AggStrategy s);
-/// Parses "local" | "radix" | "shared" | "adaptive"; false on anything
-/// else (*out untouched).
-bool ParseAggStrategy(const char* name, AggStrategy* out);
-
 /// Number of radix partitions (top bits of the group-key hash — the
 /// GroupTable directories probe with the low bits, so using the top bits
 /// keeps per-partition probes well distributed). Enough
@@ -43,8 +23,8 @@ bool ParseAggStrategy(const char* name, AggStrategy* out);
 /// few enough that per-worker partition tables stay cheap when empty.
 inline constexpr size_t kAggRadixPartitions = 64;
 
-/// Group-count threshold at which an adaptive worker re-buckets its
-/// thread-local table into radix partitions and continues partitioned.
+/// Group-count threshold at which a worker re-buckets its thread-local
+/// table into radix partitions and continues partitioned.
 inline constexpr size_t kAggAdaptiveThreshold = 4096;
 
 /// Canonical aggregation output: one row per group, sorted ascending by
@@ -93,35 +73,35 @@ class GroupTable {
   std::vector<uint64_t> cells_;  ///< row-major, count_ * naggs_
 };
 
-/// Morsel-parallel GROUP BY aggregator. One instance serves one query
-/// execution: the engine installs `Accumulate` as the executor's
-/// RowVisitor sink (ResultMode::kVisit), so aggregation overlaps the join
-/// scan instead of materializing rows first. `worker` is the executor
-/// shard id — each worker slot's state is private (cache-line separated),
-/// except under AggStrategy::kShared where updates meet in one lock-free
-/// table. `Finish` merges, canonicalizes (groups sorted by key TermIds)
-/// and returns the output; it checks the `agg.merge` failpoint so a
-/// faulting merge fails only its own query.
+/// Morsel-parallel GROUP BY aggregator (DESIGN.md §16). One instance
+/// serves one query execution: the engine installs `Accumulate` as the
+/// executor's RowVisitor sink (ResultMode::kVisit), so aggregation
+/// overlaps the join scan instead of materializing rows first. `worker`
+/// is the executor shard id; each worker's state is private
+/// (cache-line separated), so workers share nothing until `Finish`.
+///
+/// Every worker starts with a thread-local GroupTable and re-buckets it
+/// into kAggRadixPartitions radix partitions once its group count reaches
+/// kAggAdaptiveThreshold. `Finish` merges centrally when no worker
+/// converted, and per partition (in parallel) otherwise; either way it
+/// canonicalizes (groups sorted by key TermIds) and checks the
+/// `agg.merge` failpoint so a faulting merge fails only its own query.
 class Aggregator {
  public:
   /// `spec` and `numeric_values` must outlive the Aggregator;
   /// `numeric_values` may be null when no SUM/MIN/MAX is present.
   /// `num_workers` is the executor shard count (ExecOptions::num_threads).
   Aggregator(const query::AggregateSpec* spec,
-             const std::vector<double>* numeric_values, AggStrategy strategy,
-             size_t num_workers);
+             const std::vector<double>* numeric_values, size_t num_workers);
 
   /// Folds one executor row into worker `worker`'s state. Thread-safe for
-  /// distinct workers (and, under kShared, across workers).
+  /// distinct workers.
   void Accumulate(size_t worker, std::span<const TermId> row);
 
   /// Merges every worker's state into the canonical output. `pool` runs
-  /// the per-partition merges of the radix/adaptive paths (null = shared
+  /// the per-partition merges once any worker went radix (null = shared
   /// pool). Call exactly once, after all Accumulate calls completed.
   Result<AggregateOutput> Finish(server::ThreadPool* pool);
-
-  /// True when any adaptive worker re-bucketed into radix partitions.
-  bool adapted() const;
 
  private:
   struct alignas(64) WorkerState {
@@ -131,7 +111,6 @@ class Aggregator {
   };
 
   void UpdateCells(uint64_t* cells, std::span<const TermId> row) const;
-  void AccumulateShared(WorkerState& w, std::span<const TermId> row);
   void ConvertToRadix(WorkerState* w) const;
   void MergeRow(GroupTable* dst, const TermId* key,
                 const uint64_t* cells) const;
@@ -140,24 +119,10 @@ class Aggregator {
 
   const query::AggregateSpec* spec_;
   const std::vector<double>* numeric_values_;
-  AggStrategy strategy_;
   int group_cols_ = 0;
   int naggs_ = 0;
   std::vector<uint64_t> init_cells_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
-
-  /// Lock-free shared table (kShared with exactly one group column; other
-  /// shapes fall back to the thread-local path). Slot stride is
-  /// 1 + naggs_ cells: [key, agg cells...]; key 0 = empty (valid TermIds
-  /// are >= 1). Cells are pre-initialized at construction, so a claimed
-  /// slot is update-ready the instant its key CAS publishes.
-  bool shared_enabled_ = false;
-  size_t shared_capacity_ = 0;
-  size_t shared_mask_ = 0;
-  size_t shared_stride_ = 0;
-  size_t shared_max_used_ = 0;
-  std::atomic<size_t> shared_used_{0};
-  std::vector<std::atomic<uint64_t>> shared_slots_;
 };
 
 /// Per-worker bounded top-k collector for ORDER BY ... LIMIT k push-down

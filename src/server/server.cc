@@ -26,11 +26,10 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 
 /// Fingerprint over the QueryOptions fields that change the answer bytes
 /// (result mode, row cap). Scheduling knobs are deliberately excluded:
-/// thread count and strategy never change which rows a query returns.
-/// agg_strategy is excluded for the same reason — every aggregation
-/// strategy produces the identical canonical group->value map (the
-/// differential suite enforces it), so strategy choice never shapes the
-/// answer. The aggregation/DISTINCT/ORDER-LIMIT *structure* lives in the
+/// thread count and strategy never change which rows a query returns —
+/// aggregation included, whose canonical group->value map is the same
+/// at any thread count or schedule (the differential suite enforces it).
+/// The aggregation/DISTINCT/ORDER-LIMIT *structure* lives in the
 /// query text, which is the cache key itself, and cached entries carry
 /// their column_kinds so an aggregate answer replays with its exact
 /// shape.

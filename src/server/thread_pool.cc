@@ -80,8 +80,10 @@ void ThreadPool::WorkerLoop(size_t index) {
       return;  // stop_ and nothing left to do
     }
     lock.unlock();
-    task();
+    // Count before running: a task that signals completion must not be
+    // observable as done while the counter still misses it.
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    task();
     task = nullptr;  // release captured state outside the lock
     lock.lock();
   }

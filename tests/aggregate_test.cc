@@ -1,16 +1,22 @@
 // Morsel-parallel vectorized aggregation (DESIGN.md §16): GROUP BY /
-// COUNT / SUM / MIN / MAX with selectable merge strategies, plus ORDER BY
-// [LIMIT] push-down. The load-bearing property is strategy equivalence —
-// every strategy, thread count and scheduling mode must produce the
-// byte-identical canonical group->value map the serial reference does —
-// so the differential suites here run the full cross product. Suite names
-// all contain "Aggregate" (the TSan and fault-injection CI jobs select on
-// it).
+// COUNT / SUM / MIN / MAX through thread-local group tables that
+// re-bucket into radix partitions at high cardinality, plus ORDER BY
+// [LIMIT] push-down. The load-bearing property is schedule equivalence —
+// every thread count and scheduling mode must produce the byte-identical
+// canonical group->value map the serial run does — so the differential
+// suites run the full cross product. Because the serial run executes the
+// same Aggregator it checks, GROUP BY answers are also compared with a
+// std::map fold over the plain SELECT rows of the same WHERE clause,
+// which shares no code with Aggregator. Suite names all contain
+// "Aggregate" (the TSan and fault-injection CI jobs select on it).
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,22 +86,17 @@ std::vector<std::vector<std::string>> DecodedRows(const ParjEngine& engine,
   return rows;
 }
 
-struct StrategyRun {
-  join::AggStrategy strategy;
+struct ScheduleRun {
   int threads;
   join::Scheduling scheduling;
 };
 
-std::vector<StrategyRun> AllStrategyRuns() {
-  std::vector<StrategyRun> runs;
-  for (join::AggStrategy s :
-       {join::AggStrategy::kLocalHash, join::AggStrategy::kRadix,
-        join::AggStrategy::kShared, join::AggStrategy::kAdaptive}) {
-    for (int threads : {1, 2, 8}) {
-      for (join::Scheduling sched :
-           {join::Scheduling::kStatic, join::Scheduling::kMorsel}) {
-        runs.push_back({s, threads, sched});
-      }
+std::vector<ScheduleRun> AllScheduleRuns() {
+  std::vector<ScheduleRun> runs;
+  for (int threads : {1, 2, 8}) {
+    for (join::Scheduling sched :
+         {join::Scheduling::kStatic, join::Scheduling::kMorsel}) {
+      runs.push_back({threads, sched});
     }
   }
   return runs;
@@ -108,32 +109,29 @@ QueryResult MustExecute(const ParjEngine& engine, const std::string& sparql,
   return std::move(result).value();
 }
 
-/// Serial reference: 1 thread, thread-local strategy, static shards.
+/// Serial reference: 1 thread, static shards.
 QueryResult Reference(const ParjEngine& engine, const std::string& sparql) {
   QueryOptions opts;
   opts.num_threads = 1;
-  opts.agg_strategy = join::AggStrategy::kLocalHash;
   opts.scheduling = join::Scheduling::kStatic;
   return MustExecute(engine, sparql, opts);
 }
 
-/// Runs `sparql` under every strategy x thread count x scheduling mode
-/// and asserts the result (row count, column kinds and every u64 cell —
-/// for aggregates — or the exact ordered TermId rows otherwise) is
+/// Runs `sparql` under every thread count x scheduling mode and asserts
+/// the result (row count, column kinds and every u64 cell — for
+/// aggregates — or the exact ordered TermId rows otherwise) is
 /// byte-identical to the serial reference.
-void ExpectAllStrategiesMatchReference(const ParjEngine& engine,
-                                       const std::string& sparql) {
+void ExpectAllSchedulesMatchReference(const ParjEngine& engine,
+                                      const std::string& sparql) {
   const QueryResult ref = Reference(engine, sparql);
-  for (const StrategyRun& run : AllStrategyRuns()) {
+  for (const ScheduleRun& run : AllScheduleRuns()) {
     QueryOptions opts;
     opts.num_threads = run.threads;
-    opts.agg_strategy = run.strategy;
     opts.scheduling = run.scheduling;
     const QueryResult got = MustExecute(engine, sparql, opts);
-    const std::string label =
-        std::string(join::AggStrategyName(run.strategy)) + "/" +
-        std::to_string(run.threads) + "t/" +
-        join::SchedulingName(run.scheduling) + ": " + sparql;
+    const std::string label = std::to_string(run.threads) + "t/" +
+                              join::SchedulingName(run.scheduling) + ": " +
+                              sparql;
     EXPECT_EQ(got.row_count, ref.row_count) << label;
     EXPECT_EQ(got.column_count, ref.column_count) << label;
     EXPECT_EQ(got.column_kinds, ref.column_kinds) << label;
@@ -141,6 +139,104 @@ void ExpectAllStrategiesMatchReference(const ParjEngine& engine,
     EXPECT_EQ(got.rows, ref.rows) << label;
     EXPECT_EQ(got.var_names, ref.var_names) << label;
   }
+}
+
+/// One aggregate of a fold: `func` over plain-row column `col` (-1 for
+/// COUNT(*)).
+struct FoldAgg {
+  query::AggFunc func;
+  int col = -1;
+};
+
+/// A GROUP BY query without ORDER BY/LIMIT, plus its WHERE clause run as
+/// a plain SELECT of every variable (one row per solution). The aggregate
+/// query projects its group keys first, in `group` order, then `aggs`.
+struct FoldCase {
+  std::string agg;
+  std::string plain;
+  std::vector<int> group;  ///< plain-row columns forming the group key
+  std::vector<FoldAgg> aggs;
+};
+
+/// Integer value of an N-Triples plain literal such as `"-12"`; nullopt
+/// for IRIs and anything else.
+std::optional<int64_t> IntegerLiteral(const std::string& nt) {
+  if (nt.size() < 3 || nt.front() != '"' || nt.back() != '"') {
+    return std::nullopt;
+  }
+  int64_t v = 0;
+  const char* last = nt.data() + nt.size() - 1;
+  const auto [ptr, ec] = std::from_chars(nt.data() + 1, last, v);
+  if (ec != std::errc() || ptr != last) return std::nullopt;
+  return v;
+}
+
+/// Reference for `c.agg` that shares no code with join::Aggregator: folds
+/// the decoded rows of `c.plain` in a std::map keyed by the group columns
+/// and formats each group the way DecodeRow formats an aggregate row.
+/// Returns the rows sorted.
+std::vector<std::vector<std::string>> FoldReference(const ParjEngine& engine,
+                                                    const FoldCase& c) {
+  struct Acc {
+    uint64_t count = 0;
+    int64_t sum = 0;
+    std::optional<int64_t> min, max;
+  };
+  std::map<std::vector<std::string>, std::vector<Acc>> groups;
+  const QueryResult plain = MustExecute(engine, c.plain);
+  for (uint64_t i = 0; i < plain.row_count; ++i) {
+    const std::vector<std::string> row = engine.DecodeRow(plain, i);
+    std::vector<std::string> key;
+    for (int col : c.group) key.push_back(row[col]);
+    std::vector<Acc>& accs =
+        groups.try_emplace(std::move(key), c.aggs.size()).first->second;
+    for (size_t a = 0; a < c.aggs.size(); ++a) {
+      ++accs[a].count;
+      if (c.aggs[a].col < 0) continue;
+      const std::optional<int64_t> v = IntegerLiteral(row[c.aggs[a].col]);
+      if (!v.has_value()) continue;
+      accs[a].sum += *v;
+      accs[a].min = std::min(accs[a].min.value_or(*v), *v);
+      accs[a].max = std::max(accs[a].max.value_or(*v), *v);
+    }
+  }
+  // A global aggregate is one row even over an empty match.
+  if (c.group.empty() && groups.empty()) groups[{}].resize(c.aggs.size());
+  const auto opt = [](const std::optional<int64_t>& v) {
+    return v.has_value() ? std::to_string(*v) : std::string();
+  };
+  std::vector<std::vector<std::string>> out;
+  for (const auto& [key, accs] : groups) {
+    std::vector<std::string> row = key;
+    for (size_t a = 0; a < c.aggs.size(); ++a) {
+      switch (c.aggs[a].func) {
+        case query::AggFunc::kCount:
+        case query::AggFunc::kCountStar:
+          row.push_back(std::to_string(accs[a].count));
+          break;
+        case query::AggFunc::kSum:
+          row.push_back(std::to_string(accs[a].sum));
+          break;
+        case query::AggFunc::kMin:
+          row.push_back(opt(accs[a].min));
+          break;
+        case query::AggFunc::kMax:
+          row.push_back(opt(accs[a].max));
+          break;
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Asserts `c.agg`'s answer equals the std::map fold over `c.plain`.
+void ExpectMatchesFold(const ParjEngine& engine, const FoldCase& c) {
+  std::vector<std::vector<std::string>> got =
+      DecodedRows(engine, Reference(engine, c.agg));
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, FoldReference(engine, c)) << c.agg;
 }
 
 // ---- parser -----------------------------------------------------------
@@ -355,26 +451,40 @@ TEST(AggregateBasicTest, GroupByWithoutAggregatesIsDistinctGroups) {
 TEST(AggregateEquivalenceTest, LubmQueriesAcrossAllStrategies) {
   ParjEngine engine = MakeLubmEngine();
   const std::string prefixes = std::string(kUb) + kRdf;
-  const std::vector<std::string> queries = {
+  const FoldAgg count_star{query::AggFunc::kCountStar};
+  const std::vector<FoldCase> grouped = {
       // Low cardinality (few dozen type groups).
-      prefixes + "SELECT ?t (COUNT(*) AS ?n) WHERE { ?x rdf:type ?t } "
-                 "GROUP BY ?t",
-      // High cardinality (one group per subject).
-      prefixes + "SELECT ?x (COUNT(*) AS ?n) WHERE { ?x ub:takesCourse ?c } "
-                 "GROUP BY ?x",
+      {prefixes + "SELECT ?t (COUNT(*) AS ?n) WHERE { ?x rdf:type ?t } "
+                  "GROUP BY ?t",
+       prefixes + "SELECT ?t ?x WHERE { ?x rdf:type ?t }", {0},
+       {count_star}},
+      // High cardinality (one group per subject; past
+      // kAggAdaptiveThreshold, so workers re-bucket into partitions).
+      {prefixes + "SELECT ?x (COUNT(*) AS ?n) WHERE { ?x ub:takesCourse ?c } "
+                  "GROUP BY ?x",
+       prefixes + "SELECT ?x ?c WHERE { ?x ub:takesCourse ?c }", {0},
+       {count_star}},
       // Two-column group key.
-      prefixes + "SELECT ?t ?d (COUNT(?x) AS ?n) WHERE { ?x rdf:type ?t . "
-                 "?x ub:worksFor ?d } GROUP BY ?t ?d",
+      {prefixes + "SELECT ?t ?d (COUNT(?x) AS ?n) WHERE { ?x rdf:type ?t . "
+                  "?x ub:worksFor ?d } GROUP BY ?t ?d",
+       prefixes + "SELECT ?t ?d ?x WHERE { ?x rdf:type ?t . "
+                  "?x ub:worksFor ?d }",
+       {0, 1}, {{query::AggFunc::kCount, 2}}},
       // Join feeding a global aggregate.
-      prefixes + "SELECT (COUNT(*) AS ?n) WHERE { ?x ub:advisor ?y . "
-                 "?y ub:worksFor ?d }",
-      // Aggregate + ORDER BY + LIMIT.
-      prefixes + "SELECT ?t (COUNT(*) AS ?n) WHERE { ?x rdf:type ?t } "
-                 "GROUP BY ?t ORDER BY DESC(?n) ?t LIMIT 5",
+      {prefixes + "SELECT (COUNT(*) AS ?n) WHERE { ?x ub:advisor ?y . "
+                  "?y ub:worksFor ?d }",
+       prefixes + "SELECT ?x ?y ?d WHERE { ?x ub:advisor ?y . "
+                  "?y ub:worksFor ?d }",
+       {}, {count_star}},
   };
-  for (const std::string& q : queries) {
-    ExpectAllStrategiesMatchReference(engine, q);
+  for (const FoldCase& c : grouped) {
+    ExpectAllSchedulesMatchReference(engine, c.agg);
+    ExpectMatchesFold(engine, c);
   }
+  // Aggregate + ORDER BY + LIMIT.
+  ExpectAllSchedulesMatchReference(
+      engine, prefixes + "SELECT ?t (COUNT(*) AS ?n) WHERE { ?x rdf:type ?t } "
+                         "GROUP BY ?t ORDER BY DESC(?n) ?t LIMIT 5");
 }
 
 TEST(AggregateEquivalenceTest, RandomGraphsRandomQueriesDifferentialFuzz) {
@@ -404,21 +514,109 @@ TEST(AggregateEquivalenceTest, RandomGraphsRandomQueriesDifferentialFuzz) {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     ParjEngine engine = std::move(built).value();
 
-    const std::vector<std::string> shapes = {
-        "SELECT ?a (COUNT(*) AS ?n) WHERE { ?a <p0> ?b } GROUP BY ?a",
-        "SELECT ?b (COUNT(?a) AS ?n) (SUM(?v) AS ?s) WHERE "
-        "{ ?a <p0> ?b . ?a <val> ?v } GROUP BY ?b",
-        "SELECT ?a ?c (COUNT(*) AS ?n) WHERE { ?a <p0> ?b . ?b <p1> ?c } "
-        "GROUP BY ?a ?c",
-        "SELECT (SUM(?v) AS ?s) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) WHERE "
-        "{ ?a <p1> ?b . ?b <val> ?v }",
-        "SELECT ?a (SUM(?v) AS ?s) WHERE { ?a <p1> ?b . ?b <val> ?v } "
-        "GROUP BY ?a ORDER BY DESC(?s) ?a LIMIT 4",
-        "SELECT ?a ?v WHERE { ?a <val> ?v } ORDER BY DESC(?v) ?a LIMIT 6",
+    const std::vector<FoldCase> grouped = {
+        {"SELECT ?a (COUNT(*) AS ?n) WHERE { ?a <p0> ?b } GROUP BY ?a",
+         "SELECT ?a ?b WHERE { ?a <p0> ?b }", {0},
+         {{query::AggFunc::kCountStar}}},
+        {"SELECT ?b (COUNT(?a) AS ?n) (SUM(?v) AS ?s) WHERE "
+         "{ ?a <p0> ?b . ?a <val> ?v } GROUP BY ?b",
+         "SELECT ?b ?a ?v WHERE { ?a <p0> ?b . ?a <val> ?v }", {0},
+         {{query::AggFunc::kCount, 1}, {query::AggFunc::kSum, 2}}},
+        {"SELECT ?a ?c (COUNT(*) AS ?n) WHERE { ?a <p0> ?b . ?b <p1> ?c } "
+         "GROUP BY ?a ?c",
+         "SELECT ?a ?c ?b WHERE { ?a <p0> ?b . ?b <p1> ?c }", {0, 1},
+         {{query::AggFunc::kCountStar}}},
+        {"SELECT (SUM(?v) AS ?s) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) WHERE "
+         "{ ?a <p1> ?b . ?b <val> ?v }",
+         "SELECT ?v ?a ?b WHERE { ?a <p1> ?b . ?b <val> ?v }", {},
+         {{query::AggFunc::kSum, 0},
+          {query::AggFunc::kMin, 0},
+          {query::AggFunc::kMax, 0}}},
     };
-    for (const std::string& q : shapes) {
-      ExpectAllStrategiesMatchReference(engine, q);
+    for (const FoldCase& c : grouped) {
+      ExpectAllSchedulesMatchReference(engine, c.agg);
+      ExpectMatchesFold(engine, c);
     }
+    for (const char* q :
+         {"SELECT ?a (SUM(?v) AS ?s) WHERE { ?a <p1> ?b . ?b <val> ?v } "
+          "GROUP BY ?a ORDER BY DESC(?s) ?a LIMIT 4",
+          "SELECT ?a ?v WHERE { ?a <val> ?v } ORDER BY DESC(?v) ?a LIMIT 6"}) {
+      ExpectAllSchedulesMatchReference(engine, q);
+    }
+  }
+}
+
+// ---- Aggregator merge paths ---------------------------------------------
+
+TEST(AggregateMergeTest, StragglerMergesIntoConvertedWorkersPartitions) {
+  // Rows are [key, value]; value TermId v carries the number
+  // numeric[v] = v - 100 (so some are negative), and TermIds past the
+  // table are non-numeric. COUNT(?value) counts every row, SUM/MIN/MAX
+  // only numeric ones.
+  query::AggregateSpec spec;
+  spec.enabled = true;
+  spec.group_cols = 1;
+  spec.aggs = {{query::AggFunc::kCount, 1},
+               {query::AggFunc::kSum, 1},
+               {query::AggFunc::kMin, 1},
+               {query::AggFunc::kMax, 1}};
+  std::vector<double> numeric(300);
+  for (size_t v = 0; v < numeric.size(); ++v) {
+    numeric[v] = static_cast<double>(v) - 100.0;
+  }
+  const TermId non_numeric = static_cast<TermId>(numeric.size() + 7);
+
+  struct Expected {
+    uint64_t count = 0;
+    int64_t sum = 0;
+    std::optional<int64_t> min, max;
+  };
+  std::map<TermId, Expected> expected;
+  join::Aggregator agg(&spec, &numeric, /*num_workers=*/3);
+  const auto add = [&](size_t worker, TermId key, TermId value) {
+    const TermId row[2] = {key, value};
+    agg.Accumulate(worker, row);
+    Expected& e = expected[key];
+    ++e.count;
+    if (value >= numeric.size()) return;
+    const int64_t v = static_cast<int64_t>(numeric[value]);
+    e.sum += v;
+    e.min = std::min(e.min.value_or(v), v);
+    e.max = std::max(e.max.value_or(v), v);
+  };
+  // Worker 0 crosses the threshold and re-buckets into partitions.
+  const size_t keys0 = join::kAggAdaptiveThreshold + 500;
+  for (size_t k = 0; k < keys0; ++k) {
+    const TermId key = static_cast<TermId>(k + 1);
+    add(0, key, static_cast<TermId>(k % 300));
+    if (k % 3 == 0) add(0, key, static_cast<TermId>((k * 7) % 300));
+  }
+  // Worker 1 holds 50 of worker 0's keys and stays thread-local, so Finish
+  // has to convert it before the per-partition merge. Worker 2 sees no
+  // rows.
+  for (size_t i = 0; i < 50; ++i) {
+    const TermId key = static_cast<TermId>(1 + (i * 97) % keys0);
+    add(1, key, static_cast<TermId>((i * 13) % 300));
+    add(1, key, i % 5 == 0 ? non_numeric : static_cast<TermId>(299 - i));
+  }
+
+  auto out = agg.Finish(nullptr);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->width, 5u);
+  ASSERT_EQ(out->rows, expected.size());
+  auto it = expected.begin();
+  for (size_t r = 0; r < out->rows; ++r, ++it) {
+    const uint64_t* cells = out->cells.data() + r * out->width;
+    ASSERT_EQ(cells[0], it->first) << "row " << r;
+    const Expected& e = it->second;
+    EXPECT_EQ(cells[1], e.count) << "key " << it->first;
+    EXPECT_EQ(std::bit_cast<double>(cells[2]), static_cast<double>(e.sum))
+        << "key " << it->first;
+    ASSERT_TRUE(e.min.has_value() && e.max.has_value());
+    EXPECT_EQ(std::bit_cast<double>(cells[3]), static_cast<double>(*e.min))
+        << "key " << it->first;
+    EXPECT_EQ(std::bit_cast<double>(cells[4]), static_cast<double>(*e.max))
+        << "key " << it->first;
   }
 }
 

@@ -21,9 +21,17 @@ Spec ChainSpec(int n) {
   return spec;
 }
 
+/// `nodes` nodes of `threads_per_node` shard threads, defaults otherwise.
+ClusterOptions Nodes(int nodes, int threads_per_node = 1) {
+  ClusterOptions options;
+  options.nodes = nodes;
+  options.threads_per_node = threads_per_node;
+  return options;
+}
+
 TEST(ReplicatedClusterTest, SingleNodeEqualsPlainExecution) {
   auto db = MakeDatabase(ChainSpec(200));
-  ReplicatedCluster cluster(&db, {.nodes = 1, .threads_per_node = 2});
+  ReplicatedCluster cluster(&db, Nodes(1, 2));
   auto r = cluster.Execute("SELECT * WHERE { ?a <p> ?b . ?b <q> ?c }");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->row_count, 200u);
@@ -33,7 +41,7 @@ TEST(ReplicatedClusterTest, NodeCountsAgreeOnCounts) {
   auto db = MakeDatabase(ChainSpec(300));
   const std::string q = "SELECT * WHERE { ?a <p> ?b . ?b <q> ?c }";
   for (int nodes : {1, 2, 3, 5, 8}) {
-    ReplicatedCluster cluster(&db, {.nodes = nodes, .threads_per_node = 2});
+    ReplicatedCluster cluster(&db, Nodes(nodes, 2));
     auto r = cluster.Execute(q);
     ASSERT_TRUE(r.ok()) << nodes << " nodes";
     EXPECT_EQ(r->row_count, 300u) << nodes << " nodes";
@@ -67,7 +75,7 @@ TEST(ReplicatedClusterTest, MaterializedRowsMatchSingleNode) {
 
 TEST(ReplicatedClusterTest, ConstantKeyQueriesRouteToOneNode) {
   auto db = MakeDatabase({{"a", "p", "b"}, {"a", "q", "c"}});
-  ReplicatedCluster cluster(&db, {.nodes = 3});
+  ReplicatedCluster cluster(&db, Nodes(3));
   auto r = cluster.Execute("SELECT ?x WHERE { <a> <p> <b> . <a> <q> ?x }");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->row_count, 1u);
@@ -80,10 +88,10 @@ TEST(ReplicatedClusterTest, LubmQueriesAcrossNodeCounts) {
                                      std::move(data.triples));
   ASSERT_TRUE(db.ok());
   for (const auto& q : workload::LubmQueries()) {
-    ReplicatedCluster one(&*db, {.nodes = 1});
+    ReplicatedCluster one(&*db, Nodes(1));
     auto expected = one.Execute(q.sparql);
     ASSERT_TRUE(expected.ok()) << q.name;
-    ReplicatedCluster four(&*db, {.nodes = 4, .threads_per_node = 2});
+    ReplicatedCluster four(&*db, Nodes(4, 2));
     auto got = four.Execute(q.sparql);
     ASSERT_TRUE(got.ok()) << q.name;
     EXPECT_EQ(got->row_count, expected->row_count) << q.name;

@@ -121,13 +121,12 @@ engine::ParjEngine ReferenceEngine(int n) {
 /// Builds a WAL-backed engine, applies batches [0, n), and destroys it —
 /// leaving options.dir as a crashless log to recover from.
 void WriteLog(int n, const WalOptions& options) {
-  std::optional<engine::ParjEngine> engine = test::MakeEngine(BaseSpec());
-  ASSERT_TRUE(engine->EnableWal(options).ok());
+  engine::ParjEngine engine = test::MakeEngine(BaseSpec());
+  ASSERT_TRUE(engine.EnableWal(options).ok());
   for (int i = 0; i < n; ++i) {
-    Status st = engine->ApplyBatch(Batch(i));
+    Status st = engine.ApplyBatch(Batch(i));
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
-  engine.reset();
 }
 
 std::vector<std::string> SegmentFiles(const std::string& dir) {

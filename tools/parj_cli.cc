@@ -5,8 +5,7 @@
 //            [--compression {none,blocked}] [--failpoints name=spec,...]
 //            [--wal-dir DIR] [--wal-sync {none,batch,always}]
 //            [--plan-cache on|off] [--result-cache-mb N]
-//            [--shared-scan on|off]
-//            [--agg-strategy local|radix|shared|adaptive] [serve | --serve]
+//            [--shared-scan on|off] [serve | --serve]
 //   parj_cli verify-snapshot FILE
 //   parj_cli verify-wal DIR
 //
@@ -49,7 +48,10 @@
 //
 // Otherwise, reads commands from stdin. Lines starting with '.' are
 // commands; anything else accumulates as SPARQL until a line consisting
-// of a single ';' (or EOF), then executes. Commands:
+// of a single ';' (or EOF), then executes. GROUP BY / COUNT / SUM / MIN /
+// MAX queries aggregate in parallel with no knob: thread-local group
+// tables that re-bucket into radix partitions once a worker sees many
+// groups (DESIGN.md §16). Commands:
 //
 //   .load FILE            load an N-Triples file (replaces the store)
 //   .gen lubm N           generate LUBM data at N universities
@@ -64,10 +66,6 @@
 //   .restore FILE         load a binary snapshot
 //   .verify FILE          CRC-check a snapshot without loading it
 //   .threads N            set worker threads for queries
-//   .agg-strategy NAME    local | radix | shared | adaptive — how GROUP
-//                         BY/COUNT/SUM/MIN/MAX queries aggregate in
-//                         parallel (also a serve command and the
-//                         --agg-strategy flag; default adaptive)
 //   .load-threads N       set worker threads for loads/restores
 //   .compression MODE     none | blocked (applies to subsequent loads)
 //   .strategy NAME        Binary | AdBinary | Index | AdIndex
@@ -116,7 +114,6 @@ struct Shell {
   size_t chunk_mb = 16;
   join::SearchStrategy strategy = join::SearchStrategy::kAdaptiveIndex;
   join::Scheduling scheduling = join::Scheduling::kMorsel;
-  join::AggStrategy agg_strategy = join::AggStrategy::kAdaptive;
   storage::Compression compression = storage::Compression::kNone;
   bool batch_probes = true;
   bool explain = false;
@@ -313,7 +310,6 @@ struct Shell {
     opts.strategy = strategy;
     opts.scheduling = scheduling;
     opts.batch_probes = batch_probes;
-    opts.agg_strategy = agg_strategy;
     auto result = engine->Execute(sparql, opts);
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
@@ -362,8 +358,7 @@ struct Shell {
           ".load FILE | .gen lubm N | .gen watdiv N | .save FILE |\n"
           ".restore FILE | .verify FILE | .dump FILE | .threads N |\n"
           ".load-threads N | .compression none|blocked | .strategy NAME |\n"
-          ".scheduling static|morsel | "
-          ".agg-strategy local|radix|shared|adaptive |\n"
+          ".scheduling static|morsel |\n"
           ".simd scalar|sse2|avx2|auto | .batch on|off |\n"
           ".insert <s> <p> <o> . | .remove <s> <p> <o> . | .compact |\n"
           ".delta | .wal | .calibrate | .explain on|off | .limit N | "
@@ -492,15 +487,6 @@ struct Shell {
         return true;
       }
       std::printf("scheduling = %s\n", join::SchedulingName(scheduling));
-    } else if (command == ".agg-strategy") {
-      std::string name;
-      in >> name;
-      if (!name.empty() && !join::ParseAggStrategy(name.c_str(),
-                                                   &agg_strategy)) {
-        std::printf("unknown agg strategy (local|radix|shared|adaptive)\n");
-        return true;
-      }
-      std::printf("agg strategy = %s\n", join::AggStrategyName(agg_strategy));
     } else if (command == ".simd") {
       std::string name;
       in >> name;
@@ -613,7 +599,6 @@ struct Shell {
     options.query_defaults.scheduling = scheduling;
     options.query_defaults.batch_probes = batch_probes;
     options.query_defaults.strategy = strategy;
-    options.query_defaults.agg_strategy = agg_strategy;
     options.query_defaults.mode = join::ResultMode::kCount;
     options.enable_plan_cache = serve_plan_cache;
     options.result_cache_bytes = serve_result_cache_mb << 20;
@@ -662,15 +647,11 @@ struct Shell {
     std::vector<PendingQuery> pending;
     std::map<std::string, std::shared_ptr<const server::PreparedStatement>>
         prepared_queries;
-    // .agg-strategy / .threads style knobs changed mid-serve ride in as
-    // per-submission QueryOptions overriding the construction defaults.
+    // .priority / .timeout changed mid-serve apply to new submissions.
     auto make_submit_options = [&] {
       server::SubmitOptions submit_options;
       submit_options.priority = serve_priority;
       submit_options.timeout_millis = serve_timeout_millis;
-      engine::QueryOptions qopts = options.query_defaults;
-      qopts.agg_strategy = agg_strategy;
-      submit_options.query = qopts;
       return submit_options;
     };
     auto submit = [&](const std::string& sparql) {
@@ -747,17 +728,6 @@ struct Shell {
         } else if (command == ".priority") {
           in >> serve_priority;
           std::printf("priority = %d\n", serve_priority);
-        } else if (command == ".agg-strategy") {
-          std::string name;
-          in >> name;
-          if (!name.empty() && !join::ParseAggStrategy(name.c_str(),
-                                                       &agg_strategy)) {
-            std::printf(
-                "unknown agg strategy (local|radix|shared|adaptive)\n");
-          } else {
-            std::printf("agg strategy = %s (applies to new submissions)\n",
-                        join::AggStrategyName(agg_strategy));
-          }
         } else if (command == ".wait") {
           HarvestPending(&pending, true);
         } else if (command == ".prepare") {
@@ -813,7 +783,6 @@ struct Shell {
           std::printf(
               ".metrics | .insert <s> <p> <o> . | .remove <s> <p> <o> . |\n"
               ".compact | .delta | .wal | .timeout MS | .priority N |\n"
-              ".agg-strategy local|radix|shared|adaptive |\n"
               ".prepare NAME QUERY | .run NAME | .cache [clear] | "
               ".wait | .quit\n");
         } else {
@@ -985,13 +954,6 @@ int main(int argc, char** argv) {
                                 std::strcmp(v, "false") != 0;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       shell.HandleCommand(std::string(".threads ") + argv[++i]);
-    } else if (std::strcmp(argv[i], "--agg-strategy") == 0 && i + 1 < argc) {
-      if (!parj::join::ParseAggStrategy(argv[++i], &shell.agg_strategy)) {
-        std::fprintf(stderr,
-                     "unknown agg strategy %s (local|radix|shared|adaptive)\n",
-                     argv[i]);
-        return 1;
-      }
     } else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc) {
       shell.HandleCommand(std::string(".simd ") + argv[++i]);
     } else if (std::strcmp(argv[i], "--no-batch") == 0) {
@@ -1039,7 +1001,6 @@ int main(int argc, char** argv) {
                 std::strcmp(argv[i], "--result-cache-mb") == 0 ||
                 std::strcmp(argv[i], "--shared-scan") == 0 ||
                 std::strcmp(argv[i], "--threads") == 0 ||
-                std::strcmp(argv[i], "--agg-strategy") == 0 ||
                 std::strcmp(argv[i], "--simd") == 0 ||
                 std::strcmp(argv[i], "--compression") == 0 ||
                 std::strcmp(argv[i], "--load-threads") == 0 ||
