@@ -970,18 +970,14 @@ Status ValidateExecOptions(const Plan& plan, const ExecOptions& options) {
   if (options.mode == ResultMode::kVisit && !options.visitor) {
     return Status::InvalidArgument("kVisit mode requires a visitor");
   }
-  if (options.total_workers < 1 || options.worker_index < 0 ||
-      options.worker_index >= options.total_workers) {
-    return Status::InvalidArgument("invalid worker slice");
-  }
   if (options.limit_gate != nullptr && options.limit_gate->limit == 0) {
     return Status::InvalidArgument("limit_gate requires limit > 0");
   }
   return Status::OK();
 }
 
-/// The work units of one execution over [begin, end) of the first step's
-/// work source and the workers that share them (DESIGN.md §8).
+/// The work units of one execution over the first step's work source and
+/// the workers that share them (DESIGN.md §8).
 struct Schedule {
   std::vector<Morsel> morsels;
   size_t workers = 1;
@@ -992,9 +988,9 @@ struct Schedule {
 };
 
 Schedule PlanSchedule(const ExecOptions& options, const StepInfo& first,
-                      const WorkSource& src, size_t begin, size_t end) {
+                      const WorkSource& src) {
   Schedule schedule;
-  const size_t items = end - begin;
+  const size_t items = src.size;
   schedule.workers = std::max<size_t>(
       1, std::min<size_t>(static_cast<size_t>(options.num_threads), items));
   // A fully constant first pattern is one existence check either way.
@@ -1003,7 +999,7 @@ Schedule PlanSchedule(const ExecOptions& options, const StepInfo& first,
                    src.kind != WorkSource::Kind::kSingle;
   if (!schedule.steal) {
     schedule.morsels =
-        MorselScheduler::EqualSplit(begin, end, schedule.workers);
+        MorselScheduler::EqualSplit(0, items, schedule.workers);
   } else if (src.kind == WorkSource::Kind::kKeyRange) {
     // Cost-balanced morsels: cut where the CSR offsets cross equal shares
     // of cumulative run length (prefix sums are already materialized, so
@@ -1012,15 +1008,15 @@ Schedule PlanSchedule(const ExecOptions& options, const StepInfo& first,
     // ownership rule keeps any cut correct either way.
     const storage::TableReplica& replica =
         src.keys_from_delta ? *first.ins : *first.replica;
-    const uint64_t cost = replica.RangeCost(begin, end);
+    const uint64_t cost = replica.RangeCost(0, items);
     schedule.morsels = MorselScheduler::MorselsFromCuts(
-        replica.CostBalancedSplit(begin, end,
+        replica.CostBalancedSplit(0, items,
                                   MorselTarget(schedule.workers, items, cost)));
   } else {
     // A constant key's value run: every item costs one descent, so an
     // equal-count cut is already cost-balanced.
     schedule.morsels = MorselScheduler::EqualSplit(
-        begin, end, MorselTarget(schedule.workers, items, items));
+        0, items, MorselTarget(schedule.workers, items, items));
   }
   return schedule;
 }
@@ -1163,21 +1159,7 @@ Result<ExecResult> Executor::Execute(const Plan& plan,
     return result;
   }
 
-  // Cluster slice of the global work range (identity when total_workers
-  // is 1). Single-item work goes to worker 0.
-  const size_t worker_begin =
-      src.size * static_cast<size_t>(options.worker_index) /
-      static_cast<size_t>(options.total_workers);
-  const size_t worker_end =
-      src.size * (static_cast<size_t>(options.worker_index) + 1) /
-      static_cast<size_t>(options.total_workers);
-  if (worker_end == worker_begin) {
-    result.wall_millis = total_timer.ElapsedMillis();
-    return result;
-  }
-
-  Schedule schedule =
-      PlanSchedule(options, steps[0], src, worker_begin, worker_end);
+  Schedule schedule = PlanSchedule(options, steps[0], src);
   const size_t num_shards = schedule.workers;
   const bool morsel_run = schedule.steal;
   std::vector<ShardContext> contexts(num_shards);
@@ -1232,11 +1214,10 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
     }
     PARJ_RETURN_NOT_OK(ValidateExecOptions(plan, opt));
     if (opt.mode == ResultMode::kVisit || opt.emulate_parallel ||
-        opt.collect_probe_trace || opt.total_workers != 1 ||
-        opt.limit_gate != nullptr) {
+        opt.collect_probe_trace || opt.limit_gate != nullptr) {
       return Status::InvalidArgument(
-          "shared-scan members cannot use kVisit, emulation, probe tracing, "
-          "cluster slicing or a LIMIT gate");
+          "shared-scan members cannot use kVisit, emulation, probe tracing "
+          "or a LIMIT gate");
     }
     const PlanStep& first = plan.steps[0];
     if (!first.key.is_variable() || first.key_bound ||
@@ -1281,8 +1262,7 @@ Result<std::vector<ExecResult>> Executor::ExecuteShared(
 
   // The same cuts a solo run of any member would make: the shared leading
   // replica's CSR is the cost model for all of them.
-  Schedule schedule =
-      PlanSchedule(lead, resolved[0].steps[0], src, 0, src.size);
+  Schedule schedule = PlanSchedule(lead, resolved[0].steps[0], src);
   const size_t num_shards = schedule.workers;
 
   // Fully private per-member, per-shard contexts: within a cut each

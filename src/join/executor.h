@@ -122,14 +122,6 @@ struct ExecOptions {
   LimitGate* limit_gate = nullptr;
   /// Required when mode == kVisit.
   RowVisitor visitor;
-  /// Cluster slicing (paper §6's full-replication cluster design): this
-  /// execution processes only worker `worker_index` of `total_workers`
-  /// equal slices of the first step's work range, then shards its slice
-  /// across num_threads as usual. Workers share nothing, so running one
-  /// execution per worker (on any machine holding a replica) and
-  /// concatenating results is equivalent to a single full execution.
-  int total_workers = 1;
-  int worker_index = 0;
   /// Cooperative cancellation/deadline token, checked on entry and then
   /// every kCancelCheckInterval tuples inside each shard's pipeline. A
   /// default-constructed token never fires. On cancellation Execute
@@ -226,7 +218,7 @@ class Executor {
   /// across members for the cuts to be shared.
   ///
   /// Restrictions (InvalidArgument): members must not be known_empty, must
-  /// not use kVisit / emulate_parallel / probe tracing / cluster slicing,
+  /// not use kVisit / emulate_parallel / probe tracing / a LIMIT gate,
   /// and all leading steps must resolve to the same table replica. Any
   /// member fault or cancellation fails the whole call — callers degrade
   /// to solo execution per member.

@@ -4,15 +4,11 @@
 #include <unordered_map>
 
 #include "common/strings.h"
+#include "rdf/vocab.h"
 
 namespace parj::query {
 
 namespace {
-
-constexpr std::string_view kRdfType =
-    "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-constexpr std::string_view kXsdInteger =
-    "http://www.w3.org/2001/XMLSchema#integer";
 
 enum class TokenKind {
   kEof,
@@ -535,14 +531,14 @@ class Parser {
           return Status::ParseError("number in predicate position");
         }
         TermOrVar t = TermOrVar::Constant(rdf::Term::TypedLiteral(
-            current_.text, std::string(kXsdInteger)));
+            current_.text, rdf::vocab::kXsdInteger));
         PARJ_RETURN_NOT_OK(Advance());
         return t;
       }
       case TokenKind::kKeyword:
         if (current_.text == "a" && predicate_position) {
           TermOrVar t =
-              TermOrVar::Constant(rdf::Term::Iri(std::string(kRdfType)));
+              TermOrVar::Constant(rdf::Term::Iri(rdf::vocab::kRdfType));
           PARJ_RETURN_NOT_OK(Advance());
           return t;
         }

@@ -3,13 +3,9 @@
 
 namespace parj::rdf::vocab {
 
-/// Well-known IRIs used by the engine and the reasoning module.
+/// Well-known IRIs used by the engine.
 inline constexpr char kRdfType[] =
     "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-inline constexpr char kRdfsSubClassOf[] =
-    "http://www.w3.org/2000/01/rdf-schema#subClassOf";
-inline constexpr char kRdfsSubPropertyOf[] =
-    "http://www.w3.org/2000/01/rdf-schema#subPropertyOf";
 inline constexpr char kXsdInteger[] =
     "http://www.w3.org/2001/XMLSchema#integer";
 

@@ -14,11 +14,11 @@
 namespace parj::server {
 
 /// Fixed-size, lazily-started thread pool shared by every parallel code
-/// path in the repo (query shards, cluster nodes, exchange workers,
-/// scheduler jobs). The pool itself is work-stealing-free — a plain FIFO
-/// queue plus direct handoff; dynamic load balancing lives one layer up,
-/// in the join layer's MorselScheduler, which worker gangs consult at
-/// morsel granularity (see RunWorkers).
+/// path in the repo (query shards, exchange workers, scheduler jobs). The
+/// pool itself is work-stealing-free — a plain FIFO queue plus direct
+/// handoff; dynamic load balancing lives one layer up, in the join layer's
+/// MorselScheduler, which worker gangs consult at morsel granularity (see
+/// RunWorkers).
 ///
 /// Threads are created on the first task submission, not at construction,
 /// so merely linking the serving layer costs nothing (the paper's

@@ -3,20 +3,19 @@
 #include <string>
 
 #include "common/rng.h"
+#include "rdf/vocab.h"
 
 namespace parj::workload {
 
 namespace {
 
 constexpr char kUb[] = "http://swat.cse.lehigh.edu/onto/univ-bench.owl#";
-constexpr char kRdfType[] =
-    "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
 /// Builds encoded triples while interning IRIs through the dictionary.
 class LubmBuilder {
  public:
   explicit LubmBuilder(uint64_t seed) : rng_(seed) {
-    type_ = data_.dict.EncodePredicate(rdf::Term::Iri(kRdfType));
+    type_ = data_.dict.EncodePredicate(rdf::Term::Iri(rdf::vocab::kRdfType));
     sub_organization_of_ = Pred("subOrganizationOf");
     works_for_ = Pred("worksFor");
     member_of_ = Pred("memberOf");
@@ -48,9 +47,7 @@ class LubmBuilder {
     class_research_group_ = Class("ResearchGroup");
   }
 
-  GeneratedData Generate(int universities, bool emit_ontology) {
-    universities_ = universities;
-    if (emit_ontology) EmitOntology();
+  GeneratedData Generate(int universities) {
     university_ids_.reserve(universities);
     for (int u = 0; u < universities; ++u) {
       university_ids_.push_back(
@@ -86,53 +83,6 @@ class LubmBuilder {
 
   TermId RandomUniversity() {
     return university_ids_[rng_.Uniform(university_ids_.size())];
-  }
-
-  /// The Univ-Bench RDFS skeleton. Abstract classes/properties (Person,
-  /// Faculty, Professor, Student, Organization, degreeFrom) only occur
-  /// here — answering queries over them needs hierarchy reasoning.
-  void EmitOntology() {
-    const PredicateId sub_class = data_.dict.EncodePredicate(
-        rdf::Term::Iri("http://www.w3.org/2000/01/rdf-schema#subClassOf"));
-    const PredicateId sub_property = data_.dict.EncodePredicate(
-        rdf::Term::Iri("http://www.w3.org/2000/01/rdf-schema#subPropertyOf"));
-
-    const TermId person = Class("Person");
-    const TermId faculty = Class("Faculty");
-    const TermId professor = Class("Professor");
-    const TermId student = Class("Student");
-    const TermId organization = Class("Organization");
-
-    auto sub = [&](TermId child, TermId parent) {
-      Emit(child, sub_class, parent);
-    };
-    sub(faculty, person);
-    sub(student, person);
-    sub(professor, faculty);
-    sub(class_full_professor_, professor);
-    sub(class_associate_professor_, professor);
-    sub(class_assistant_professor_, professor);
-    sub(class_lecturer_, faculty);
-    sub(class_undergraduate_student_, student);
-    sub(class_graduate_student_, student);
-    sub(class_graduate_course_, class_course_);
-    sub(class_university_, organization);
-    sub(class_department_, organization);
-    sub(class_research_group_, organization);
-
-    // Property hierarchy: properties appear as resources here.
-    auto prop_resource = [&](const std::string& local) {
-      return data_.dict.EncodeResource(rdf::Term::Iri(kUb + local));
-    };
-    const TermId degree_from = prop_resource("degreeFrom");  // abstract
-    auto subp = [&](const std::string& child, TermId parent) {
-      Emit(prop_resource(child), sub_property, parent);
-    };
-    subp("headOf", prop_resource("worksFor"));
-    subp("worksFor", prop_resource("memberOf"));
-    subp("undergraduateDegreeFrom", degree_from);
-    subp("mastersDegreeFrom", degree_from);
-    subp("doctoralDegreeFrom", degree_from);
   }
 
   void EmitPersonDetails(TermId person, const std::string& base) {
@@ -288,7 +238,6 @@ class LubmBuilder {
 
   Rng rng_;
   GeneratedData data_;
-  int universities_ = 0;
   std::vector<TermId> university_ids_;
 
   PredicateId type_, sub_organization_of_, works_for_, member_of_,
@@ -305,7 +254,7 @@ class LubmBuilder {
 
 GeneratedData GenerateLubm(const LubmOptions& options) {
   LubmBuilder builder(options.seed);
-  return builder.Generate(options.universities, options.emit_ontology);
+  return builder.Generate(options.universities);
 }
 
 std::vector<NamedQuery> LubmQueries() {
@@ -402,42 +351,6 @@ SELECT ?p ?a ?d WHERE {
   ?a ub:worksFor ?d .
   ?d ub:subOrganizationOf ?u .
   ?a ub:doctoralDegreeFrom ?u .
-})"});
-
-  return queries;
-}
-
-std::vector<NamedQuery> LubmReasoningQueries() {
-  const std::string prefix =
-      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
-  std::vector<NamedQuery> queries;
-
-  // R1: instances of an abstract class (3-way subclass union).
-  queries.push_back({"LUBM-R1", prefix + R"(
-SELECT ?x WHERE {
-  ?x a ub:Professor .
-})"});
-
-  // R2: abstract super-property (memberOf U worksFor U headOf).
-  queries.push_back({"LUBM-R2", prefix + R"(
-SELECT ?x ?y WHERE {
-  ?x ub:memberOf ?y .
-})"});
-
-  // R3: star mixing an abstract class with an abstract property
-  // (degreeFrom has no direct assertions at all).
-  queries.push_back({"LUBM-R3", prefix + R"(
-SELECT ?x ?u WHERE {
-  ?x a ub:Faculty .
-  ?x ub:degreeFrom ?u .
-})"});
-
-  // R4: join over two hierarchies (Person members of organizations).
-  queries.push_back({"LUBM-R4", prefix + R"(
-SELECT ?x ?d WHERE {
-  ?x a ub:Person .
-  ?x ub:memberOf ?d .
-  ?d ub:subOrganizationOf ?u .
 })"});
 
   return queries;

@@ -12,13 +12,6 @@ namespace parj::workload {
 struct LubmOptions {
   int universities = 1;
   uint64_t seed = 42;
-  /// Emit the Univ-Bench RDFS ontology (rdfs:subClassOf /
-  /// rdfs:subPropertyOf statements: professor ranks under Professor under
-  /// Faculty under Person, students under Student under Person, headOf
-  /// under worksFor under memberOf, the three degree properties under
-  /// degreeFrom, ...). Off by default so the instance data keeps exactly
-  /// the paper's 17 LUBM properties; the reasoning experiments enable it.
-  bool emit_ontology = false;
 };
 
 /// From-scratch generator reproducing the Univ-Bench schema: universities
@@ -41,13 +34,6 @@ GeneratedData GenerateLubm(const LubmOptions& options);
 /// with each query's published role preserved: L4-L6 selective point
 /// queries, L2 simple but unselective, L1/L3/L7-L10 heavy multi-joins.
 std::vector<NamedQuery> LubmQueries();
-
-/// Queries that only produce complete answers under the Univ-Bench
-/// class/property hierarchies (require emit_ontology plus either backward
-/// chaining or materialization): instances of abstract classes
-/// (ub:Professor, ub:Faculty, ub:Person) and abstract properties
-/// (ub:memberOf as super-property, ub:degreeFrom).
-std::vector<NamedQuery> LubmReasoningQueries();
 
 }  // namespace parj::workload
 

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "rdf/vocab.h"
 
 namespace parj::workload {
 
@@ -14,9 +15,6 @@ constexpr char kRev[] = "http://purl.org/stuff/rev#";
 constexpr char kGr[] = "http://purl.org/goodrelations/";
 constexpr char kFoaf[] = "http://xmlns.com/foaf/";
 constexpr char kRdfs[] = "http://www.w3.org/2000/01/rdf-schema#";
-constexpr char kRdfType[] =
-    "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
-constexpr char kXsdInteger[] = "http://www.w3.org/2001/XMLSchema#integer";
 
 class WatdivBuilder {
  public:
@@ -164,7 +162,7 @@ class WatdivBuilder {
 
  private:
   void InternPredicates() {
-    type_ = data_.dict.EncodePredicate(rdf::Term::Iri(kRdfType));
+    type_ = data_.dict.EncodePredicate(rdf::Term::Iri(rdf::vocab::kRdfType));
     follows_ = Pred(kWsdbm, "follows");
     friend_of_ = Pred(kWsdbm, "friendOf");
     likes_ = Pred(kWsdbm, "likes");
@@ -201,8 +199,8 @@ class WatdivBuilder {
     return data_.dict.EncodeResource(rdf::Term::Literal(std::move(value)));
   }
   TermId IntegerLiteral(uint64_t value) {
-    return data_.dict.EncodeResource(
-        rdf::Term::TypedLiteral(std::to_string(value), kXsdInteger));
+    return data_.dict.EncodeResource(rdf::Term::TypedLiteral(
+        std::to_string(value), rdf::vocab::kXsdInteger));
   }
 
   void Emit(TermId s, PredicateId p, TermId o) {

@@ -125,7 +125,7 @@ TEST(ReplicaSpanAccessorsTest, SpansMatchScalars) {
 }
 
 TEST(EngineUnionReasoningInterplayTest, UnionOverTypeAlternatives) {
-  // Manual union reproduces what the reasoning rewrite automates.
+  // A UNION over two class alternatives answers both branches.
   auto engine = test::MakeEngine({
       {"x", "type", "Full"},
       {"y", "type", "Assoc"},

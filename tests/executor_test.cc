@@ -1,5 +1,6 @@
 #include "join/executor.h"
 
+#include <functional>
 #include <future>
 
 #include <gtest/gtest.h>
@@ -390,6 +391,118 @@ TEST(ExecutorTest, StepRowsSumAcrossShards) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->step_rows.size(), 1u);
   EXPECT_EQ(r->step_rows[0], 100u);
+}
+
+TEST(ExecutorTest, ZeroLimitGateRejected) {
+  auto db = MakeDatabase(kPaperExample);
+  auto q = Encode("SELECT ?x WHERE { ?x <teaches> ?y }", db);
+  auto plan = query::Optimize(q, db);
+  ASSERT_TRUE(plan.ok());
+  Executor exec(&db);
+  LimitGate gate;
+  ExecOptions opts;
+  opts.limit_gate = &gate;
+  EXPECT_TRUE(exec.Execute(*plan, opts).status().IsInvalidArgument());
+  gate.limit = 1;
+  EXPECT_TRUE(exec.Execute(*plan, opts).ok());
+}
+
+/// ExecuteShared's argument checks. Each case runs a two-member shared
+/// scan of `?x <teaches> ?y` after editing the second member's plan and
+/// options; the unedited pair is the control that must succeed.
+class SharedScanValidationTest : public ::testing::Test {
+ protected:
+  SharedScanValidationTest() : db_(MakeDatabase(kPaperExample)) {}
+
+  query::Plan PlanFor(const std::string& sparql) {
+    auto plan = query::Optimize(Encode(sparql, db_), db_);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return std::move(plan).value();
+  }
+
+  Status RunPair(
+      const std::function<void(query::Plan*, ExecOptions*)>& edit = {}) {
+    const query::Plan lead = PlanFor("SELECT ?x ?y WHERE { ?x <teaches> ?y }");
+    query::Plan member = lead;
+    std::vector<ExecOptions> options(2);
+    if (edit) edit(&member, &options[1]);
+    const std::vector<const query::Plan*> plans = {&lead, &member};
+    return Executor(&db_).ExecuteShared(plans, options).status();
+  }
+
+  storage::Database db_;
+};
+
+TEST_F(SharedScanValidationTest, UneditedPairRuns) {
+  EXPECT_TRUE(RunPair().ok());
+}
+
+TEST_F(SharedScanValidationTest, EmptyOrMismatchedSpansRejected) {
+  Executor exec(&db_);
+  EXPECT_TRUE(exec.ExecuteShared({}, {}).status().IsInvalidArgument());
+  const query::Plan plan = PlanFor("SELECT ?x ?y WHERE { ?x <teaches> ?y }");
+  const std::vector<const query::Plan*> plans = {&plan, &plan};
+  const std::vector<ExecOptions> one(1);
+  EXPECT_TRUE(exec.ExecuteShared(plans, one).status().IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, KnownEmptyMemberRejected) {
+  EXPECT_TRUE(RunPair([](query::Plan* plan, ExecOptions*) {
+                plan->known_empty = true;
+              }).IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, VisitMemberRejected) {
+  EXPECT_TRUE(RunPair([](query::Plan*, ExecOptions* opts) {
+                opts->mode = ResultMode::kVisit;
+                opts->visitor = [](size_t, std::span<const TermId>) {};
+              }).IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, EmulatedMemberRejected) {
+  EXPECT_TRUE(RunPair([](query::Plan*, ExecOptions* opts) {
+                opts->emulate_parallel = true;
+              }).IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, ProbeTraceMemberRejected) {
+  EXPECT_TRUE(RunPair([](query::Plan*, ExecOptions* opts) {
+                opts->collect_probe_trace = true;
+              }).IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, LimitGateMemberRejected) {
+  LimitGate gate;
+  gate.limit = 1;
+  EXPECT_TRUE(RunPair([&gate](query::Plan*, ExecOptions* opts) {
+                opts->limit_gate = &gate;
+              }).IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, BoundFirstStepRejected) {
+  const query::Plan constant_key =
+      PlanFor("SELECT ?y WHERE { <ProfessorA> <teaches> ?y }");
+  EXPECT_TRUE(RunPair([&](query::Plan* plan, ExecOptions*) {
+                *plan = constant_key;
+              }).IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, DifferentLeadingPredicateRejected) {
+  const query::Plan works_for =
+      PlanFor("SELECT ?x ?y WHERE { ?x <worksFor> ?y }");
+  EXPECT_TRUE(RunPair([&](query::Plan* plan, ExecOptions*) {
+                *plan = works_for;
+              }).IsInvalidArgument());
+}
+
+TEST_F(SharedScanValidationTest, DifferentLeadingReplicaRejected) {
+  EXPECT_TRUE(RunPair([](query::Plan* plan, ExecOptions*) {
+                query::PlanStep& first = plan->steps[0];
+                first.replica = first.replica == storage::ReplicaKind::kSO
+                                    ? storage::ReplicaKind::kOS
+                                    : storage::ReplicaKind::kSO;
+                std::swap(first.key, first.value);
+              }).IsInvalidArgument());
 }
 
 }  // namespace

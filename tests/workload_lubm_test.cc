@@ -57,6 +57,33 @@ TEST(LubmGeneratorTest, AllIdsValid) {
   }
 }
 
+TEST(LubmGeneratorTest, OutputIsPinned) {
+  // Every bench and perfbench workload loads this data, so its exact
+  // triples and dictionary are fixed: FNV-1a-64 over each triple's
+  // (subject, predicate, object) IDs in generation order.
+  struct Pin {
+    int universities;
+    size_t triples, resources, predicates;
+    uint64_t hash;
+  };
+  for (const Pin& pin : {Pin{1, 57165, 14444, 17, 0x96b8da50b18a543eull},
+                         Pin{3, 223446, 55639, 17, 0xf91b6b604720c69aull}}) {
+    GeneratedData data =
+        GenerateLubm({.universities = pin.universities, .seed = 42});
+    uint64_t h = 1469598103934665603ull;
+    for (const EncodedTriple& t : data.triples) {
+      for (uint64_t x : {uint64_t{t.subject}, uint64_t{t.predicate},
+                         uint64_t{t.object}}) {
+        h = (h ^ x) * 1099511628211ull;
+      }
+    }
+    EXPECT_EQ(data.triples.size(), pin.triples) << pin.universities;
+    EXPECT_EQ(data.dict.resource_count(), pin.resources) << pin.universities;
+    EXPECT_EQ(data.dict.predicate_count(), pin.predicates) << pin.universities;
+    EXPECT_EQ(h, pin.hash) << pin.universities;
+  }
+}
+
 TEST(LubmGeneratorTest, QueryConstantsExist) {
   GeneratedData data = GenerateLubm({.universities = 1, .seed = 4});
   for (const char* iri :
