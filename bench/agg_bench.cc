@@ -44,15 +44,6 @@ double EnvDouble(const char* name, double fallback) {
   return std::atof(value);
 }
 
-/// `value` printed with `digits` decimals, sized to fit whatever the
-/// magnitude (no fixed buffer to truncate).
-std::string Fixed(double value, int digits) {
-  const int n = std::snprintf(nullptr, 0, "%.*f", digits, value);
-  std::string out(static_cast<size_t>(n), '\0');
-  std::snprintf(out.data(), out.size() + 1, "%.*f", digits, value);
-  return out;
-}
-
 constexpr const char* kPrefixes =
     "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
     "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n";
@@ -62,29 +53,6 @@ struct Mix {
   std::string sparql;
   bool speedup_gated;  ///< the >=3x low-cardinality acceptance gate
 };
-
-/// One timed cell over the repeats, in ms.
-struct Spread {
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Spread Summarize(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  Spread out;
-  out.median = n % 2 == 1 ? values[n / 2]
-                          : (values[n / 2 - 1] + values[n / 2]) / 2.0;
-  out.min = values.front();
-  out.max = values.back();
-  return out;
-}
-
-std::string SpreadJson(const Spread& s) {
-  return "{\"median\": " + Fixed(s.median, 3) + ", \"min\": " +
-         Fixed(s.min, 3) + ", \"max\": " + Fixed(s.max, 3) + "}";
-}
 
 struct MixReport {
   const Mix* mix = nullptr;

@@ -12,6 +12,7 @@
 //   PARJ_THREADS        parallel worker count, default 8 (emulated)
 //   PARJ_BENCH_REPEATS  timed repetitions per query, default 3
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -134,6 +135,39 @@ inline Aggregate Aggregates(const std::vector<double>& values) {
   out.avg = sum / values.size();
   out.geomean = std::exp(log_sum / values.size());
   return out;
+}
+
+/// `value` printed with `digits` decimals, sized to fit whatever the
+/// magnitude (no fixed buffer to truncate).
+inline std::string Fixed(double value, int digits) {
+  const int n = std::snprintf(nullptr, 0, "%.*f", digits, value);
+  std::string out(static_cast<size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", digits, value);
+  return out;
+}
+
+/// One measured cell over the repeats: the bench record's median/min/max.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline Spread Summarize(std::vector<double> values) {
+  Spread out;
+  if (values.empty()) return out;
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  out.median = n % 2 == 1 ? values[n / 2]
+                          : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  out.min = values.front();
+  out.max = values.back();
+  return out;
+}
+
+inline std::string SpreadJson(const Spread& s) {
+  return "{\"median\": " + Fixed(s.median, 3) + ", \"min\": " +
+         Fixed(s.min, 3) + ", \"max\": " + Fixed(s.max, 3) + "}";
 }
 
 /// Writes a machine-readable bench artifact (`BENCH_<name>.json`) into

@@ -2,15 +2,32 @@
 
 #include <utility>
 
+#include "rdf/ntriples.h"
 #include "server/thread_pool.h"
 
 namespace parj::dict {
 
 namespace {
 
-/// Encodes one term against base + delta, assigning a provisional delta
-/// index on a double miss. `delta_ids` maps key -> local index into
-/// `delta_terms`.
+/// Encodes the term whose canonical key is `key` against base + delta,
+/// assigning a provisional delta index on a double miss. `delta_ids` maps
+/// key -> local index into `delta_terms`; `make_term` builds the term
+/// and is called only on a double miss.
+template <typename LookupByKey, typename MakeTerm>
+TermId EncodeKeyAgainst(std::string_view key, const LookupByKey& base_lookup,
+                        TermKeyMap<TermId>* delta_ids,
+                        std::vector<rdf::Term>* delta_terms,
+                        const MakeTerm& make_term) {
+  const TermId base_id = base_lookup(key);
+  if (base_id != kInvalidTermId) return base_id;
+  auto it = delta_ids->find(key);
+  if (it != delta_ids->end()) return kDeltaTag | it->second;
+  const TermId local = static_cast<TermId>(delta_terms->size());
+  delta_terms->push_back(make_term());
+  delta_ids->emplace(std::string(key), local);
+  return kDeltaTag | local;
+}
+
 template <typename LookupByKey>
 TermId EncodeTermAgainst(const rdf::Term& term, const LookupByKey& base_lookup,
                          TermKeyMap<TermId>* delta_ids,
@@ -18,15 +35,24 @@ TermId EncodeTermAgainst(const rdf::Term& term, const LookupByKey& base_lookup,
   std::string& key = internal::TlsKeyBuffer();
   key.clear();
   term.AppendDictionaryKey(&key);
-  const std::string_view view(key);
-  const TermId base_id = base_lookup(view);
-  if (base_id != kInvalidTermId) return base_id;
-  auto it = delta_ids->find(view);
-  if (it != delta_ids->end()) return kDeltaTag | it->second;
-  const TermId local = static_cast<TermId>(delta_terms->size());
-  delta_terms->push_back(term);
-  delta_ids->emplace(std::string(view), local);
-  return kDeltaTag | local;
+  return EncodeKeyAgainst(key, base_lookup, delta_ids, delta_terms,
+                          [&term] { return term; });
+}
+
+/// EncodeTermAgainst for a scanned span: the key is the span's own text
+/// when that is canonical, else the built term's key in the thread-local
+/// buffer.
+template <typename LookupByKey>
+TermId EncodeSpanAgainst(const rdf::TermSpan& span,
+                         const LookupByKey& base_lookup,
+                         TermKeyMap<TermId>* delta_ids,
+                         std::vector<rdf::Term>* delta_terms) {
+  if (span.text_is_key) {
+    return EncodeKeyAgainst(span.text, base_lookup, delta_ids, delta_terms,
+                            [&span] { return rdf::TermFromSpan(span); });
+  }
+  return EncodeTermAgainst(rdf::TermFromSpan(span), base_lookup, delta_ids,
+                           delta_terms);
 }
 
 }  // namespace
@@ -57,6 +83,52 @@ EncodedChunk EncodeChunk(const Dictionary& base,
   return out;
 }
 
+EncodedChunk EncodeTextChunk(const Dictionary& base, std::string_view text,
+                             bool strict, ChunkLines* lines) {
+  EncodedChunk out;
+  TermKeyMap<TermId> resource_delta_ids;
+  TermKeyMap<TermId> predicate_delta_ids;
+  const auto resource_lookup = [&base](std::string_view key) {
+    return base.LookupResourceByKey(key);
+  };
+  const auto predicate_lookup = [&base](std::string_view key) {
+    return base.LookupPredicateByKey(key);
+  };
+  *lines = ChunkLines{};
+  rdf::StatementSpans spans;
+  size_t start = 0;
+  while (start < text.size()) {
+    const size_t end = text.find('\n', start);
+    const std::string_view line = (end == std::string_view::npos)
+                                      ? text.substr(start)
+                                      : text.substr(start, end - start);
+    ++lines->count;
+    const Status scanned = rdf::ScanStatementLine(line, &spans);
+    if (scanned.ok()) {
+      EncodedTriple e;
+      e.subject = EncodeSpanAgainst(spans.subject, resource_lookup,
+                                    &resource_delta_ids,
+                                    &out.delta_resources);
+      e.predicate = EncodeSpanAgainst(spans.predicate, predicate_lookup,
+                                      &predicate_delta_ids,
+                                      &out.delta_predicates);
+      e.object = EncodeSpanAgainst(spans.object, resource_lookup,
+                                   &resource_delta_ids, &out.delta_resources);
+      out.triples.push_back(e);
+    } else if (scanned.code() != StatusCode::kNotFound) {
+      if (lines->first_error_line == 0) {
+        lines->first_error_line = lines->count;
+        lines->first_error = scanned.message();
+      }
+      if (strict) break;
+      ++lines->skipped;
+    }
+    if (end == std::string_view::npos) break;
+    start = end + 1;
+  }
+  return out;
+}
+
 Result<std::vector<EncodedTriple>> MergeEncodedChunks(
     Dictionary* base, std::vector<EncodedChunk> chunks,
     server::ThreadPool* pool) {
@@ -65,6 +137,16 @@ Result<std::vector<EncodedTriple>> MergeEncodedChunks(
   // term introduced by an earlier chunk resolves to that earlier ID.
   std::vector<std::vector<TermId>> resource_remap(chunks.size());
   std::vector<std::vector<PredicateId>> predicate_remap(chunks.size());
+  // The deltas bound the dictionary's growth: sizing it once spares the
+  // rehashes and term-array regrowth of inserting one term at a time.
+  size_t delta_resources = 0;
+  size_t delta_predicates = 0;
+  for (const EncodedChunk& chunk : chunks) {
+    delta_resources += chunk.delta_resources.size();
+    delta_predicates += chunk.delta_predicates.size();
+  }
+  base->Reserve(base->resource_count() + delta_resources,
+                base->predicate_count() + delta_predicates);
   uint64_t total_triples = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     EncodedChunk& chunk = chunks[c];

@@ -2,6 +2,8 @@
 #define PARJ_DICT_SHARDED_ENCODER_H_
 
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -18,11 +20,12 @@ namespace parj::dict {
 /// Deterministic two-phase parallel dictionary encoding (bulk-load
 /// pipeline, DESIGN.md §10).
 ///
-/// Phase 1 — EncodeChunk, one call per input chunk, all concurrent: each
-/// chunk encodes its triples against a FROZEN base dictionary (read-only,
-/// safely shared) plus a chunk-local delta dictionary that assigns
-/// provisional IDs (kDeltaTag | local-index) to terms the base does not
-/// know, in first-occurrence order within the chunk.
+/// Phase 1 — one call per input chunk, all concurrent: each chunk encodes
+/// its triples against a FROZEN base dictionary (read-only, safely
+/// shared) plus a chunk-local delta dictionary that assigns provisional
+/// IDs (kDeltaTag | local-index) to terms the base does not know, in
+/// first-occurrence order within the chunk. EncodeTextChunk does this
+/// straight from N-Triples text; EncodeChunk from parsed triples.
 ///
 /// Phase 2 — MergeEncodedChunks: deltas are folded into the base IN CHUNK
 /// ORDER, so a term's final ID equals the ID a serial first-occurrence
@@ -52,6 +55,28 @@ struct EncodedChunk {
 /// Base hits are allocation-free (transparent-hash probe).
 EncodedChunk EncodeChunk(const Dictionary& base,
                          std::span<const rdf::Triple> triples);
+
+/// Line accounting of one EncodeTextChunk call. Line numbers are 1-based
+/// and local to the chunk; the caller rebases them to file lines.
+struct ChunkLines {
+  /// Lines scanned (a last line without '\n' counts). A strict scan stops
+  /// at its first malformed line, so this may fall short of the chunk.
+  uint64_t count = 0;
+  uint64_t skipped = 0;  ///< malformed lines dropped (non-strict only)
+  uint64_t first_error_line = 0;  ///< first malformed line; 0 when none
+  std::string first_error;        ///< its ParseError message
+};
+
+/// Phase 1 straight from N-Triples text: scans `text` (whole lines, as
+/// rdf::SplitNewlineChunks cuts them) with rdf::ScanStatementLine and
+/// encodes each statement against the frozen `base` plus a fresh delta,
+/// exactly as EncodeChunk would encode the parsed triples. A term's key
+/// is its byte range in `text` whenever that already is the canonical
+/// key (rdf::TermSpan::text_is_key), so no rdf::Term is built except for
+/// a delta miss or an escaped literal. Strict mode stops at the first
+/// malformed line; otherwise malformed lines are counted and skipped.
+EncodedChunk EncodeTextChunk(const Dictionary& base, std::string_view text,
+                             bool strict, ChunkLines* lines);
 
 /// Phases 2+3: merges every chunk's delta into `*base` in chunk order,
 /// patches all provisional IDs to final ones (on `pool` when non-null),

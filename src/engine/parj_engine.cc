@@ -4,9 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <sstream>
 
 #include "common/timer.h"
 #include "dict/sharded_encoder.h"
@@ -183,116 +185,125 @@ Result<ParjEngine> ParjEngine::FromEncoded(dict::Dictionary dict,
   return FinishLoad(std::move(dict), std::move(triples), options, LoadStats{});
 }
 
-namespace {
-
-/// Sharded two-phase encode of parsed triples: per-chunk delta encode
-/// against the (empty) base dictionary in parallel, then a chunk-order
-/// merge that reproduces serial first-occurrence IDs exactly (see
-/// dict/sharded_encoder.h).
-Result<std::vector<EncodedTriple>> EncodeShards(
-    dict::Dictionary* dict, std::vector<std::span<const rdf::Triple>> shards,
-    server::ThreadPool* pool) {
-  std::vector<dict::EncodedChunk> encoded(shards.size());
-  const dict::Dictionary& base = *dict;
-  const auto encode_one = [&](size_t i) {
-    encoded[i] = dict::EncodeChunk(base, shards[i]);
-  };
-  if (pool != nullptr && shards.size() > 1) {
-    pool->ParallelFor(shards.size(), encode_one);
-  } else {
-    for (size_t i = 0; i < shards.size(); ++i) encode_one(i);
-  }
-  return dict::MergeEncodedChunks(dict, std::move(encoded), pool);
-}
-
-}  // namespace
-
 Result<ParjEngine> ParjEngine::FromTriples(
     const std::vector<rdf::Triple>& triples, const EngineOptions& options) {
   LoadStats stats;
   std::optional<server::ThreadPool> pool;
   if (options.load.threads > 1) pool.emplace(options.load.threads);
+  server::ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
 
+  // Sharded two-phase encode (dict/sharded_encoder.h): contiguous spans
+  // encode concurrently against the empty base, and the chunk-order merge
+  // (chunk order = input order) reproduces serial first-occurrence IDs.
   Stopwatch encode_timer;
-  // Shard the input into contiguous spans (chunk order = input order, so
-  // the merged IDs match a serial encode of the same vector).
   constexpr size_t kTriplesPerShard = size_t{64} << 10;
-  std::vector<std::span<const rdf::Triple>> shards;
-  for (size_t begin = 0; begin < triples.size(); begin += kTriplesPerShard) {
-    const size_t len = std::min(kTriplesPerShard, triples.size() - begin);
-    shards.emplace_back(triples.data() + begin, len);
-  }
+  const size_t shard_count =
+      (triples.size() + kTriplesPerShard - 1) / kTriplesPerShard;
+  std::vector<dict::EncodedChunk> chunks(shard_count);
   dict::Dictionary dict;
+  const auto encode_one = [&](size_t i) {
+    const size_t begin = i * kTriplesPerShard;
+    const size_t len = std::min(kTriplesPerShard, triples.size() - begin);
+    chunks[i] = dict::EncodeChunk(
+        dict, std::span<const rdf::Triple>(triples.data() + begin, len));
+  };
+  if (pool_ptr != nullptr && shard_count > 1) {
+    pool_ptr->ParallelFor(shard_count, encode_one);
+  } else {
+    for (size_t i = 0; i < shard_count; ++i) encode_one(i);
+  }
   PARJ_ASSIGN_OR_RETURN(
       std::vector<EncodedTriple> encoded,
-      EncodeShards(&dict, std::move(shards),
-                   pool.has_value() ? &*pool : nullptr));
+      dict::MergeEncodedChunks(&dict, std::move(chunks), pool_ptr));
   stats.encode_millis = encode_timer.ElapsedMillis();
   return FinishLoad(std::move(dict), std::move(encoded), options, stats);
 }
 
+namespace {
+
+/// The text load's phases 1 and 2 (DESIGN.md §10): every newline-aligned
+/// chunk is scanned and encoded in one pass against the empty base
+/// dictionary on the load pool, then the chunk deltas merge into `*dict`
+/// in chunk order. Chunk-local line numbers are rebased to file lines,
+/// so a strict failure names the line a serial parse would.
+Result<std::vector<EncodedTriple>> EncodeText(std::string_view text,
+                                              const LoadOptions& load,
+                                              dict::Dictionary* dict,
+                                              LoadStats* stats) {
+  Stopwatch scan_timer;
+  std::optional<server::ThreadPool> pool;
+  if (load.threads > 1) pool.emplace(load.threads);
+  server::ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
+  const std::vector<std::string_view> pieces =
+      rdf::SplitNewlineChunks(text, load.chunk_bytes);
+  std::vector<dict::EncodedChunk> chunks(pieces.size());
+  std::vector<dict::ChunkLines> lines(pieces.size());
+  const dict::Dictionary& base = *dict;
+  const auto encode_one = [&](size_t c) {
+    chunks[c] = dict::EncodeTextChunk(base, pieces[c], load.strict, &lines[c]);
+  };
+  if (pool_ptr != nullptr && pieces.size() > 1) {
+    pool_ptr->ParallelFor(pieces.size(), encode_one);
+  } else {
+    for (size_t c = 0; c < pieces.size(); ++c) encode_one(c);
+  }
+  stats->parse_millis = scan_timer.ElapsedMillis();
+  stats->chunks = pieces.size();
+
+  uint64_t line_base = 0;
+  for (const dict::ChunkLines& chunk : lines) {
+    if (chunk.first_error_line != 0) {
+      const uint64_t line = line_base + chunk.first_error_line;
+      // Chunks are in file order, so the first failing chunk holds the
+      // earliest malformed line.
+      if (load.strict) {
+        return Status::ParseError("line " + std::to_string(line) + ": " +
+                                  chunk.first_error);
+      }
+      if (stats->first_skipped_line == 0) stats->first_skipped_line = line;
+    }
+    stats->skipped_lines += chunk.skipped;
+    line_base += chunk.count;
+  }
+
+  Stopwatch merge_timer;
+  Result<std::vector<EncodedTriple>> encoded =
+      dict::MergeEncodedChunks(dict, std::move(chunks), pool_ptr);
+  stats->encode_millis = merge_timer.ElapsedMillis();
+  return encoded;
+}
+
+}  // namespace
+
 Result<ParjEngine> ParjEngine::FromNTriplesText(std::string_view text,
                                                 const EngineOptions& options) {
   LoadStats stats;
-  std::optional<server::ThreadPool> pool;
-  if (options.load.threads > 1) pool.emplace(options.load.threads);
-  rdf::ParallelParseOptions parse_options;
-  parse_options.strict = options.load.strict;
-  parse_options.chunk_bytes = options.load.chunk_bytes;
-  parse_options.pool = pool.has_value() ? &*pool : nullptr;
-
-  Stopwatch parse_timer;
-  PARJ_ASSIGN_OR_RETURN(std::vector<rdf::ParsedChunk> chunks,
-                        rdf::ParseTextParallel(text, parse_options));
-  stats.parse_millis = parse_timer.ElapsedMillis();
-  stats.chunks = chunks.size();
-  for (const rdf::ParsedChunk& chunk : chunks) {
-    stats.skipped_lines += chunk.skipped_lines;
-  }
-
-  Stopwatch encode_timer;
-  std::vector<std::span<const rdf::Triple>> shards;
-  shards.reserve(chunks.size());
-  for (const rdf::ParsedChunk& chunk : chunks) shards.emplace_back(chunk.triples);
   dict::Dictionary dict;
-  PARJ_ASSIGN_OR_RETURN(
-      std::vector<EncodedTriple> encoded,
-      EncodeShards(&dict, std::move(shards),
-                   pool.has_value() ? &*pool : nullptr));
-  stats.encode_millis = encode_timer.ElapsedMillis();
+  PARJ_ASSIGN_OR_RETURN(std::vector<EncodedTriple> encoded,
+                        EncodeText(text, options.load, &dict, &stats));
   return FinishLoad(std::move(dict), std::move(encoded), options, stats);
 }
 
 Result<ParjEngine> ParjEngine::FromNTriplesFile(const std::string& path,
                                                 const EngineOptions& options) {
   LoadStats stats;
-  std::optional<server::ThreadPool> pool;
-  if (options.load.threads > 1) pool.emplace(options.load.threads);
-  rdf::ParallelParseOptions parse_options;
-  parse_options.strict = options.load.strict;
-  parse_options.chunk_bytes = options.load.chunk_bytes;
-  parse_options.pool = pool.has_value() ? &*pool : nullptr;
-
-  Stopwatch parse_timer;
-  PARJ_ASSIGN_OR_RETURN(
-      std::vector<rdf::ParsedChunk> chunks,
-      rdf::ParseFileParallel(path, parse_options, &stats.read_millis));
-  stats.parse_millis = parse_timer.ElapsedMillis() - stats.read_millis;
-  stats.chunks = chunks.size();
-  for (const rdf::ParsedChunk& chunk : chunks) {
-    stats.skipped_lines += chunk.skipped_lines;
+  Stopwatch read_timer;
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return Status::IoError("cannot open " + path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    if (in.bad()) return Status::IoError("read failure on " + path);
+    text = std::move(buffer).str();
   }
-
-  Stopwatch encode_timer;
-  std::vector<std::span<const rdf::Triple>> shards;
-  shards.reserve(chunks.size());
-  for (const rdf::ParsedChunk& chunk : chunks) shards.emplace_back(chunk.triples);
+  stats.read_millis = read_timer.ElapsedMillis();
   dict::Dictionary dict;
-  PARJ_ASSIGN_OR_RETURN(
-      std::vector<EncodedTriple> encoded,
-      EncodeShards(&dict, std::move(shards),
-                   pool.has_value() ? &*pool : nullptr));
-  stats.encode_millis = encode_timer.ElapsedMillis();
+  PARJ_ASSIGN_OR_RETURN(std::vector<EncodedTriple> encoded,
+                        EncodeText(text, options.load, &dict, &stats));
+  // The dictionary owns every term now; the file buffer can go before
+  // the store build.
+  std::string().swap(text);
   return FinishLoad(std::move(dict), std::move(encoded), options, stats);
 }
 

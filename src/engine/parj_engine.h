@@ -18,15 +18,15 @@
 namespace parj::engine {
 
 /// Bulk-load pipeline options (DESIGN.md §10). The pipeline is the same
-/// at any thread count — chunked parse, sharded dictionary encode,
-/// grouped store build — so the loaded engine is identical whatever
-/// `threads` is; only wall time changes.
+/// at any thread count — chunked scan-and-encode, chunk-order dictionary
+/// merge, grouped store build — so the loaded engine is identical
+/// whatever `threads` is; only wall time changes.
 struct LoadOptions {
-  /// Worker threads for every load phase (parse, encode, build, index,
-  /// calibrate). A snapshot load streams its decode serially and uses
+  /// Worker threads for every load phase (scan-and-encode, merge, build,
+  /// index, calibrate). A snapshot load streams its decode serially and uses
   /// the threads for the store build. <= 1 runs the pipeline serially.
   int threads = 1;
-  /// Parser chunk size in bytes; chunks split at newline boundaries so a
+  /// Text chunk size in bytes; chunks split at newline boundaries so a
   /// triple never straddles two chunks.
   size_t chunk_bytes = size_t{16} << 20;
   /// Fail on the first malformed line (reported with its 1-based line
@@ -39,15 +39,20 @@ struct LoadOptions {
 /// Phases are disjoint; total_millis covers the whole load call.
 struct LoadStats {
   double read_millis = 0.0;       ///< file -> memory (file loads only)
-  double parse_millis = 0.0;      ///< N-Triples chunks -> rdf::Triple
-  double encode_millis = 0.0;     ///< terms -> dense IDs (shard + merge)
+  /// Text loads: the fused pass that scans every chunk and encodes its
+  /// terms against chunk-local deltas. Snapshot loads: the decode.
+  double parse_millis = 0.0;
+  /// Text loads: folding chunk deltas into the dictionary plus patching
+  /// provisional IDs. FromTriples: its whole sharded encode.
+  double encode_millis = 0.0;
   double build_millis = 0.0;      ///< group by predicate + CSR tables
   double index_millis = 0.0;      ///< histograms, ID indexes, statistics
   double calibrate_millis = 0.0;  ///< Algorithm 2 (when enabled)
   double total_millis = 0.0;
   uint64_t triples = 0;        ///< encoded triples handed to the store
   uint64_t skipped_lines = 0;  ///< malformed lines dropped (strict=false)
-  uint64_t chunks = 0;         ///< parse chunks (0 for non-text loads)
+  uint64_t first_skipped_line = 0;  ///< file line of the first; 0 = none
+  uint64_t chunks = 0;         ///< text chunks (0 for non-text loads)
   int threads = 1;             ///< effective LoadOptions::threads
 };
 
@@ -182,11 +187,14 @@ class ParjEngine {
   static Result<ParjEngine> FromTriples(const std::vector<rdf::Triple>& triples,
                                         const EngineOptions& options = {});
 
-  /// Parses `text` as N-Triples and builds.
+  /// Loads N-Triples `text`: each chunk is scanned and encoded in one
+  /// pass, straight from the text, so no rdf::Triple is ever held per
+  /// statement. Byte-identical to FromTriples over the parsed document.
   static Result<ParjEngine> FromNTriplesText(std::string_view text,
                                              const EngineOptions& options = {});
 
-  /// Reads and parses an N-Triples file and builds.
+  /// Reads an N-Triples file into memory and loads it as
+  /// FromNTriplesText does.
   static Result<ParjEngine> FromNTriplesFile(const std::string& path,
                                              const EngineOptions& options = {});
 

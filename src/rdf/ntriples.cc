@@ -1,13 +1,10 @@
 #include "rdf/ntriples.h"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
+#include "common/logging.h"
 #include "common/strings.h"
-#include "common/timer.h"
-#include "server/thread_pool.h"
 
 namespace parj::rdf {
 
@@ -26,57 +23,73 @@ bool IsPnChar(char c) {
 
 }  // namespace
 
-Result<Term> ParseTerm(std::string_view line, size_t* pos) {
+Status ScanTerm(std::string_view line, size_t* pos, TermSpan* span) {
   SkipSpaces(line, pos);
   if (*pos >= line.size()) {
     return Status::ParseError("expected term, found end of line");
   }
-  char c = line[*pos];
+  const size_t begin = *pos;
+  const char c = line[begin];
+  span->datatype = {};
+  span->lang = {};
+  span->text_is_key = true;
   if (c == '<') {
-    size_t end = line.find('>', *pos + 1);
+    const size_t end = line.find('>', begin + 1);
     if (end == std::string_view::npos) {
       return Status::ParseError("unterminated IRI");
     }
-    std::string iri(line.substr(*pos + 1, end - *pos - 1));
-    if (iri.empty()) return Status::ParseError("empty IRI");
+    if (end == begin + 1) return Status::ParseError("empty IRI");
+    span->kind = TermKind::kIri;
+    span->lexical = line.substr(begin + 1, end - begin - 1);
     *pos = end + 1;
-    return Term::Iri(std::move(iri));
-  }
-  if (c == '_') {
-    if (*pos + 1 >= line.size() || line[*pos + 1] != ':') {
+  } else if (c == '_') {
+    if (begin + 1 >= line.size() || line[begin + 1] != ':') {
       return Status::ParseError("malformed blank node: expected _:");
     }
-    size_t start = *pos + 2;
+    const size_t start = begin + 2;
     size_t end = start;
     while (end < line.size() && IsPnChar(line[end])) ++end;
+    // A label may hold '.' but not end in one: that dot ends the statement.
+    while (end > start && line[end - 1] == '.') --end;
     if (end == start) return Status::ParseError("empty blank node label");
-    std::string label(line.substr(start, end - start));
+    span->kind = TermKind::kBlank;
+    span->lexical = line.substr(start, end - start);
     *pos = end;
-    return Term::Blank(std::move(label));
-  }
-  if (c == '"') {
-    // Find the closing quote, honouring backslash escapes.
-    size_t end = *pos + 1;
+  } else if (c == '"') {
+    // Find the closing quote, honouring backslash escapes and noting the
+    // first one UnescapeLiteral would reject.
+    size_t end = begin + 1;
+    char bad_escape = '\0';
     bool escaped = false;
-    while (end < line.size()) {
+    for (; end < line.size(); ++end) {
+      const char b = line[end];
       if (escaped) {
         escaped = false;
-      } else if (line[end] == '\\') {
+        if (bad_escape == '\0' && b != '\\' && b != '"' && b != 'n' &&
+            b != 'r' && b != 't') {
+          bad_escape = b;
+        }
+      } else if (b == '\\') {
         escaped = true;
-      } else if (line[end] == '"') {
+        span->text_is_key = false;
+      } else if (b == '"') {
         break;
+      } else if (b == '\t' || b == '\r') {
+        span->text_is_key = false;  // the key spells these as escapes
       }
-      ++end;
     }
     if (end >= line.size()) {
       return Status::ParseError("unterminated literal");
     }
-    PARJ_ASSIGN_OR_RETURN(std::string value,
-                          UnescapeLiteral(line.substr(*pos + 1, end - *pos - 1)));
+    if (bad_escape != '\0') {
+      return Status::ParseError(std::string("unknown escape \\") + bad_escape);
+    }
+    span->kind = TermKind::kLiteral;
+    span->lexical = line.substr(begin + 1, end - begin - 1);
     *pos = end + 1;
     // Optional language tag or datatype.
     if (*pos < line.size() && line[*pos] == '@') {
-      size_t start = *pos + 1;
+      const size_t start = *pos + 1;
       size_t lang_end = start;
       while (lang_end < line.size() &&
              (std::isalnum(static_cast<unsigned char>(line[lang_end])) ||
@@ -84,44 +97,46 @@ Result<Term> ParseTerm(std::string_view line, size_t* pos) {
         ++lang_end;
       }
       if (lang_end == start) return Status::ParseError("empty language tag");
-      std::string lang(line.substr(start, lang_end - start));
+      span->lang = line.substr(start, lang_end - start);
       *pos = lang_end;
-      return Term::LangLiteral(std::move(value), std::move(lang));
-    }
-    if (*pos + 1 < line.size() && line[*pos] == '^' && line[*pos + 1] == '^') {
+    } else if (*pos + 1 < line.size() && line[*pos] == '^' &&
+               line[*pos + 1] == '^') {
       *pos += 2;
       if (*pos >= line.size() || line[*pos] != '<') {
         return Status::ParseError("expected datatype IRI after ^^");
       }
-      size_t end_dt = line.find('>', *pos + 1);
+      const size_t end_dt = line.find('>', *pos + 1);
       if (end_dt == std::string_view::npos) {
         return Status::ParseError("unterminated datatype IRI");
       }
-      std::string dt(line.substr(*pos + 1, end_dt - *pos - 1));
+      span->datatype = line.substr(*pos + 1, end_dt - *pos - 1);
+      // `^^<>` denotes a plain literal, whose key has no suffix.
+      if (span->datatype.empty()) span->text_is_key = false;
       *pos = end_dt + 1;
-      return Term::TypedLiteral(std::move(value), std::move(dt));
     }
-    return Term::Literal(std::move(value));
+  } else {
+    return Status::ParseError(std::string("unexpected character '") + c +
+                              "' at start of term");
   }
-  return Status::ParseError(std::string("unexpected character '") + c +
-                            "' at start of term");
+  span->text = line.substr(begin, *pos - begin);
+  return Status::OK();
 }
 
-Result<Triple> ParseStatementLine(std::string_view raw) {
+Status ScanStatementLine(std::string_view raw, StatementSpans* spans) {
   std::string_view line = TrimWhitespace(raw);
   if (line.empty() || line[0] == '#') {
     return Status::NotFound("blank or comment line");
   }
   size_t pos = 0;
-  PARJ_ASSIGN_OR_RETURN(Term subject, ParseTerm(line, &pos));
-  if (subject.is_literal()) {
+  PARJ_RETURN_NOT_OK(ScanTerm(line, &pos, &spans->subject));
+  if (spans->subject.kind == TermKind::kLiteral) {
     return Status::ParseError("literal in subject position");
   }
-  PARJ_ASSIGN_OR_RETURN(Term predicate, ParseTerm(line, &pos));
-  if (!predicate.is_iri()) {
+  PARJ_RETURN_NOT_OK(ScanTerm(line, &pos, &spans->predicate));
+  if (spans->predicate.kind != TermKind::kIri) {
     return Status::ParseError("predicate must be an IRI");
   }
-  PARJ_ASSIGN_OR_RETURN(Term object, ParseTerm(line, &pos));
+  PARJ_RETURN_NOT_OK(ScanTerm(line, &pos, &spans->object));
   SkipSpaces(line, &pos);
   if (pos >= line.size() || line[pos] != '.') {
     return Status::ParseError("expected '.' terminating statement");
@@ -131,7 +146,47 @@ Result<Triple> ParseStatementLine(std::string_view raw) {
   if (pos != line.size()) {
     return Status::ParseError("trailing garbage after '.'");
   }
-  return Triple{std::move(subject), std::move(predicate), std::move(object)};
+  return Status::OK();
+}
+
+Term TermFromSpan(const TermSpan& span) {
+  switch (span.kind) {
+    case TermKind::kIri:
+      return Term::Iri(std::string(span.lexical));
+    case TermKind::kBlank:
+      return Term::Blank(std::string(span.lexical));
+    case TermKind::kLiteral:
+      break;
+  }
+  std::string value;
+  if (span.lexical.find('\\') == std::string_view::npos) {
+    value = std::string(span.lexical);
+  } else {
+    Result<std::string> unescaped = UnescapeLiteral(span.lexical);
+    PARJ_CHECK(unescaped.ok()) << "ScanTerm admitted a bad escape: "
+                               << unescaped.status().ToString();
+    value = std::move(unescaped).value();
+  }
+  if (!span.lang.empty()) {
+    return Term::LangLiteral(std::move(value), std::string(span.lang));
+  }
+  if (!span.datatype.empty()) {
+    return Term::TypedLiteral(std::move(value), std::string(span.datatype));
+  }
+  return Term::Literal(std::move(value));
+}
+
+Result<Term> ParseTerm(std::string_view line, size_t* pos) {
+  TermSpan span;
+  PARJ_RETURN_NOT_OK(ScanTerm(line, pos, &span));
+  return TermFromSpan(span);
+}
+
+Result<Triple> ParseStatementLine(std::string_view line) {
+  StatementSpans spans;
+  PARJ_RETURN_NOT_OK(ScanStatementLine(line, &spans));
+  return Triple{TermFromSpan(spans.subject), TermFromSpan(spans.predicate),
+                TermFromSpan(spans.object)};
 }
 
 Status NTriplesParser::HandleLine(std::string_view line, uint64_t line_no,
@@ -190,14 +245,9 @@ Result<std::vector<Triple>> NTriplesParser::ParseToVector(
   return out;
 }
 
-namespace {
-
-/// Newline-aligned chunk byte ranges covering all of `text`. Every chunk
-/// except possibly the last ends just past a '\n'; a single line longer
-/// than `chunk_bytes` gets a correspondingly oversized chunk.
-std::vector<std::pair<size_t, size_t>> SplitNewlineChunks(
-    std::string_view text, size_t chunk_bytes) {
-  std::vector<std::pair<size_t, size_t>> chunks;
+std::vector<std::string_view> SplitNewlineChunks(std::string_view text,
+                                                 size_t chunk_bytes) {
+  std::vector<std::string_view> chunks;
   if (chunk_bytes == 0) chunk_bytes = 1;
   size_t pos = 0;
   while (pos < text.size()) {
@@ -208,100 +258,10 @@ std::vector<std::pair<size_t, size_t>> SplitNewlineChunks(
       const size_t nl = text.find('\n', end - 1);
       end = (nl == std::string_view::npos) ? text.size() : nl + 1;
     }
-    chunks.emplace_back(pos, end);
+    chunks.push_back(text.substr(pos, end - pos));
     pos = end;
   }
   return chunks;
-}
-
-/// Parses one chunk; records errors with chunk-local 1-based line
-/// ordinals (rebased to file line numbers once all chunks report their
-/// line counts).
-void ParseOneChunk(std::string_view text, bool strict, ParsedChunk* chunk) {
-  const std::string_view body =
-      text.substr(chunk->begin_offset, chunk->end_offset - chunk->begin_offset);
-  uint64_t local_line = 0;
-  size_t start = 0;
-  while (start < body.size()) {
-    size_t end = body.find('\n', start);
-    const std::string_view line = (end == std::string_view::npos)
-                                      ? body.substr(start)
-                                      : body.substr(start, end - start);
-    ++local_line;
-    Result<Triple> triple = ParseStatementLine(line);
-    if (triple.ok()) {
-      chunk->triples.push_back(std::move(triple).value());
-    } else if (triple.status().code() != StatusCode::kNotFound) {
-      chunk->errors.push_back(
-          ParsedChunk::LineError{local_line, triple.status().message()});
-      if (!strict) ++chunk->skipped_lines;
-    }
-    if (end == std::string_view::npos) break;
-    start = end + 1;
-  }
-  chunk->line_count = local_line;
-}
-
-}  // namespace
-
-Result<std::vector<ParsedChunk>> ParseTextParallel(
-    std::string_view text, const ParallelParseOptions& options) {
-  std::vector<ParsedChunk> chunks;
-  const auto ranges = SplitNewlineChunks(text, options.chunk_bytes);
-  chunks.resize(ranges.size());
-  for (size_t c = 0; c < ranges.size(); ++c) {
-    chunks[c].begin_offset = ranges[c].first;
-    chunks[c].end_offset = ranges[c].second;
-  }
-
-  auto parse_one = [&](size_t c) {
-    ParseOneChunk(text, options.strict, &chunks[c]);
-  };
-  if (options.pool != nullptr && chunks.size() > 1) {
-    options.pool->ParallelFor(chunks.size(), parse_one);
-  } else {
-    for (size_t c = 0; c < chunks.size(); ++c) parse_one(c);
-  }
-
-  // Rebase chunk-local line ordinals to real file line numbers.
-  uint64_t line_base = 0;
-  for (ParsedChunk& chunk : chunks) {
-    chunk.first_line = line_base + 1;
-    for (ParsedChunk::LineError& error : chunk.errors) {
-      error.line += line_base;
-    }
-    line_base += chunk.line_count;
-  }
-
-  if (options.strict) {
-    // Fail with the earliest error, exactly as the serial parser's
-    // first-error abort would have.
-    const ParsedChunk::LineError* first = nullptr;
-    for (const ParsedChunk& chunk : chunks) {
-      for (const ParsedChunk::LineError& error : chunk.errors) {
-        if (first == nullptr || error.line < first->line) first = &error;
-      }
-    }
-    if (first != nullptr) {
-      return Status::ParseError("line " + std::to_string(first->line) + ": " +
-                                first->message);
-    }
-  }
-  return chunks;
-}
-
-Result<std::vector<ParsedChunk>> ParseFileParallel(
-    const std::string& path, const ParallelParseOptions& options,
-    double* read_millis) {
-  Stopwatch read_timer;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failure on " + path);
-  const std::string text = std::move(buffer).str();
-  if (read_millis != nullptr) *read_millis = read_timer.ElapsedMillis();
-  return ParseTextParallel(text, options);
 }
 
 void WriteNTriples(const std::vector<Triple>& triples, std::ostream& out) {

@@ -10,21 +10,62 @@
 #include "common/status.h"
 #include "rdf/term.h"
 
-namespace parj::server {
-class ThreadPool;
-}  // namespace parj::server
-
 namespace parj::rdf {
+
+/// Where one N-Triples term lies in its statement line, as validated by
+/// ScanTerm. The views point into the scanned line.
+struct TermSpan {
+  TermKind kind = TermKind::kIri;
+  /// The whole term as written: `<iri>`, `_:label`, or the quoted literal
+  /// with any `@lang` / `^^<datatype>` suffix.
+  std::string_view text;
+  /// IRI without brackets, blank-node label without `_:`, or the literal
+  /// body between the quotes, still escaped.
+  std::string_view lexical;
+  std::string_view datatype;  ///< literal datatype IRI, without brackets
+  std::string_view lang;      ///< literal language tag, without '@'
+  /// `text` is byte for byte the term's dictionary key
+  /// (Term::AppendDictionaryKey): always for IRIs and blank nodes, and for
+  /// literals whose body holds no '\\', raw tab or raw CR and whose
+  /// datatype, if given, is not empty.
+  bool text_is_key = false;
+};
+
+/// The three scanned terms of one statement line.
+struct StatementSpans {
+  TermSpan subject;
+  TermSpan predicate;
+  TermSpan object;
+};
+
+/// Scans one N-Triples term starting at `*pos` in `line` and advances
+/// `*pos` past it. Validates everything ParseTerm does (escapes included)
+/// but copies nothing. A blank-node label never ends in '.', so
+/// `_:b.` scans as label `b` followed by the statement's dot.
+Status ScanTerm(std::string_view line, size_t* pos, TermSpan* span);
+
+/// Scans a single statement line ("<s> <p> <o> ." with optional
+/// surrounding whitespace). Empty lines and `#` comment lines yield
+/// Status::NotFound, which callers treat as "skip".
+Status ScanStatementLine(std::string_view line, StatementSpans* spans);
+
+/// Builds the term a span from ScanTerm denotes (unescaping a literal).
+Term TermFromSpan(const TermSpan& span);
 
 /// Parses one N-Triples term starting at `*pos` in `line`; advances `*pos`
 /// past the term. Accepts IRIs, literals (plain, language-tagged, typed)
-/// and blank nodes.
+/// and blank nodes. ScanTerm followed by TermFromSpan.
 Result<Term> ParseTerm(std::string_view line, size_t* pos);
 
-/// Parses a single N-Triples statement line ("<s> <p> <o> ." with optional
-/// surrounding whitespace). Empty lines and `#` comment lines yield
-/// Status::NotFound, which callers treat as "skip".
+/// Parses a single N-Triples statement line; ScanStatementLine followed by
+/// TermFromSpan, with the same NotFound for blank and comment lines.
 Result<Triple> ParseStatementLine(std::string_view line);
+
+/// Splits `text` into chunks of about `chunk_bytes`, each extended to just
+/// past the next newline so no line straddles two chunks (the last chunk
+/// may lack the newline). Empty input yields no chunks.
+std::vector<std::string_view> SplitNewlineChunks(std::string_view text,
+                                                 size_t chunk_bytes);
 
 /// Streaming N-Triples document parser.
 class NTriplesParser {
@@ -65,60 +106,6 @@ class NTriplesParser {
 
 /// Serializes triples in N-Triples syntax, one statement per line.
 void WriteNTriples(const std::vector<Triple>& triples, std::ostream& out);
-
-// --- Chunked parallel parsing (bulk-load pipeline, DESIGN.md §10) --------
-
-/// One parsed chunk of a parallel parse. Chunks partition the input at
-/// newline boundaries; all line numbers are real (1-based) file line
-/// numbers, identical to what a serial parse would report.
-struct ParsedChunk {
-  std::vector<Triple> triples;
-  /// File line number of the chunk's first line.
-  uint64_t first_line = 1;
-  /// Lines in this chunk (a trailing line without '\n' counts).
-  uint64_t line_count = 0;
-  /// Malformed lines skipped (only accumulates in non-strict mode).
-  uint64_t skipped_lines = 0;
-  /// Byte range of the chunk in the input text.
-  size_t begin_offset = 0;
-  size_t end_offset = 0;
-
-  struct LineError {
-    uint64_t line = 0;  ///< real file line number
-    std::string message;
-  };
-  /// Every malformed line, with its real line number. In strict mode the
-  /// overall parse fails with the earliest error across all chunks; in
-  /// non-strict mode the lists are informational.
-  std::vector<LineError> errors;
-};
-
-struct ParallelParseOptions {
-  /// Strict: any malformed line fails the parse with "line N: ..." for
-  /// the earliest offending line. Non-strict: malformed lines are skipped
-  /// and recorded per chunk.
-  bool strict = true;
-  /// Target chunk size; actual chunks extend to the next newline.
-  size_t chunk_bytes = size_t{16} << 20;
-  /// Pool to parse chunks on; nullptr parses them serially (still through
-  /// the identical chunked code path, so results cannot differ).
-  server::ThreadPool* pool = nullptr;
-};
-
-/// Splits `text` into newline-aligned chunks of ~`chunk_bytes` and parses
-/// them concurrently. The concatenated per-chunk triples are exactly the
-/// serial parse's output (same order); per-chunk error lists carry real
-/// line numbers. Empty input yields zero chunks.
-Result<std::vector<ParsedChunk>> ParseTextParallel(
-    std::string_view text, const ParallelParseOptions& options = {});
-
-/// Reads `path` fully into memory and parses it with ParseTextParallel
-/// (parsed Triples own their strings, so the file buffer is dropped on
-/// return). `read_millis`, when non-null, receives the file-to-memory
-/// read time.
-Result<std::vector<ParsedChunk>> ParseFileParallel(
-    const std::string& path, const ParallelParseOptions& options = {},
-    double* read_millis = nullptr);
 
 }  // namespace parj::rdf
 

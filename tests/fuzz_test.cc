@@ -3,6 +3,7 @@
 // SPARQL parser, the N-Triples parser and the snapshot reader over
 // generated garbage, mutated valid inputs and structured near-misses.
 
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -43,6 +44,53 @@ std::string RandomTokenSoup(Rng* rng, size_t max_tokens) {
   }
   return out;
 }
+
+std::string SnapshotBytes(const storage::Database& db) {
+  std::ostringstream out;
+  Status written = storage::WriteSnapshot(db, out);
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  return std::move(out).str();
+}
+
+/// Differential check of the fused text load against the parser: in
+/// strict and lenient mode, FromNTriplesText must agree with
+/// ParseToVector -> FromTriples on ok vs error, on the strict error
+/// message, on the skipped-line count and on the loaded store's bytes.
+void ExpectFusedLoadMatchesParser(const std::string& doc, size_t chunk_bytes) {
+  for (const bool strict : {true, false}) {
+    rdf::NTriplesParser parser(rdf::NTriplesParser::Options{.strict = strict});
+    auto parsed = parser.ParseToVector(doc);
+    engine::EngineOptions options;
+    options.load.strict = strict;
+    options.load.chunk_bytes = chunk_bytes;
+    auto fused = engine::ParjEngine::FromNTriplesText(doc, options);
+    ASSERT_EQ(fused.ok(), parsed.ok())
+        << (strict ? "strict" : "lenient") << " load of: " << doc;
+    if (!parsed.ok()) {
+      EXPECT_EQ(fused.status(), parsed.status()) << doc;
+      continue;
+    }
+    auto reference = engine::ParjEngine::FromTriples(*parsed);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(fused->load_stats().skipped_lines, parser.skipped_lines())
+        << doc;
+    EXPECT_EQ(SnapshotBytes(fused->database()),
+              SnapshotBytes(reference->database()))
+        << (strict ? "strict" : "lenient") << " load of: " << doc;
+  }
+}
+
+/// A small valid document covering every term shape and the spellings
+/// whose dictionary key differs from (or equals) their text.
+constexpr const char* kNTriplesSeed =
+    "<http://ex/a> <http://ex/p> <http://ex/b> .\n"
+    "_:x <http://ex/p> \"lit \\\"q\\\" \\\\ \\n\"@en-GB .\n"
+    "# comment\n"
+    "<http://ex/b> <http://ex/q> \"5\"^^<http://ex/int> .\r\n"
+    "\n"
+    "_:y.z <http://ex/q> \"tab\there é\" .\n"
+    "<http://ex/a> <http://ex/p> _:x.\n"
+    "<http://ex/b> <http://ex/q> \"5\" .";
 
 class FuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -102,6 +150,36 @@ TEST_P(FuzzTest, NTriplesParserNeverCrashes) {
     rdf::NTriplesParser lenient_parser(lenient);
     auto result = lenient_parser.ParseToVector(input);
     EXPECT_TRUE(result.ok());  // lenient mode only skips, never fails
+    ExpectFusedLoadMatchesParser(input, 1 + rng.Uniform(64));
+  }
+}
+
+TEST_P(FuzzTest, MutatedNTriplesLoadLikeTheParser) {
+  constexpr std::string_view kSyntax = "<>\"\\_:.@^# \t\r\n";
+  Rng rng(GetParam() * 43 + 19);
+  const std::string base = kNTriplesSeed;
+  ExpectFusedLoadMatchesParser(base, 16);
+  for (int i = 0; i < 400; ++i) {
+    std::string mutated = base;
+    const int edits = 1 + static_cast<int>(rng.Uniform(4));
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = rng.Uniform(mutated.size());
+      switch (rng.Uniform(4)) {
+        case 0:
+          mutated[pos] = static_cast<char>(rng.Uniform(256));
+          break;
+        case 1:
+          mutated.erase(pos, 1);
+          break;
+        case 2:
+          // Syntax characters, so mutations reach deep scanner states.
+          mutated.insert(pos, 1, kSyntax[rng.Uniform(kSyntax.size())]);
+          break;
+        default:
+          mutated.insert(pos, 1, static_cast<char>(rng.Uniform(128)));
+      }
+    }
+    ExpectFusedLoadMatchesParser(mutated, 1 + rng.Uniform(96));
   }
 }
 

@@ -1,7 +1,10 @@
-// Bulk-load pipeline determinism (DESIGN.md §10): the chunked parallel
-// parser and the engine-level parallel load must be indistinguishable from
-// the serial path — same triples, same error lines, byte-identical stores
-// — at every thread count and chunk size.
+// Bulk-load pipeline determinism (DESIGN.md §10): the fused text load
+// (scan and encode straight from N-Triples text, per chunk, on the load
+// pool) must be indistinguishable from parsing the whole document with
+// NTriplesParser and loading the triples through FromTriples — a
+// reference that never touches the fused scanner — at every thread count
+// and chunk size: byte-identical stores, identical error lines, identical
+// strict/lenient behaviour.
 
 #include <algorithm>
 #include <cstdio>
@@ -15,13 +18,40 @@
 #include "common/logging.h"
 #include "engine/parj_engine.h"
 #include "rdf/ntriples.h"
-#include "server/thread_pool.h"
 #include "storage/export.h"
 #include "storage/snapshot.h"
 #include "workload/lubm.h"
 
-namespace parj::rdf {
+namespace parj::engine {
 namespace {
+
+std::string SnapshotBytes(const storage::Database& db) {
+  std::ostringstream out;  // snapshot bytes pin IDs, order, spellings
+  Status written = storage::WriteSnapshot(db, out);
+  PARJ_CHECK(written.ok()) << written.ToString();
+  return std::move(out).str();
+}
+
+/// The independent reference: a whole-document parse into rdf::Triples,
+/// then the triple loader. Also reports the parser's skipped lines.
+std::string ReferenceSnapshot(std::string_view text, bool strict = true,
+                              uint64_t* skipped_lines = nullptr) {
+  rdf::NTriplesParser parser(rdf::NTriplesParser::Options{.strict = strict});
+  auto triples = parser.ParseToVector(text);
+  PARJ_CHECK(triples.ok()) << triples.status().ToString();
+  if (skipped_lines != nullptr) *skipped_lines = parser.skipped_lines();
+  auto engine = ParjEngine::FromTriples(*triples);
+  PARJ_CHECK(engine.ok()) << engine.status().ToString();
+  return SnapshotBytes(engine->database());
+}
+
+EngineOptions TextLoad(int threads, size_t chunk_bytes, bool strict = true) {
+  EngineOptions options;
+  options.load.threads = threads;
+  options.load.chunk_bytes = chunk_bytes;
+  options.load.strict = strict;
+  return options;
+}
 
 /// A document exercising every term shape, long and short lines, comments
 /// and blank lines, so chunk boundaries land in interesting places.
@@ -55,37 +85,98 @@ std::string MakeDocument(int lines) {
   return text;
 }
 
-std::vector<Triple> Flatten(const std::vector<ParsedChunk>& chunks) {
-  std::vector<Triple> out;
-  for (const ParsedChunk& chunk : chunks) {
-    out.insert(out.end(), chunk.triples.begin(), chunk.triples.end());
+/// Every spelling the fused scanner must key exactly as the parsed Term
+/// would: escapes, a raw tab, non-ASCII, tags, datatypes, blank nodes
+/// (one ending right at the dot), comments, blank lines and CRLF. The
+/// block repeats, so at small chunk sizes each term recurs in many
+/// chunks; there is no final newline.
+std::string EscapeCorpus() {
+  const std::string block =
+      "# escapes and spellings\n"
+      "<http://ex/s1> <http://ex/says> \"she said \\\"hi\\\"\" .\n"
+      "<http://ex/s1> <http://ex/path> \"C:\\\\dir\\\\file\" .\n"
+      "<http://ex/s2> <http://ex/text> \"two\\nlines\" .\n"
+      "<http://ex/s2> <http://ex/text> \"escaped\\ttab\" .\n"
+      "<http://ex/s2> <http://ex/text> \"raw\ttab\" .\n"
+      "<http://ex/s3> <http://ex/name> \"café\"@fr .\n"
+      "<http://ex/s3> <http://ex/name> \"café\" .\n"
+      "<http://ex/s3> <http://ex/name> \"cafe\"@en-GB.\n"
+      "\n"
+      "<http://ex/s4> <http://ex/age> \"42\"^^<http://www.w3.org/2001/"
+      "XMLSchema#integer> .\n"
+      "<http://ex/s4> <http://ex/age> \"42\" .\n"
+      "_:b1 <http://ex/knows> _:b2.\n"
+      "_:b2 <http://ex/knows> _:b.1 .\n"
+      "  \t<http://ex/s5> <http://ex/link> <http://ex/s1> .  \r\n"
+      "<http://ex/s5>\t<http://ex/text>\t\"crlf line\" .\r\n"
+      "\r\n";
+  std::string text;
+  for (int i = 0; i < 6; ++i) {
+    text += block;
+    text += "<http://ex/round" + std::to_string(i) +
+            "> <http://ex/text> \"two\\nlines\" .\n";
   }
-  return out;
+  text += "<http://ex/last> <http://ex/says> \"no final newline\\\"\" .";
+  return text;
+}
+
+TEST(LoaderTest, FusedTextLoadMatchesParsedReference) {
+  for (const std::string& text : {EscapeCorpus(), MakeDocument(120)}) {
+    const std::string reference = ReferenceSnapshot(text);
+    for (int threads : {1, 4}) {
+      for (size_t chunk_bytes :
+           {size_t{1}, size_t{7}, size_t{64}, LoadOptions{}.chunk_bytes}) {
+        auto loaded =
+            ParjEngine::FromNTriplesText(text, TextLoad(threads, chunk_bytes));
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_EQ(SnapshotBytes(loaded->database()), reference)
+            << threads << " threads, chunk_bytes=" << chunk_bytes;
+      }
+    }
+  }
+}
+
+TEST(LoaderTest, FusedLenientLoadMatchesParsedReference) {
+  // Malformed lines among valid ones, including two the scanner must
+  // reject exactly as the parser does: a bad escape and a literal subject.
+  std::string text = EscapeCorpus();
+  text.insert(text.find('\n', text.size() / 3) + 1,
+              "\"lit\" <http://ex/p> <http://ex/o> .\n");
+  text += "\nnot a triple\n<http://ex/s9> <http://ex/p> \"bad \\q\" .\n";
+  uint64_t reference_skipped = 0;
+  const std::string reference =
+      ReferenceSnapshot(text, /*strict=*/false, &reference_skipped);
+  ASSERT_EQ(reference_skipped, 3u);
+  for (int threads : {1, 4}) {
+    for (size_t chunk_bytes : {size_t{1}, size_t{7}, size_t{64}}) {
+      auto loaded = ParjEngine::FromNTriplesText(
+          text, TextLoad(threads, chunk_bytes, /*strict=*/false));
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ(loaded->load_stats().skipped_lines, reference_skipped);
+      EXPECT_EQ(SnapshotBytes(loaded->database()), reference)
+          << threads << " threads, chunk_bytes=" << chunk_bytes;
+    }
+  }
 }
 
 TEST(LoaderTest, ChunkedParseMatchesSerialAcrossChunkSizes) {
   const std::string text = MakeDocument(200);
-  auto serial = NTriplesParser().ParseToVector(text);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  server::ThreadPool pool(4);
+  const std::string reference = ReferenceSnapshot(text);
   for (size_t chunk_bytes : {size_t{1}, size_t{64}, size_t{256},
                              size_t{4096}, text.size() * 2}) {
-    ParallelParseOptions options;
-    options.chunk_bytes = chunk_bytes;
-    options.pool = &pool;
-    auto chunks = ParseTextParallel(text, options);
-    ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
-    EXPECT_EQ(Flatten(*chunks), *serial) << "chunk_bytes=" << chunk_bytes;
-
-    // Chunks tile the input and the line accounting is consistent.
+    auto loaded = ParjEngine::FromNTriplesText(text, TextLoad(4, chunk_bytes));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(SnapshotBytes(loaded->database()), reference)
+        << "chunk_bytes=" << chunk_bytes;
+    // The chunks tile the input at line boundaries.
+    const std::vector<std::string_view> chunks =
+        rdf::SplitNewlineChunks(text, chunk_bytes);
+    EXPECT_EQ(loaded->load_stats().chunks, chunks.size());
     size_t offset = 0;
-    uint64_t line = 1;
-    for (const ParsedChunk& chunk : *chunks) {
-      EXPECT_EQ(chunk.begin_offset, offset);
-      EXPECT_EQ(chunk.first_line, line);
-      offset = chunk.end_offset;
-      line += chunk.line_count;
+    for (std::string_view chunk : chunks) {
+      EXPECT_EQ(chunk.data(), text.data() + offset);
+      EXPECT_EQ(chunk.back(), '\n');
+      offset += chunk.size();
     }
     EXPECT_EQ(offset, text.size());
   }
@@ -93,29 +184,27 @@ TEST(LoaderTest, ChunkedParseMatchesSerialAcrossChunkSizes) {
 
 TEST(LoaderTest, ChunkedParseWithoutPoolIsIdentical) {
   const std::string text = MakeDocument(50);
-  ParallelParseOptions small;
-  small.chunk_bytes = 128;  // no pool: serial walk of the same chunking
-  auto chunks = ParseTextParallel(text, small);
-  ASSERT_TRUE(chunks.ok());
-  auto serial = NTriplesParser().ParseToVector(text);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(Flatten(*chunks), *serial);
-  EXPECT_GT(chunks->size(), 1u);
+  // One thread: no pool, a serial walk of the same chunking.
+  auto loaded = ParjEngine::FromNTriplesText(text, TextLoad(1, 128));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(SnapshotBytes(loaded->database()), ReferenceSnapshot(text));
+  EXPECT_GT(loaded->load_stats().chunks, 1u);
 }
 
 TEST(LoaderTest, EmptyInputYieldsZeroChunks) {
-  auto chunks = ParseTextParallel("");
-  ASSERT_TRUE(chunks.ok());
-  EXPECT_TRUE(chunks->empty());
+  auto loaded = ParjEngine::FromNTriplesText("");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->load_stats().chunks, 0u);
+  EXPECT_EQ(loaded->load_stats().triples, 0u);
 }
 
 TEST(LoaderTest, MissingTrailingNewlineStillParses) {
-  std::string text = "<s1> <p> <o1> .\n<s2> <p> <o2> .";  // no final '\n'
-  ParallelParseOptions options;
-  options.chunk_bytes = 8;
-  auto chunks = ParseTextParallel(text, options);
-  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
-  EXPECT_EQ(Flatten(*chunks).size(), 2u);
+  const std::string text =
+      "<s1> <p> <o1> .\n<s2> <p> <o2> .";  // no final '\n'
+  auto loaded = ParjEngine::FromNTriplesText(text, TextLoad(1, 8));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->load_stats().triples, 2u);
+  EXPECT_EQ(loaded->load_stats().chunks, 2u);
 }
 
 TEST(LoaderTest, StrictErrorMatchesSerialLineNumber) {
@@ -123,24 +212,26 @@ TEST(LoaderTest, StrictErrorMatchesSerialLineNumber) {
   text += "this is not a triple\n";
   const uint64_t bad_line =
       static_cast<uint64_t>(std::count(text.begin(), text.end(), '\n'));
-  text += MakeDocument(10);  // more valid lines after the bad one
+  text += MakeDocument(10);      // more valid lines after the bad one
+  text += "another bad line\n";  // a later error must not win
 
-  NTriplesParser parser;
-  Status serial = parser.ParseDocument(text, [](Triple) {});
+  rdf::NTriplesParser parser;
+  Status serial = parser.ParseDocument(text, [](rdf::Triple) {});
   ASSERT_FALSE(serial.ok());
 
-  server::ThreadPool pool(4);
-  for (size_t chunk_bytes : {size_t{32}, size_t{1024}, text.size() * 2}) {
-    ParallelParseOptions options;
-    options.chunk_bytes = chunk_bytes;
-    options.pool = &pool;
-    Status parallel = ParseTextParallel(text, options).status();
-    ASSERT_FALSE(parallel.ok()) << "chunk_bytes=" << chunk_bytes;
-    // Identical message, including the real file line number.
-    EXPECT_EQ(parallel.message(), serial.message());
-    EXPECT_NE(parallel.message().find("line " + std::to_string(bad_line)),
-              std::string::npos)
-        << parallel.message();
+  for (int threads : {1, 4}) {
+    for (size_t chunk_bytes :
+         {size_t{1}, size_t{32}, size_t{1024}, text.size() * 2}) {
+      Status fused =
+          ParjEngine::FromNTriplesText(text, TextLoad(threads, chunk_bytes))
+              .status();
+      ASSERT_FALSE(fused.ok()) << "chunk_bytes=" << chunk_bytes;
+      // Identical message, including the real file line number.
+      EXPECT_EQ(fused, serial);
+      EXPECT_NE(fused.message().find("line " + std::to_string(bad_line)),
+                std::string::npos)
+          << fused.message();
+    }
   }
 }
 
@@ -153,53 +244,42 @@ TEST(LoaderTest, NonStrictRecordsRealErrorLines) {
       "<s3> <p> <o3> .\n"
       "garbage two\n"
       "<s4> <p> <o4> .\n";
-  ParallelParseOptions options;
-  options.strict = false;
-  options.chunk_bytes = 20;  // force several chunks
-  auto chunks = ParseTextParallel(text, options);
-  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
-  EXPECT_EQ(Flatten(*chunks).size(), 4u);
+  // Small chunks put each malformed line in a later chunk than line 1.
+  auto loaded = ParjEngine::FromNTriplesText(text, TextLoad(4, 20, false));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_GT(loaded->load_stats().chunks, 2u);
+  EXPECT_EQ(loaded->load_stats().triples, 4u);
+  EXPECT_EQ(loaded->load_stats().skipped_lines, 2u);
+  EXPECT_EQ(loaded->load_stats().first_skipped_line, 2u);
 
-  uint64_t skipped = 0;
-  std::vector<uint64_t> error_lines;
-  for (const ParsedChunk& chunk : *chunks) {
-    skipped += chunk.skipped_lines;
-    for (const auto& error : chunk.errors) error_lines.push_back(error.line);
-  }
-  EXPECT_EQ(skipped, 2u);
-  EXPECT_EQ(error_lines, (std::vector<uint64_t>{2, 5}));
+  // With line 2 repaired, the first skipped line is the real line 5.
+  std::string repaired = text;
+  repaired.replace(repaired.find("garbage one"), 11, "<s9> <p> <o9> .");
+  auto later = ParjEngine::FromNTriplesText(repaired, TextLoad(4, 20, false));
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  EXPECT_EQ(later->load_stats().skipped_lines, 1u);
+  EXPECT_EQ(later->load_stats().first_skipped_line, 5u);
+  const Status strict =
+      ParjEngine::FromNTriplesText(repaired, TextLoad(4, 20)).status();
+  EXPECT_EQ(strict.message(),
+            "line 5: unexpected character 'g' at start of term");
 }
 
-TEST(LoaderTest, ParseFileParallelMatchesTextParse) {
-  const std::string text = MakeDocument(60);
+TEST(LoaderTest, FileLoadMatchesTextLoad) {
+  const std::string text = EscapeCorpus();
   const std::string path = ::testing::TempDir() + "/parj_loader_test.nt";
   {
     std::ofstream out(path, std::ios::binary);
     out << text;
   }
-  ParallelParseOptions options;
-  options.chunk_bytes = 512;
-  double read_millis = -1.0;
-  auto from_file = ParseFileParallel(path, options, &read_millis);
+  auto from_file = ParjEngine::FromNTriplesFile(path, TextLoad(4, 512));
   std::remove(path.c_str());
   ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  auto from_text = ParseTextParallel(text, options);
-  ASSERT_TRUE(from_text.ok());
-  EXPECT_EQ(Flatten(*from_file), Flatten(*from_text));
-  EXPECT_GE(read_millis, 0.0);
-}
-
-}  // namespace
-}  // namespace parj::rdf
-
-namespace parj::engine {
-namespace {
-
-std::string SnapshotBytes(const storage::Database& db) {
-  std::ostringstream out;  // snapshot bytes pin IDs, order, spellings
-  Status written = storage::WriteSnapshot(db, out);
-  PARJ_CHECK(written.ok()) << written.ToString();
-  return std::move(out).str();
+  EXPECT_EQ(SnapshotBytes(from_file->database()), ReferenceSnapshot(text));
+  EXPECT_GE(from_file->load_stats().read_millis, 0.0);
+  EXPECT_GT(from_file->load_stats().chunks, 1u);
+  EXPECT_EQ(ParjEngine::FromNTriplesFile(path).status().code(),
+            StatusCode::kIoError);
 }
 
 std::string LubmText() {
@@ -219,6 +299,7 @@ TEST(LoaderTest, ParallelLoadIsByteIdenticalToSerial) {
   auto serial = ParjEngine::FromNTriplesText(text);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const std::string reference = SnapshotBytes(serial->database());
+  EXPECT_EQ(reference, ReferenceSnapshot(text));
 
   for (int threads : {2, 8}) {
     for (size_t chunk_bytes : {size_t{1} << 12, size_t{1} << 16,

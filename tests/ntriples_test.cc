@@ -97,6 +97,83 @@ TEST(ParseStatementTest, Errors) {
   EXPECT_FALSE(ParseStatementLine("<s> <p> .").ok());          // missing obj
 }
 
+TEST(ParseStatementTest, BlankNodeLabelLeavesTheFinalDot) {
+  // A blank-node label may not end in '.', so the dot ends the statement.
+  auto tight = ParseStatementLine("_:a <http://p> _:b.");
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  EXPECT_EQ(tight->object, Term::Blank("b"));
+  auto spaced = ParseStatementLine("_:a <http://p> _:b .");
+  ASSERT_TRUE(spaced.ok()) << spaced.status().ToString();
+  EXPECT_EQ(*spaced, *tight);
+  // Interior dots stay part of the label.
+  auto dotted = ParseStatementLine("_:a.b <http://p> _:c.d.");
+  ASSERT_TRUE(dotted.ok()) << dotted.status().ToString();
+  EXPECT_EQ(dotted->subject, Term::Blank("a.b"));
+  EXPECT_EQ(dotted->object, Term::Blank("c.d"));
+  // A label of dots alone is empty once the dots are trimmed.
+  EXPECT_FALSE(ParseStatementLine("_:. <http://p> <o> .").ok());
+  EXPECT_FALSE(ParseStatementLine("<s> <http://p> _:b..").ok());
+}
+
+TEST(ParseStatementTest, LanguageTagLeavesTheFinalDot) {
+  auto t = ParseStatementLine("<s> <p> \"x\"@en.");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->object, Term::LangLiteral("x", "en"));
+}
+
+TEST(ScanTermTest, TextIsTheDictionaryKeyWhenFlagged) {
+  // A span flagged text_is_key must spell exactly the key of the term it
+  // denotes. Raw tabs, raw CRs and `^^<>` change the key, so they must not
+  // be flagged; escaped literals keep their spelling but take the
+  // parse-then-key route all the same.
+  struct Case {
+    std::string text;
+    bool flagged;
+    bool key_is_text;
+  };
+  const std::vector<Case> cases = {
+      {"<http://example.org/x>", true, true},
+      {"_:node.7", true, true},
+      {"\"plain\"", true, true},
+      {"\"café\"@fr-CA", true, true},
+      {"\"5\"^^<http://www.w3.org/2001/XMLSchema#int>", true, true},
+      {"\"\"", true, true},
+      {"\"tab\there\"", false, false},
+      {"\"cr\rhere\"", false, false},
+      {"\"typed\"^^<>", false, false},
+      {"\"a\\\"b\\nc\\\\d\\te\"", false, true},
+  };
+  for (const Case& c : cases) {
+    size_t pos = 0;
+    TermSpan span;
+    ASSERT_TRUE(ScanTerm(c.text, &pos, &span).ok()) << c.text;
+    EXPECT_EQ(pos, c.text.size()) << c.text;
+    EXPECT_EQ(span.text, c.text);
+    EXPECT_EQ(span.text_is_key, c.flagged) << c.text;
+    std::string key;
+    TermFromSpan(span).AppendDictionaryKey(&key);
+    EXPECT_EQ(key == c.text, c.key_is_text) << c.text << " has key " << key;
+  }
+}
+
+TEST(ScanTermTest, ErrorsMatchParseTerm) {
+  for (const char* text :
+       {"<unterminated", "<>", "\"unterminated", "\"bad \\q escape\"",
+        "\"x\"@", "\"x\"^^http", "\"x\"^^<open", "_x", "_:", "plainword",
+        ""}) {
+    size_t scan_pos = 0;
+    TermSpan span;
+    const Status scanned = ScanTerm(text, &scan_pos, &span);
+    ASSERT_FALSE(scanned.ok()) << text;
+    size_t parse_pos = 0;
+    EXPECT_EQ(ParseTerm(text, &parse_pos).status(), scanned) << text;
+  }
+  size_t pos = 0;
+  TermSpan span;
+  EXPECT_EQ(ScanTerm("\"bad \\q\"", &pos, &span).message(),
+            "unknown escape \\q");
+}
+
 TEST(NTriplesParserTest, ParsesDocument) {
   const std::string doc =
       "# a comment\n"

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "dict/sharded_encoder.h"
+#include "rdf/ntriples.h"
 #include "server/thread_pool.h"
 
 namespace parj::dict {
@@ -190,6 +192,82 @@ TEST(ShardedDictTest, ConcurrentChunkEncodingIsDeterministic) {
   std::vector<EncodedTriple> expected;
   for (const Triple& t : triples) expected.push_back(serial_dict.Encode(t));
   ExpectSameTriples(*merged, expected);
+}
+
+TEST(ShardedDictTest, TextChunksEncodeLikeTripleChunks) {
+  // EncodeTextChunk keys terms by their text; EncodeChunk by the parsed
+  // Term. Against a frozen base holding some of the terms (so both base
+  // hits and delta misses occur, on the raw-text and the escaped-literal
+  // key routes alike), every chunk must come out identical, concurrently.
+  std::vector<Triple> triples = MakeTriples(400);
+  for (int i = 0; i < 60; ++i) {
+    triples.push_back(Triple{
+        Term::Blank("b" + std::to_string(i % 7)), Term::Iri("http://ex/esc"),
+        (i % 2 == 0) ? Term::Literal("tab\there \"" + std::to_string(i % 5))
+                     : Term::LangLiteral("raw\\" + std::to_string(i % 3),
+                                         "en")});
+  }
+  std::ostringstream out;
+  rdf::WriteNTriples(triples, out);
+  std::string text = std::move(out).str();
+  // Spellings whose text is not their key: a raw tab and an empty
+  // datatype. The base knows both terms, so keying either by its text
+  // would turn a base hit into a delta entry.
+  text += "<http://ex/s> <http://ex/p> \"raw\ttab\" .\n";
+  text += "<http://ex/s> <http://ex/p> \"typed\"^^<> .\n";
+
+  Dictionary base;
+  for (size_t i = 0; i < triples.size(); i += 4) base.Encode(triples[i]);
+  base.EncodeResource(Term::Literal("raw\ttab"));
+  base.EncodeResource(Term::Literal("typed"));
+  const std::vector<std::string_view> pieces =
+      rdf::SplitNewlineChunks(text, 97);
+  std::vector<EncodedChunk> from_text(pieces.size());
+  std::vector<ChunkLines> lines(pieces.size());
+  server::ThreadPool pool(8);
+  pool.ParallelFor(pieces.size(), [&](size_t c) {
+    from_text[c] = EncodeTextChunk(base, pieces[c], true, &lines[c]);
+  });
+
+  for (size_t c = 0; c < pieces.size(); ++c) {
+    auto parsed = rdf::NTriplesParser().ParseToVector(pieces[c]);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const EncodedChunk expected = EncodeChunk(base, *parsed);
+    ExpectSameTriples(from_text[c].triples, expected.triples);
+    EXPECT_EQ(from_text[c].delta_resources, expected.delta_resources);
+    EXPECT_EQ(from_text[c].delta_predicates, expected.delta_predicates);
+    EXPECT_EQ(lines[c].first_error_line, 0u);
+    EXPECT_EQ(lines[c].count,
+              static_cast<uint64_t>(
+                  std::count(pieces[c].begin(), pieces[c].end(), '\n')));
+  }
+}
+
+TEST(ShardedDictTest, TextChunkReportsItsFirstMalformedLine) {
+  const Dictionary base;
+  const std::string text =
+      "<a> <p> <b> .\n"
+      "# comment\n"
+      "bad line\n"
+      "<b> <p> <c> .\n"
+      "<c> \"p\" <d> .\n"
+      "<d> <p> <e> .";
+  ChunkLines lenient;
+  EncodedChunk all = EncodeTextChunk(base, text, false, &lenient);
+  EXPECT_EQ(all.triples.size(), 3u);
+  EXPECT_EQ(lenient.count, 6u);
+  EXPECT_EQ(lenient.skipped, 2u);
+  EXPECT_EQ(lenient.first_error_line, 3u);
+  EXPECT_EQ(lenient.first_error, "unexpected character 'b' at start of term");
+
+  // Strict stops at the first malformed line.
+  ChunkLines strict;
+  EncodedChunk head = EncodeTextChunk(base, text, true, &strict);
+  EXPECT_EQ(head.triples.size(), 1u);
+  EXPECT_EQ(strict.count, 3u);
+  EXPECT_EQ(strict.skipped, 0u);
+  EXPECT_EQ(strict.first_error_line, 3u);
+  EXPECT_EQ(strict.first_error, lenient.first_error);
 }
 
 TEST(ShardedDictTest, EmptyChunksMergeToNothing) {

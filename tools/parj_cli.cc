@@ -9,11 +9,12 @@
 //   parj_cli verify-snapshot FILE
 //   parj_cli verify-wal DIR
 //
-// `--load-threads N` runs the bulk-load pipeline (chunked parse, sharded
-// dictionary encode, parallel store build) on N threads; the loaded store
-// is identical at any thread count. `--chunk-mb` sets the parser chunk
-// size. Every load prints a per-phase time breakdown
-// (read/parse/encode/build/index/calibrate).
+// `--load-threads N` runs the bulk-load pipeline (per-chunk fused scan and
+// dictionary encode, chunk-order merge, parallel store build) on N
+// threads; the loaded store is identical at any thread count.
+// `--chunk-mb` sets the text chunk size. Every load prints a per-phase
+// time breakdown (read/parse/encode/build/index/calibrate; for a text
+// load "parse" is the fused scan-and-encode and "encode" the merge).
 //
 // `verify-snapshot FILE` walks FILE section by section, checking every
 // CRC-32C record without building the store, and exits 0 (intact) or 1
@@ -139,8 +140,9 @@ struct Shell {
         ls.parse_millis, ls.encode_millis, ls.build_millis, ls.index_millis,
         ls.calibrate_millis);
     if (ls.skipped_lines > 0) {
-      std::printf("  skipped %llu malformed line(s)\n",
-                  static_cast<unsigned long long>(ls.skipped_lines));
+      std::printf("  skipped %llu malformed line(s), the first at line %llu\n",
+                  static_cast<unsigned long long>(ls.skipped_lines),
+                  static_cast<unsigned long long>(ls.first_skipped_line));
     }
   }
 
