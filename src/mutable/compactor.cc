@@ -34,14 +34,13 @@ void Compactor::RunOnce() {
   Status status = store_->Compact();
   // A concurrent manual Compact() owning the store guard is not a
   // failure of this driver; record everything else.
-  {
-    // running_ flips under mu_ so Wait()'s predicate check cannot miss
-    // the wakeup.
-    std::lock_guard<std::mutex> lock(mu_);
-    last_status_ = std::move(status);
-    runs_.fetch_add(1, std::memory_order_relaxed);
-    running_.store(false, std::memory_order_release);
-  }
+  // running_ flips under mu_ so Wait()'s predicate check cannot miss
+  // the wakeup. The notify stays under mu_ too: once Wait() can see
+  // running_ == false, ~Compactor may destroy done_cv_.
+  std::lock_guard<std::mutex> lock(mu_);
+  last_status_ = std::move(status);
+  runs_.fetch_add(1, std::memory_order_relaxed);
+  running_.store(false, std::memory_order_release);
   done_cv_.notify_all();
 }
 

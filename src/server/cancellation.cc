@@ -8,18 +8,10 @@ Status CancellationToken::ToStatus() const {
       return Status::Cancelled("query cancelled by client");
     case CancelReason::kDeadlineExceeded:
       return Status::DeadlineExceeded("query deadline exceeded");
-    case CancelReason::kWatchdog:
-      return Status::DeadlineExceeded(
-          "query killed by watchdog (exceeded the server's wall-clock cap)");
     case CancelReason::kNone:
       break;
   }
   return Status::Internal("ToStatus() on a token that was not stopped");
-}
-
-void CancellationSource::set_timeout_millis(double millis) {
-  set_deadline(std::chrono::steady_clock::now() +
-               std::chrono::nanoseconds(static_cast<int64_t>(millis * 1e6)));
 }
 
 }  // namespace parj::server

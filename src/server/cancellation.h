@@ -15,7 +15,6 @@ enum class CancelReason : int {
   kNone = 0,
   kCancelled = 1,         ///< client-initiated Cancel()
   kDeadlineExceeded = 2,  ///< deadline/timeout elapsed
-  kWatchdog = 3,          ///< killed by the server's QueryWatchdog
 };
 
 namespace internal {
@@ -88,32 +87,36 @@ class CancellationSource {
 
   /// Sets an absolute steady-clock deadline.
   void set_deadline(std::chrono::steady_clock::time_point deadline) {
-    state_->deadline_ns.store(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline.time_since_epoch())
-            .count(),
-        std::memory_order_relaxed);
+    state_->deadline_ns.store(ToNanos(deadline), std::memory_order_relaxed);
   }
 
-  /// Sets a deadline `millis` from now.
-  void set_timeout_millis(double millis);
+  /// Moves the deadline to `deadline` if that is earlier; never later.
+  void TightenDeadline(std::chrono::steady_clock::time_point deadline) {
+    const int64_t ns = ToNanos(deadline);
+    int64_t current = state_->deadline_ns.load(std::memory_order_relaxed);
+    while (ns < current && !state_->deadline_ns.compare_exchange_weak(
+                               current, ns, std::memory_order_relaxed)) {
+    }
+  }
 
   /// Requests client-initiated cancellation (idempotent; never overrides
   /// an already-latched deadline expiry).
-  void Cancel() { CancelWith(CancelReason::kCancelled); }
-
-  /// Cancels with an explicit reason (idempotent; first reason wins).
-  /// Used by the watchdog so the resulting Status names the killer.
-  void CancelWith(CancelReason reason) {
+  void Cancel() {
     int expected = 0;
-    state_->reason.compare_exchange_strong(expected,
-                                           static_cast<int>(reason),
-                                           std::memory_order_relaxed);
+    state_->reason.compare_exchange_strong(
+        expected, static_cast<int>(CancelReason::kCancelled),
+        std::memory_order_relaxed);
   }
 
   CancellationToken token() const { return CancellationToken(state_); }
 
  private:
+  static int64_t ToNanos(std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               t.time_since_epoch())
+        .count();
+  }
+
   std::shared_ptr<internal::CancelState> state_;
 };
 

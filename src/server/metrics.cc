@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 namespace parj::server {
 
@@ -70,83 +71,83 @@ void AppendHistogram(std::string* out, const char* name,
   *out += line;
 }
 
-void AppendCounter(std::string* out, const char* name,
-                   const std::atomic<uint64_t>& value) {
-  char line[96];
-  std::snprintf(line, sizeof(line), "%-20s %llu\n", name,
-                static_cast<unsigned long long>(
-                    value.load(std::memory_order_relaxed)));
-  *out += line;
-}
-
 }  // namespace
+
+std::span<const MetricsRegistry::Counter> MetricsRegistry::Counters() {
+  using M = MetricsRegistry;
+  static constexpr Counter kCounters[] = {
+      {"queries_submitted", &M::queries_submitted},
+      {"queries_admitted", &M::queries_admitted},
+      {"admission_rejected", &M::admission_rejected},
+      {"queries_completed", &M::queries_completed},
+      {"queries_failed", &M::queries_failed},
+      {"queries_cancelled", &M::queries_cancelled},
+      {"deadlines_expired", &M::deadlines_expired},
+      {"rows_returned", &M::rows_returned},
+      {"rows_skipped_by_limit", &M::rows_skipped_by_limit},
+      {"retries", &M::retries},
+      {"worker_faults", &M::worker_faults},
+      {"snapshot_crc_verified", &M::snapshot_crc_verified},
+      {"load_total_micros", &M::load_total_micros},
+      {"load_parse_micros", &M::load_parse_micros},
+      {"load_encode_micros", &M::load_encode_micros},
+      {"load_build_micros", &M::load_build_micros},
+      {"load_index_micros", &M::load_index_micros},
+      {"load_calibrate_micros", &M::load_calibrate_micros},
+      {"load_threads_used", &M::load_threads_used},
+      {"delta_triples", &M::delta_triples},
+      {"delta_bytes", &M::delta_bytes},
+      {"compactions", &M::compactions},
+      {"compaction_ms", &M::compaction_micros, true},
+      {"active_epochs", &M::active_epochs},
+      {"store_bytes", &M::store_bytes},
+      {"store_allocated_bytes", &M::store_allocated_bytes},
+      {"store_raw_bytes", &M::store_raw_bytes},
+      {"wal_records", &M::wal_records},
+      {"wal_bytes", &M::wal_bytes},
+      {"wal_fsyncs", &M::wal_fsyncs},
+      {"group_commit_ms", &M::wal_group_commit_micros, true},
+      {"wal_group_commits", &M::wal_group_commits},
+      {"wal_backlog_bytes", &M::wal_backlog_bytes},
+      {"wal_segments", &M::wal_segments},
+      {"wal_checkpoints", &M::wal_checkpoints},
+      {"wal_backpressure_waits", &M::wal_backpressure_waits},
+      {"recovery_replayed", &M::recovery_replayed},
+      {"recovery_truncated_bytes", &M::recovery_truncated_bytes},
+      {"recovery_millis", &M::recovery_millis},
+      {"plan_cache_hits", &M::plan_cache_hits},
+      {"plan_cache_misses", &M::plan_cache_misses},
+      {"plan_cache_evictions", &M::plan_cache_evictions},
+      {"result_cache_hits", &M::result_cache_hits},
+      {"result_cache_misses", &M::result_cache_misses},
+      {"result_cache_bytes", &M::result_cache_bytes},
+      {"shared_scan_groups", &M::shared_scan_groups},
+      {"shared_scan_queries_coalesced", &M::shared_scan_queries_coalesced},
+      {"shared_scan_fallbacks", &M::shared_scan_fallbacks},
+  };
+  // A counter added to the struct but not to the table would be neither
+  // dumped nor reset; the registry holds nothing but counters and the
+  // three histograms, so its size pins the table's length.
+  static_assert(sizeof(MetricsRegistry) ==
+                std::size(kCounters) * sizeof(std::atomic<uint64_t>) +
+                    3 * sizeof(LatencyHistogram));
+  return kCounters;
+}
 
 std::string MetricsRegistry::Dump() const {
   std::string out = "--- serving metrics ---\n";
-  AppendCounter(&out, "queries_submitted", queries_submitted);
-  AppendCounter(&out, "queries_admitted", queries_admitted);
-  AppendCounter(&out, "admission_rejected", admission_rejected);
-  AppendCounter(&out, "queries_completed", queries_completed);
-  AppendCounter(&out, "queries_failed", queries_failed);
-  AppendCounter(&out, "queries_cancelled", queries_cancelled);
-  AppendCounter(&out, "deadlines_expired", deadlines_expired);
-  AppendCounter(&out, "rows_returned", rows_returned);
-  AppendCounter(&out, "rows_skipped_by_limit", rows_skipped_by_limit);
-  AppendCounter(&out, "retries", retries);
-  AppendCounter(&out, "watchdog_kills", watchdog_kills);
-  AppendCounter(&out, "degraded_activations", degraded_activations);
-  AppendCounter(&out, "degraded_rejected", degraded_rejected);
-  AppendCounter(&out, "worker_faults", worker_faults);
-  AppendCounter(&out, "snapshot_crc_verified", snapshot_crc_verified);
-  AppendCounter(&out, "load_total_micros", load_total_micros);
-  AppendCounter(&out, "load_parse_micros", load_parse_micros);
-  AppendCounter(&out, "load_encode_micros", load_encode_micros);
-  AppendCounter(&out, "load_build_micros", load_build_micros);
-  AppendCounter(&out, "load_index_micros", load_index_micros);
-  AppendCounter(&out, "load_calibrate_micros", load_calibrate_micros);
-  AppendCounter(&out, "load_threads_used", load_threads_used);
-  AppendCounter(&out, "delta_triples", delta_triples);
-  AppendCounter(&out, "delta_bytes", delta_bytes);
-  AppendCounter(&out, "compactions", compactions);
-  {
-    char line[96];
-    std::snprintf(line, sizeof(line), "%-20s %.3f\n", "compaction_ms",
-                  static_cast<double>(compaction_micros.load(
-                      std::memory_order_relaxed)) / 1e3);
+  char line[96];
+  for (const Counter& c : Counters()) {
+    const uint64_t value = (this->*c.field).load(std::memory_order_relaxed);
+    if (c.micros_as_millis) {
+      std::snprintf(line, sizeof(line), "%-20s %.3f\n", c.name,
+                    static_cast<double>(value) / 1e3);
+    } else {
+      std::snprintf(line, sizeof(line), "%-20s %llu\n", c.name,
+                    static_cast<unsigned long long>(value));
+    }
     out += line;
   }
-  AppendCounter(&out, "active_epochs", active_epochs);
-  AppendCounter(&out, "store_bytes", store_bytes);
-  AppendCounter(&out, "store_allocated_bytes", store_allocated_bytes);
-  AppendCounter(&out, "store_raw_bytes", store_raw_bytes);
-  AppendCounter(&out, "wal_records", wal_records);
-  AppendCounter(&out, "wal_bytes", wal_bytes);
-  AppendCounter(&out, "wal_fsyncs", wal_fsyncs);
-  {
-    char line[96];
-    std::snprintf(line, sizeof(line), "%-20s %.3f\n", "group_commit_ms",
-                  static_cast<double>(wal_group_commit_micros.load(
-                      std::memory_order_relaxed)) / 1e3);
-    out += line;
-  }
-  AppendCounter(&out, "wal_group_commits", wal_group_commits);
-  AppendCounter(&out, "wal_backlog_bytes", wal_backlog_bytes);
-  AppendCounter(&out, "wal_segments", wal_segments);
-  AppendCounter(&out, "wal_checkpoints", wal_checkpoints);
-  AppendCounter(&out, "wal_backpressure_waits", wal_backpressure_waits);
-  AppendCounter(&out, "recovery_replayed", recovery_replayed);
-  AppendCounter(&out, "recovery_truncated_bytes", recovery_truncated_bytes);
-  AppendCounter(&out, "recovery_millis", recovery_millis);
-  AppendCounter(&out, "plan_cache_hits", plan_cache_hits);
-  AppendCounter(&out, "plan_cache_misses", plan_cache_misses);
-  AppendCounter(&out, "plan_cache_evictions", plan_cache_evictions);
-  AppendCounter(&out, "result_cache_hits", result_cache_hits);
-  AppendCounter(&out, "result_cache_misses", result_cache_misses);
-  AppendCounter(&out, "result_cache_bytes", result_cache_bytes);
-  AppendCounter(&out, "shared_scan_groups", shared_scan_groups);
-  AppendCounter(&out, "shared_scan_queries_coalesced",
-                shared_scan_queries_coalesced);
-  AppendCounter(&out, "shared_scan_fallbacks", shared_scan_fallbacks);
   AppendHistogram(&out, "queue_wait", queue_wait);
   AppendHistogram(&out, "execution", execution);
   AppendHistogram(&out, "total", total);
@@ -154,57 +155,9 @@ std::string MetricsRegistry::Dump() const {
 }
 
 void MetricsRegistry::Reset() {
-  queries_submitted.store(0, std::memory_order_relaxed);
-  queries_admitted.store(0, std::memory_order_relaxed);
-  admission_rejected.store(0, std::memory_order_relaxed);
-  queries_completed.store(0, std::memory_order_relaxed);
-  queries_failed.store(0, std::memory_order_relaxed);
-  queries_cancelled.store(0, std::memory_order_relaxed);
-  deadlines_expired.store(0, std::memory_order_relaxed);
-  rows_returned.store(0, std::memory_order_relaxed);
-  rows_skipped_by_limit.store(0, std::memory_order_relaxed);
-  retries.store(0, std::memory_order_relaxed);
-  watchdog_kills.store(0, std::memory_order_relaxed);
-  degraded_activations.store(0, std::memory_order_relaxed);
-  degraded_rejected.store(0, std::memory_order_relaxed);
-  worker_faults.store(0, std::memory_order_relaxed);
-  snapshot_crc_verified.store(0, std::memory_order_relaxed);
-  load_total_micros.store(0, std::memory_order_relaxed);
-  load_parse_micros.store(0, std::memory_order_relaxed);
-  load_encode_micros.store(0, std::memory_order_relaxed);
-  load_build_micros.store(0, std::memory_order_relaxed);
-  load_index_micros.store(0, std::memory_order_relaxed);
-  load_calibrate_micros.store(0, std::memory_order_relaxed);
-  load_threads_used.store(0, std::memory_order_relaxed);
-  delta_triples.store(0, std::memory_order_relaxed);
-  delta_bytes.store(0, std::memory_order_relaxed);
-  compactions.store(0, std::memory_order_relaxed);
-  compaction_micros.store(0, std::memory_order_relaxed);
-  active_epochs.store(0, std::memory_order_relaxed);
-  store_bytes.store(0, std::memory_order_relaxed);
-  store_allocated_bytes.store(0, std::memory_order_relaxed);
-  store_raw_bytes.store(0, std::memory_order_relaxed);
-  wal_records.store(0, std::memory_order_relaxed);
-  wal_bytes.store(0, std::memory_order_relaxed);
-  wal_fsyncs.store(0, std::memory_order_relaxed);
-  wal_group_commit_micros.store(0, std::memory_order_relaxed);
-  wal_group_commits.store(0, std::memory_order_relaxed);
-  wal_backlog_bytes.store(0, std::memory_order_relaxed);
-  wal_segments.store(0, std::memory_order_relaxed);
-  wal_checkpoints.store(0, std::memory_order_relaxed);
-  wal_backpressure_waits.store(0, std::memory_order_relaxed);
-  recovery_replayed.store(0, std::memory_order_relaxed);
-  recovery_truncated_bytes.store(0, std::memory_order_relaxed);
-  recovery_millis.store(0, std::memory_order_relaxed);
-  plan_cache_hits.store(0, std::memory_order_relaxed);
-  plan_cache_misses.store(0, std::memory_order_relaxed);
-  plan_cache_evictions.store(0, std::memory_order_relaxed);
-  result_cache_hits.store(0, std::memory_order_relaxed);
-  result_cache_misses.store(0, std::memory_order_relaxed);
-  result_cache_bytes.store(0, std::memory_order_relaxed);
-  shared_scan_groups.store(0, std::memory_order_relaxed);
-  shared_scan_queries_coalesced.store(0, std::memory_order_relaxed);
-  shared_scan_fallbacks.store(0, std::memory_order_relaxed);
+  for (const Counter& c : Counters()) {
+    (this->*c.field).store(0, std::memory_order_relaxed);
+  }
   queue_wait.Reset();
   execution.Reset();
   total.Reset();

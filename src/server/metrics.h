@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace parj::server {
@@ -67,11 +68,8 @@ struct MetricsRegistry {
   /// early exit is actually cutting work.
   std::atomic<uint64_t> rows_skipped_by_limit{0};
 
-  // Robustness counters (watchdog / retry / degradation / integrity).
+  // Robustness counters (retry / containment / integrity).
   std::atomic<uint64_t> retries{0};              ///< re-submissions after transient failure
-  std::atomic<uint64_t> watchdog_kills{0};       ///< queries killed past the wall-clock cap
-  std::atomic<uint64_t> degraded_activations{0}; ///< entries into degraded mode
-  std::atomic<uint64_t> degraded_rejected{0};    ///< queries shed while degraded
   std::atomic<uint64_t> worker_faults{0};        ///< exceptions contained at the worker boundary
   std::atomic<uint64_t> snapshot_crc_verified{0};///< mirrored from GlobalSnapshotStats
 
@@ -87,8 +85,8 @@ struct MetricsRegistry {
   std::atomic<uint64_t> load_threads_used{0};
 
   // Live-mutability gauges (DESIGN.md §12), refreshed from
-  // mut::MutationStats by QueryServer on every submission and by the
-  // serving CLI before each `.metrics` dump.
+  // mut::MutationStats by QueryServer::RefreshMutationGauges(), which the
+  // serving CLI calls before each `.metrics` dump.
   std::atomic<uint64_t> delta_triples{0};     ///< pending inserts + deletes
   std::atomic<uint64_t> delta_bytes{0};       ///< delta tables + overlay heap
   std::atomic<uint64_t> compactions{0};       ///< completed compactions
@@ -138,6 +136,17 @@ struct MetricsRegistry {
   LatencyHistogram queue_wait;  ///< submit -> job start
   LatencyHistogram execution;   ///< engine Execute wall time
   LatencyHistogram total;       ///< submit -> result ready
+
+  /// One row of the counter name table. Dump() prints and Reset() zeroes
+  /// exactly the table's rows, in table order.
+  struct Counter {
+    const char* name;
+    std::atomic<uint64_t> MetricsRegistry::*field;
+    /// Printed as milliseconds with three decimals (the field holds µs).
+    bool micros_as_millis = false;
+  };
+  /// Every counter above, each exactly once.
+  static std::span<const Counter> Counters();
 
   /// Human-readable text dump for the CLI / benches.
   std::string Dump() const;

@@ -1,6 +1,5 @@
 #include "server/server.h"
 
-#include <algorithm>
 #include <exception>
 #include <memory>
 #include <new>
@@ -22,6 +21,35 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+std::chrono::steady_clock::time_point DeadlineAfter(double millis) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::nanoseconds(static_cast<int64_t>(millis * 1e6));
+}
+
+/// The worker containment boundary around one engine call: the
+/// `server.execute` failpoint fires first, and whatever escapes `body` —
+/// including injected std::bad_alloc — is folded into the query's Status
+/// (`worker_faults`), so one faulting query never takes down the serving
+/// thread.
+template <typename Body>
+auto Contained(MetricsRegistry& metrics, Body&& body) -> decltype(body()) {
+  try {
+    Status fault = failpoint::Check("server.execute");
+    if (!fault.ok()) return fault;
+    return body();
+  } catch (const std::bad_alloc&) {
+    metrics.worker_faults.fetch_add(1, std::memory_order_relaxed);
+    return Status::ResourceExhausted("query failed: out of memory");
+  } catch (const std::exception& e) {
+    metrics.worker_faults.fetch_add(1, std::memory_order_relaxed);
+    return Status::Internal(std::string("query failed with exception: ") +
+                            e.what());
+  } catch (...) {
+    metrics.worker_faults.fetch_add(1, std::memory_order_relaxed);
+    return Status::Internal("query failed with unknown exception");
+  }
 }
 
 /// Fingerprint over the QueryOptions fields that change the answer bytes
@@ -61,9 +89,7 @@ QueryServer::QueryServer(const engine::ParjEngine* engine,
     : engine_(engine),
       options_(std::move(options)),
       pool_(options_.pool != nullptr ? options_.pool : &ThreadPool::Shared()),
-      scheduler_(pool_, options_.scheduler),
-      degradation_(options_.degradation, &metrics_),
-      watchdog_(options_.watchdog, &metrics_) {
+      scheduler_(pool_, options_.scheduler) {
   if (options_.enable_plan_cache && options_.plan_cache_entries > 0) {
     plan_cache_ =
         std::make_unique<query::PlanCache>(options_.plan_cache_entries);
@@ -75,7 +101,7 @@ QueryServer::QueryServer(const engine::ParjEngine* engine,
 
 QueryServer::~QueryServer() {
   // Members are destroyed in reverse declaration order, which would tear
-  // down watchdog_ and metrics_ while scheduler_'s destructor is still
+  // down the caches and metrics_ while scheduler_'s destructor is still
   // draining jobs that use them. Drain first so nothing is running.
   scheduler_.Drain();
 }
@@ -140,29 +166,8 @@ void QueryServer::RefreshMutationGauges() {
 void QueryServer::CountTermination(const CancellationToken& token) {
   if (token.reason() == CancelReason::kDeadlineExceeded) {
     metrics_.deadlines_expired.fetch_add(1, std::memory_order_relaxed);
-  } else if (token.reason() == CancelReason::kWatchdog) {
-    // watchdog_kills was already counted by the watchdog thread itself.
   } else {
     metrics_.queries_cancelled.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-Result<engine::QueryResult> QueryServer::ContainedExecutePlan(
-    const query::Plan& plan, const engine::QueryOptions& options) {
-  try {
-    Status fault = failpoint::Check("server.execute");
-    if (!fault.ok()) return fault;
-    return engine_->ExecutePlan(plan, options);
-  } catch (const std::bad_alloc&) {
-    metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted("query failed: out of memory");
-  } catch (const std::exception& e) {
-    metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::Internal(std::string("query failed with exception: ") +
-                            e.what());
-  } catch (...) {
-    metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::Internal("query failed with unknown exception");
   }
 }
 
@@ -171,96 +176,82 @@ Result<engine::QueryResult> QueryServer::ExecuteCold(
     const std::shared_ptr<const PreparedStatement>& prepared,
     const engine::QueryOptions& query_options, bool use_plan_cache,
     uint64_t optimizer_fp) {
-  try {
-    Status fault = failpoint::Check("server.execute");
-    if (!fault.ok()) return fault;
-    if (!use_plan_cache || plan_cache_ == nullptr) {
-      return engine_->Execute(sparql, query_options);
-    }
-    query::SelectQueryAst local_ast;
-    const query::SelectQueryAst* ast = nullptr;
-    const query::NormalizedQuery* normalized = nullptr;
-    query::NormalizedQuery local_norm;
-    if (prepared != nullptr) {
-      ast = &prepared->ast;
-      normalized = &prepared->normalized;
-    } else {
-      auto parsed = query::ParseQuery(sparql);
-      if (!parsed.ok()) return parsed.status();
-      local_ast = std::move(*parsed);
-      ast = &local_ast;
-    }
-    // UNION queries and unparameterizable shapes take the engine's own
-    // path (the re-parse there is the price of staying uncached).
-    if (!ast->union_arms.empty()) {
-      return engine_->Execute(sparql, query_options);
-    }
-    if (normalized == nullptr) {
-      local_norm = query::NormalizeQuery(*ast);
-      normalized = &local_norm;
-    }
-    if (!normalized->eligible) {
-      return engine_->Execute(sparql, query_options);
-    }
-    // Bind or optimize against one pinned snapshot, so the plan, the
-    // rows and the cached entry all describe the same store contents.
-    const mut::MvccSnapshot snap = engine_->snapshot();
-    const uint64_t generation = engine_->plan_generation();
-    std::shared_ptr<const query::Plan> tmpl = plan_cache_->LookupShape(
-        normalized->shape_key, generation, optimizer_fp);
-    if (tmpl != nullptr) {
-      Result<query::Plan> bound = query::BindTemplate(
-          *tmpl, *normalized, snap.base(), &snap.delta().overlay());
-      if (bound.ok()) {
-        const bool cacheable = !bound->known_empty;
-        auto plan = std::make_shared<const query::Plan>(std::move(*bound));
-        Result<engine::QueryResult> result =
-            engine_->ExecutePlan(*plan, query_options, &snap);
-        if (result.ok()) {
-          result->plan_cached = true;
-          // Plans made known_empty by a still-absent term must not be
-          // cached: the term can be inserted later without bumping the
-          // plan generation.
-          if (cacheable && failpoint::Check("plancache.insert").ok()) {
-            plan_cache_->InsertBound(sparql, generation, optimizer_fp,
-                                     std::move(plan));
-          }
-        }
-        return result;
-      }
-      // Template/shape mismatch should not happen, but a fresh optimize
-      // is always a correct answer to it.
-    }
-    PARJ_ASSIGN_OR_RETURN(
-        query::EncodedQuery encoded,
-        query::EncodeQuery(*ast, snap.base(), &snap.delta().overlay()));
-    PARJ_ASSIGN_OR_RETURN(query::Plan optimized,
-                          query::Optimize(encoded, snap.base(),
-                                          query_options.optimizer,
-                                          &snap.delta()));
-    const bool cacheable = !optimized.known_empty;
-    auto plan = std::make_shared<const query::Plan>(std::move(optimized));
-    Result<engine::QueryResult> result =
-        engine_->ExecutePlan(*plan, query_options, &snap);
-    if (result.ok() && cacheable &&
-        failpoint::Check("plancache.insert").ok()) {
-      plan_cache_->InsertShape(normalized->shape_key, generation,
-                               optimizer_fp, plan);
-      plan_cache_->InsertBound(sparql, generation, optimizer_fp,
-                               std::move(plan));
-    }
-    return result;
-  } catch (const std::bad_alloc&) {
-    metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted("query failed: out of memory");
-  } catch (const std::exception& e) {
-    metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::Internal(std::string("query failed with exception: ") +
-                            e.what());
-  } catch (...) {
-    metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::Internal("query failed with unknown exception");
+  if (!use_plan_cache || plan_cache_ == nullptr) {
+    return engine_->Execute(sparql, query_options);
   }
+  query::SelectQueryAst local_ast;
+  const query::SelectQueryAst* ast = nullptr;
+  const query::NormalizedQuery* normalized = nullptr;
+  query::NormalizedQuery local_norm;
+  if (prepared != nullptr) {
+    ast = &prepared->ast;
+    normalized = &prepared->normalized;
+  } else {
+    auto parsed = query::ParseQuery(sparql);
+    if (!parsed.ok()) return parsed.status();
+    local_ast = std::move(*parsed);
+    ast = &local_ast;
+  }
+  // UNION queries and unparameterizable shapes take the engine's own
+  // path (the re-parse there is the price of staying uncached).
+  if (!ast->union_arms.empty()) {
+    return engine_->Execute(sparql, query_options);
+  }
+  if (normalized == nullptr) {
+    local_norm = query::NormalizeQuery(*ast);
+    normalized = &local_norm;
+  }
+  if (!normalized->eligible) {
+    return engine_->Execute(sparql, query_options);
+  }
+  // Bind or optimize against one pinned snapshot, so the plan, the
+  // rows and the cached entry all describe the same store contents.
+  const mut::MvccSnapshot snap = engine_->snapshot();
+  const uint64_t generation = engine_->plan_generation();
+  std::shared_ptr<const query::Plan> tmpl = plan_cache_->LookupShape(
+      normalized->shape_key, generation, optimizer_fp);
+  if (tmpl != nullptr) {
+    Result<query::Plan> bound = query::BindTemplate(
+        *tmpl, *normalized, snap.base(), &snap.delta().overlay());
+    if (bound.ok()) {
+      const bool cacheable = !bound->known_empty;
+      auto plan = std::make_shared<const query::Plan>(std::move(*bound));
+      Result<engine::QueryResult> result =
+          engine_->ExecutePlan(*plan, query_options, &snap);
+      if (result.ok()) {
+        result->plan_cached = true;
+        // Plans made known_empty by a still-absent term must not be
+        // cached: the term can be inserted later without bumping the
+        // plan generation.
+        if (cacheable && failpoint::Check("plancache.insert").ok()) {
+          plan_cache_->InsertBound(sparql, generation, optimizer_fp,
+                                   std::move(plan));
+        }
+      }
+      return result;
+    }
+    // Template/shape mismatch should not happen, but a fresh optimize
+    // is always a correct answer to it.
+  }
+  PARJ_ASSIGN_OR_RETURN(
+      query::EncodedQuery encoded,
+      query::EncodeQuery(*ast, snap.base(), &snap.delta().overlay()));
+  PARJ_ASSIGN_OR_RETURN(query::Plan optimized,
+                        query::Optimize(encoded, snap.base(),
+                                        query_options.optimizer,
+                                        &snap.delta()));
+  const bool cacheable = !optimized.known_empty;
+  auto plan = std::make_shared<const query::Plan>(std::move(optimized));
+  Result<engine::QueryResult> result =
+      engine_->ExecutePlan(*plan, query_options, &snap);
+  if (result.ok() && cacheable &&
+      failpoint::Check("plancache.insert").ok()) {
+    plan_cache_->InsertShape(normalized->shape_key, generation,
+                             optimizer_fp, plan);
+    plan_cache_->InsertBound(sparql, generation, optimizer_fp,
+                             std::move(plan));
+  }
+  return result;
 }
 
 void QueryServer::RunClaimedSolo(
@@ -269,8 +260,9 @@ void QueryServer::RunClaimedSolo(
     member->deliver(member->options.cancel.ToStatus());
     return;
   }
-  Result<engine::QueryResult> result =
-      ContainedExecutePlan(*member->plan, member->options);
+  Result<engine::QueryResult> result = Contained(metrics_, [&] {
+    return engine_->ExecutePlan(*member->plan, member->options);
+  });
   if (result.ok()) result->plan_cached = true;
   member->deliver(std::move(result));
 }
@@ -325,26 +317,14 @@ Result<engine::QueryResult> QueryServer::RunJob(
             slot_for(m->sparql, m->result_fingerprint, m->plan.get(),
                      m->options));
       }
-      Result<std::vector<engine::QueryResult>> shared =
-          [&]() -> Result<std::vector<engine::QueryResult>> {
-        try {
-          Status fault = failpoint::Check("server.execute");
-          if (!fault.ok()) return fault;
-          return engine_->ExecuteShared(
-              std::span<const query::Plan* const>(plans.data(), plans.size()),
-              std::span<const engine::QueryOptions>(opts.data(), opts.size()));
-        } catch (const std::bad_alloc&) {
-          metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-          return Status::ResourceExhausted("query failed: out of memory");
-        } catch (const std::exception& e) {
-          metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-          return Status::Internal(
-              std::string("query failed with exception: ") + e.what());
-        } catch (...) {
-          metrics_.worker_faults.fetch_add(1, std::memory_order_relaxed);
-          return Status::Internal("query failed with unknown exception");
-        }
-      }();
+      Result<std::vector<engine::QueryResult>> shared = Contained(
+          metrics_, [&] {
+            return engine_->ExecuteShared(
+                std::span<const query::Plan* const>(plans.data(),
+                                                    plans.size()),
+                std::span<const engine::QueryOptions>(opts.data(),
+                                                      opts.size()));
+          });
       if (shared.ok()) {
         metrics_.shared_scan_queries_coalesced.fetch_add(
             live.size(), std::memory_order_relaxed);
@@ -365,13 +345,40 @@ Result<engine::QueryResult> QueryServer::RunJob(
     }
   }
   if (bound != nullptr) {
-    Result<engine::QueryResult> result =
-        ContainedExecutePlan(*bound, query_options);
+    Result<engine::QueryResult> result = Contained(
+        metrics_, [&] { return engine_->ExecutePlan(*bound, query_options); });
     if (result.ok()) result->plan_cached = true;
     return result;
   }
-  return ExecuteCold(sparql, prepared, query_options, use_plan_cache,
-                     optimizer_fp);
+  return Contained(metrics_, [&] {
+    return ExecuteCold(sparql, prepared, query_options, use_plan_cache,
+                       optimizer_fp);
+  });
+}
+
+void QueryServer::Deliver(std::promise<Result<engine::QueryResult>>& promise,
+                          const CancellationToken& token,
+                          std::chrono::steady_clock::time_point submit_time,
+                          const std::string& sparql, uint64_t result_fp,
+                          bool want_result_cache,
+                          Result<engine::QueryResult> result) {
+  metrics_.total.Record(MillisSince(submit_time));
+  if (result.ok()) {
+    metrics_.queries_completed.fetch_add(1, std::memory_order_relaxed);
+    metrics_.rows_returned.fetch_add(result->row_count,
+                                     std::memory_order_relaxed);
+    metrics_.rows_skipped_by_limit.fetch_add(result->rows_skipped_by_limit,
+                                             std::memory_order_relaxed);
+    if (want_result_cache && !result->result_cached) {
+      MaybeCacheResult(sparql, result_fp, *result);
+    }
+  } else if (result.status().code() == StatusCode::kCancelled ||
+             result.status().code() == StatusCode::kDeadlineExceeded) {
+    CountTermination(token);
+  } else {
+    metrics_.queries_failed.fetch_add(1, std::memory_order_relaxed);
+  }
+  promise.set_value(std::move(result));
 }
 
 void QueryServer::MaybeCacheResult(const std::string& sparql,
@@ -426,7 +433,7 @@ SubmittedQuery QueryServer::SubmitInternal(
   if (options.deadline.has_value()) {
     out.cancel.set_deadline(*options.deadline);
   } else if (options.timeout_millis > 0) {
-    out.cancel.set_timeout_millis(options.timeout_millis);
+    out.cancel.set_deadline(DeadlineAfter(options.timeout_millis));
   }
   auto promise =
       std::make_shared<std::promise<Result<engine::QueryResult>>>();
@@ -444,47 +451,6 @@ SubmittedQuery QueryServer::SubmitInternal(
   engine::QueryOptions query_options =
       options.query.has_value() ? *options.query : options_.query_defaults;
   query_options.cancel = token;
-
-  // Graceful degradation: under sustained load, shed low-priority queries
-  // and fall back to static scheduling for the rest. Ingest pressure
-  // (pending-delta size against the configured cap) counts as load too.
-  auto evaluate_degradation = [&]() -> DegradationDecision {
-    RefreshMutationGauges();
-    const double capacity =
-        static_cast<double>(options_.scheduler.max_in_flight) +
-        static_cast<double>(options_.scheduler.max_queue);
-    double load_fraction =
-        capacity > 0
-            ? (static_cast<double>(scheduler_.in_flight()) +
-               static_cast<double>(scheduler_.queued())) / capacity
-            : 0.0;
-    if (options_.degradation.max_delta_triples > 0) {
-      const double ingest_fraction =
-          static_cast<double>(
-              metrics_.delta_triples.load(std::memory_order_relaxed)) /
-          static_cast<double>(options_.degradation.max_delta_triples);
-      load_fraction = std::max(load_fraction, ingest_fraction);
-    }
-    return degradation_.Admit(options.priority, load_fraction);
-  };
-
-  // While degraded, the shedding decision comes before the result-cache
-  // fast path: hysteresis exit depends on every submission passing through
-  // Admit() until the server recovers, and a shed-eligible query must not
-  // dodge the policy just because its answer happens to be cached. In the
-  // healthy steady state this costs one relaxed atomic load.
-  bool degradation_checked = false;
-  DegradationDecision degraded;
-  if (degradation_.degraded()) {
-    degraded = evaluate_degradation();
-    degradation_checked = true;
-    if (degraded.shed) {
-      promise->set_value(Status::ResourceExhausted(
-          "query shed: server degraded under load (priority " +
-          std::to_string(options.priority) + " below cutoff)"));
-      return out;
-    }
-  }
 
   // Result-cache fast path, on the submit thread: a hit costs one shard
   // lock and resolves the future immediately — no scheduler slot, no
@@ -508,26 +474,10 @@ SubmittedQuery QueryServer::SubmitInternal(
       }
       result.data_version = hit->data_version;
       result.result_cached = true;
-      metrics_.queries_completed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.rows_returned.fetch_add(result.row_count,
-                                       std::memory_order_relaxed);
-      metrics_.total.Record(MillisSince(submit_time));
-      promise->set_value(std::move(result));
+      Deliver(*promise, token, submit_time, sparql, result_fp,
+              want_result_cache, std::move(result));
       return out;
     }
-  }
-
-  if (!degradation_checked) {
-    degraded = evaluate_degradation();
-    if (degraded.shed) {
-      promise->set_value(Status::ResourceExhausted(
-          "query shed: server degraded under load (priority " +
-          std::to_string(options.priority) + " below cutoff)"));
-      return out;
-    }
-  }
-  if (degraded.downgrade) {
-    query_options.scheduling = join::Scheduling::kStatic;
   }
 
   // Plan-cache bound-level probe, still on the submit thread: one hash
@@ -558,23 +508,8 @@ SubmittedQuery QueryServer::SubmitInternal(
     member->deliver = [this, promise, token, submit_time,
                        sparql_copy = sparql, result_fp,
                        want_result_cache](Result<engine::QueryResult> result) {
-      metrics_.total.Record(MillisSince(submit_time));
-      if (result.ok()) {
-        metrics_.queries_completed.fetch_add(1, std::memory_order_relaxed);
-        metrics_.rows_returned.fetch_add(result->row_count,
-                                         std::memory_order_relaxed);
-        metrics_.rows_skipped_by_limit.fetch_add(result->rows_skipped_by_limit,
-                                                 std::memory_order_relaxed);
-        if (want_result_cache && !result->result_cached) {
-          MaybeCacheResult(sparql_copy, result_fp, *result);
-        }
-      } else if (result.status().code() == StatusCode::kCancelled ||
-                 result.status().code() == StatusCode::kDeadlineExceeded) {
-        CountTermination(token);
-      } else {
-        metrics_.queries_failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      promise->set_value(std::move(result));
+      Deliver(*promise, token, submit_time, sparql_copy, result_fp,
+              want_result_cache, std::move(result));
     };
     group_key = SharedScanRegistry::GroupKey(*bound, query_options);
     shared_scans_.Add(group_key, member);
@@ -583,7 +518,7 @@ SubmittedQuery QueryServer::SubmitInternal(
   auto job = [this, sparql = std::move(sparql), prepared = std::move(prepared),
               query_options, token, promise, submit_time, cancel_source,
               member, group_key, bound, result_fp, want_result_cache,
-              use_plan_cache, optimizer_fp, id = out.id] {
+              use_plan_cache, optimizer_fp]() mutable {
     metrics_.queue_wait.Record(MillisSince(submit_time));
     std::vector<std::shared_ptr<SharedScanMember>> claimed;
     if (member != nullptr &&
@@ -597,39 +532,22 @@ SubmittedQuery QueryServer::SubmitInternal(
       // Cancelled or expired while waiting in the admission queue. Any
       // members this job claimed still get real (solo) results.
       for (const auto& m : claimed) RunClaimedSolo(m);
-      CountTermination(token);
-      metrics_.total.Record(MillisSince(submit_time));
-      promise->set_value(token.ToStatus());
+      Deliver(*promise, token, submit_time, sparql, result_fp,
+              want_result_cache, token.ToStatus());
       return;
     }
-    watchdog_.Track(id, cancel_source);
+    if (options_.max_query_millis > 0) {
+      // The server-wide cap starts at job start, so queue wait never
+      // spends it; a tighter client deadline still wins.
+      cancel_source.TightenDeadline(DeadlineAfter(options_.max_query_millis));
+    }
     Stopwatch exec_timer;
-    // Containment boundary: whatever escapes the engine — including
-    // injected std::bad_alloc from the `server.execute` failpoint — is
-    // folded into the query's Status so one faulting query never takes
-    // down the serving thread.
     Result<engine::QueryResult> result =
         RunJob(sparql, prepared, query_options, bound, member, claimed,
                use_plan_cache, optimizer_fp);
-    watchdog_.Untrack(id);
     metrics_.execution.Record(exec_timer.ElapsedMillis());
-    metrics_.total.Record(MillisSince(submit_time));
-    if (result.ok()) {
-      metrics_.queries_completed.fetch_add(1, std::memory_order_relaxed);
-      metrics_.rows_returned.fetch_add(result->row_count,
-                                       std::memory_order_relaxed);
-      metrics_.rows_skipped_by_limit.fetch_add(result->rows_skipped_by_limit,
-                                               std::memory_order_relaxed);
-      if (want_result_cache && !result->result_cached) {
-        MaybeCacheResult(sparql, result_fp, *result);
-      }
-    } else if (result.status().code() == StatusCode::kCancelled ||
-               result.status().code() == StatusCode::kDeadlineExceeded) {
-      CountTermination(token);
-    } else {
-      metrics_.queries_failed.fetch_add(1, std::memory_order_relaxed);
-    }
-    promise->set_value(std::move(result));
+    Deliver(*promise, token, submit_time, sparql, result_fp,
+            want_result_cache, std::move(result));
   };
 
   Status admitted = failpoint::Check("server.admit");
@@ -651,18 +569,22 @@ SubmittedQuery QueryServer::SubmitInternal(
 
 Result<engine::QueryResult> QueryServer::Execute(std::string sparql,
                                                  SubmitOptions options) {
-  const RetryPolicy& retry = options_.retry;
+  // Every attempt and backoff spends one client budget: a relative
+  // timeout restarted per Submit would stretch across the retries.
+  if (!options.deadline.has_value() && options.timeout_millis > 0) {
+    options.deadline = DeadlineAfter(options.timeout_millis);
+  }
   for (int attempt = 1;; ++attempt) {
     SubmittedQuery q = Submit(sparql, options);
     Result<engine::QueryResult> result = q.result.get();
     if (result.ok() || !RetryPolicy::IsRetryable(result.status()) ||
-        attempt >= retry.max_attempts) {
+        attempt >= RetryPolicy::kMaxAttempts) {
       return result;
     }
     double backoff_millis;
     {
       std::lock_guard<std::mutex> lock(retry_mu_);
-      backoff_millis = retry.BackoffMillis(attempt, &retry_rng_);
+      backoff_millis = RetryPolicy::BackoffMillis(attempt, &retry_rng_);
     }
     metrics_.retries.fetch_add(1, std::memory_order_relaxed);
     if (backoff_millis > 0) {

@@ -17,14 +17,12 @@
 #include "query/normalize.h"
 #include "query/plan_cache.h"
 #include "server/cancellation.h"
-#include "server/degradation.h"
 #include "server/metrics.h"
 #include "server/result_cache.h"
 #include "server/retry.h"
 #include "server/scheduler.h"
 #include "server/shared_scan.h"
 #include "server/thread_pool.h"
-#include "server/watchdog.h"
 
 namespace parj::server {
 
@@ -36,12 +34,10 @@ struct ServerOptions {
   /// Engine options applied to every submission unless overridden
   /// per-query (SubmitOptions::query).
   engine::QueryOptions query_defaults;
-  /// Server-side wall-clock cap on query runtime (0 = off).
-  WatchdogOptions watchdog;
-  /// Retry applied by Execute() to transient failures.
-  RetryPolicy retry;
-  /// Load shedding under sustained overload (off by default).
-  DegradationOptions degradation;
+  /// Server-wide cap on one query's runtime in ms (0 = off), counted
+  /// from job start so queue wait never spends it. It tightens the
+  /// query's deadline; a tighter client deadline still wins.
+  double max_query_millis = 0.0;
 
   // ---- Serving caches (DESIGN.md §15) ---------------------------------
   /// Two-level plan cache (exact text -> bound plan, shape -> template).
@@ -113,7 +109,7 @@ class QueryServer {
   explicit QueryServer(const engine::ParjEngine* engine,
                        ServerOptions options = {});
   /// Drains admitted jobs before any member the jobs touch (metrics,
-  /// watchdog) is torn down.
+  /// caches) is torn down.
   ~QueryServer();
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
@@ -121,9 +117,10 @@ class QueryServer {
   /// Asynchronously executes `sparql`. Never blocks: an over-limit
   /// submission resolves immediately with ResourceExhausted, an expired
   /// deadline with DeadlineExceeded (without executing). Queries that run
-  /// past the watchdog cap resolve with DeadlineExceeded; an exception
-  /// escaping the engine resolves the future with a contained Status
-  /// instead of crashing the serving thread.
+  /// past their deadline or max_query_millis resolve with
+  /// DeadlineExceeded; an exception escaping the engine resolves the
+  /// future with a contained Status instead of crashing the serving
+  /// thread.
   SubmittedQuery Submit(std::string sparql, SubmitOptions options = {});
 
   /// Parses and shape-normalizes once; the handle makes every subsequent
@@ -138,20 +135,19 @@ class QueryServer {
                                 SubmitOptions options = {});
 
   /// Submit + wait convenience. Transient failures (ResourceExhausted:
-  /// admission rejection, load shedding, allocation pressure) are retried
-  /// under ServerOptions::retry with jittered exponential backoff.
+  /// admission rejection, allocation pressure) are retried under
+  /// RetryPolicy. A timeout becomes one absolute deadline before the
+  /// first attempt, so retries and backoff spend the same budget.
   Result<engine::QueryResult> Execute(std::string sparql,
                                       SubmitOptions options = {});
-
-  bool degraded() const { return degradation_.degraded(); }
 
   /// Blocks until every admitted query has finished.
   void Drain() { scheduler_.Drain(); }
 
   /// Copies the engine's live-mutability counters (delta sizes,
-  /// compactions, active epochs) into the metrics registry. Runs on every
-  /// submission; the serving CLI also calls it before each `.metrics`
-  /// dump so gauges are fresh even on an idle server.
+  /// compactions, active epochs) and the caches' stats into the metrics
+  /// registry. Nothing on the submit path calls it: callers that dump
+  /// metrics (the serving CLI's `.metrics`, serving_bench) refresh first.
   void RefreshMutationGauges();
 
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -173,11 +169,6 @@ class QueryServer {
   SubmittedQuery SubmitInternal(
       std::string sparql, std::shared_ptr<const PreparedStatement> prepared,
       SubmitOptions options);
-
-  /// Engine call with the worker containment boundary (failpoint +
-  /// exception folding) around it.
-  Result<engine::QueryResult> ContainedExecutePlan(
-      const query::Plan& plan, const engine::QueryOptions& options);
 
   /// The no-bound-plan path: parse (or reuse the prepared AST),
   /// normalize, probe the shape cache, bind or optimize, execute against
@@ -204,6 +195,15 @@ class QueryServer {
       std::vector<std::shared_ptr<SharedScanMember>>& claimed,
       bool use_plan_cache, uint64_t optimizer_fp);
 
+  /// Resolves one submission: records its total latency, counts it as
+  /// completed, failed, cancelled or expired, caches a fresh success when
+  /// `want_result_cache`, and fulfils the promise.
+  void Deliver(std::promise<Result<engine::QueryResult>>& promise,
+               const CancellationToken& token,
+               std::chrono::steady_clock::time_point submit_time,
+               const std::string& sparql, uint64_t result_fp,
+               bool want_result_cache, Result<engine::QueryResult> result);
+
   /// Copies a successful result's rows into the result cache (unless the
   /// `resultcache.insert` failpoint is armed).
   void MaybeCacheResult(const std::string& sparql, uint64_t fingerprint,
@@ -214,8 +214,6 @@ class QueryServer {
   ThreadPool* pool_;
   QueryScheduler scheduler_;
   MetricsRegistry metrics_;
-  DegradationPolicy degradation_;
-  QueryWatchdog watchdog_;
   std::unique_ptr<query::PlanCache> plan_cache_;
   std::unique_ptr<ResultCache> result_cache_;
   SharedScanRegistry shared_scans_;

@@ -454,38 +454,6 @@ TEST(ServingTest, MutationGaugesFlowIntoMetrics) {
   EXPECT_NE(dump.find("active_epochs"), std::string::npos);
 }
 
-TEST(ServingTest, IngestPressureShedsLowPriorityQueries) {
-  auto engine = MakeMutableEngine();
-  server::ServerOptions options;
-  options.degradation.enabled = true;
-  options.degradation.min_priority = 1;
-  options.degradation.max_delta_triples = 2;
-  server::QueryServer server(&engine, options);
-
-  // Below the cap: low-priority queries pass.
-  auto ok = server.Submit(kKnowsQuery, [&]{ server::SubmitOptions so; so.priority = 0; return so; }());
-  EXPECT_TRUE(ok.result.get().ok());
-
-  ASSERT_TRUE(engine.Insert(T("c", "knows", "e")).ok());
-  ASSERT_TRUE(engine.Insert(T("c", "knows", "f")).ok());
-  ASSERT_TRUE(engine.Insert(T("c", "knows", "g")).ok());
-  // Pending delta over the cap counts as full load: the server degrades
-  // and sheds below-cutoff priorities, while higher priorities still run.
-  auto shed = server.Submit(kKnowsQuery, [&]{ server::SubmitOptions so; so.priority = 0; return so; }());
-  const auto shed_result = shed.result.get();
-  ASSERT_FALSE(shed_result.ok());
-  EXPECT_EQ(shed_result.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(server.degraded());
-  auto high = server.Submit(kKnowsQuery, [&]{ server::SubmitOptions so; so.priority = 5; return so; }());
-  EXPECT_TRUE(high.result.get().ok());
-
-  // Compacting drains the pressure; low priority recovers.
-  ASSERT_TRUE(engine.Compact().ok());
-  auto recovered = server.Submit(kKnowsQuery, [&]{ server::SubmitOptions so; so.priority = 0; return so; }());
-  EXPECT_TRUE(recovered.result.get().ok());
-  EXPECT_FALSE(server.degraded());
-}
-
 TEST(ServingTest, ResultCacheNeverServesStaleAcrossMutationAndCompaction) {
   auto engine = MakeMutableEngine();
   server::QueryServer server(&engine, {});

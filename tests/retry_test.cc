@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "server/degradation.h"
-
 namespace parj::server {
 namespace {
 
@@ -16,92 +14,26 @@ TEST(RetryPolicyTest, OnlyResourceExhaustedIsRetryable) {
   EXPECT_FALSE(RetryPolicy::IsRetryable(Status::DeadlineExceeded("cap")));
 }
 
-TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndClamps) {
-  RetryPolicy policy;
-  policy.initial_backoff_millis = 1.0;
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff_millis = 10.0;
-  // nullptr rng = deterministic upper bound.
-  EXPECT_DOUBLE_EQ(policy.BackoffMillis(1, nullptr), 1.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMillis(2, nullptr), 2.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMillis(3, nullptr), 4.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMillis(4, nullptr), 8.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMillis(5, nullptr), 10.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffMillis(50, nullptr), 10.0);
+TEST(RetryPolicyTest, BackoffDoublesFromOneMillisecond) {
+  // nullptr rng = deterministic upper bound. Three attempts sleep only
+  // before attempts 2 and 3: 1 ms, then 2 ms.
+  EXPECT_EQ(RetryPolicy::kMaxAttempts, 3);
+  EXPECT_DOUBLE_EQ(RetryPolicy::BackoffMillis(1, nullptr), 1.0);
+  EXPECT_DOUBLE_EQ(RetryPolicy::BackoffMillis(2, nullptr), 2.0);
+  EXPECT_DOUBLE_EQ(RetryPolicy::BackoffMillis(3, nullptr), 4.0);
 }
 
 TEST(RetryPolicyTest, JitterStaysInRange) {
-  RetryPolicy policy;
-  policy.initial_backoff_millis = 8.0;
-  policy.jitter = 0.5;
+  // Jitter 0.5 draws each sleep from [base / 2, base].
   Rng rng(123);
   for (int i = 0; i < 200; ++i) {
-    const double b = policy.BackoffMillis(1, &rng);
-    EXPECT_GE(b, 4.0);
-    EXPECT_LE(b, 8.0);
+    const double first = RetryPolicy::BackoffMillis(1, &rng);
+    EXPECT_GE(first, 0.5);
+    EXPECT_LE(first, 1.0);
+    const double second = RetryPolicy::BackoffMillis(2, &rng);
+    EXPECT_GE(second, 1.0);
+    EXPECT_LE(second, 2.0);
   }
-}
-
-TEST(RetryPolicyTest, ZeroJitterIsDeterministic) {
-  RetryPolicy policy;
-  policy.jitter = 0.0;
-  Rng rng(7);
-  EXPECT_DOUBLE_EQ(policy.BackoffMillis(2, &rng),
-                   policy.BackoffMillis(2, nullptr));
-}
-
-TEST(DegradationPolicyTest, DisabledNeverShedsOrDowngrades) {
-  MetricsRegistry metrics;
-  DegradationPolicy policy({}, &metrics);
-  const DegradationDecision d = policy.Admit(/*priority=*/-5, 1.0);
-  EXPECT_FALSE(d.shed);
-  EXPECT_FALSE(d.downgrade);
-  EXPECT_FALSE(policy.degraded());
-}
-
-TEST(DegradationPolicyTest, EntersAboveHighWatermarkShedsLowPriority) {
-  MetricsRegistry metrics;
-  DegradationOptions options;
-  options.enabled = true;
-  options.high_watermark = 0.75;
-  options.low_watermark = 0.25;
-  options.min_priority = 1;
-  DegradationPolicy policy(options, &metrics);
-
-  // Light load: untouched.
-  DegradationDecision d = policy.Admit(0, 0.1);
-  EXPECT_FALSE(d.shed);
-  EXPECT_FALSE(d.downgrade);
-
-  // Heavy load: low-priority work is shed, normal work is downgraded.
-  d = policy.Admit(0, 0.9);
-  EXPECT_TRUE(d.shed);
-  d = policy.Admit(1, 0.9);
-  EXPECT_FALSE(d.shed);
-  EXPECT_TRUE(d.downgrade);
-  EXPECT_TRUE(policy.degraded());
-  EXPECT_EQ(metrics.degraded_activations.load(), 1u);
-  EXPECT_EQ(metrics.degraded_rejected.load(), 1u);
-}
-
-TEST(DegradationPolicyTest, HysteresisHoldsUntilLowWatermark) {
-  MetricsRegistry metrics;
-  DegradationOptions options;
-  options.enabled = true;
-  options.high_watermark = 0.75;
-  options.low_watermark = 0.25;
-  DegradationPolicy policy(options, &metrics);
-
-  EXPECT_TRUE(policy.Admit(5, 0.8).downgrade);  // enter
-  // Load drops below high but above low: still degraded (no flapping).
-  EXPECT_TRUE(policy.Admit(5, 0.5).downgrade);
-  EXPECT_TRUE(policy.degraded());
-  // Below the low watermark: exits.
-  EXPECT_FALSE(policy.Admit(5, 0.2).downgrade);
-  EXPECT_FALSE(policy.degraded());
-  // Re-entry counts as a second activation.
-  EXPECT_TRUE(policy.Admit(5, 0.9).downgrade);
-  EXPECT_EQ(metrics.degraded_activations.load(), 2u);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <atomic>
 #include <future>
 #include <mutex>
+#include <span>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -139,6 +143,63 @@ TEST(MetricsRegistryTest, DumpListsCountersAndHistograms) {
   metrics.Reset();
   EXPECT_EQ(metrics.queries_submitted.load(), 0u);
   EXPECT_EQ(metrics.execution.count(), 0u);
+}
+
+TEST(MetricsRegistryTest, ResetZeroesEveryDumpedCounter) {
+  MetricsRegistry metrics;
+  const std::span<const MetricsRegistry::Counter> counters =
+      MetricsRegistry::Counters();
+  // The table names each counter once (its length is pinned to the
+  // struct's by a static_assert, so together: every counter exactly once).
+  for (size_t i = 0; i < counters.size(); ++i) {
+    for (size_t j = i + 1; j < counters.size(); ++j) {
+      EXPECT_NE(counters[i].field, counters[j].field)
+          << counters[i].name << " and " << counters[j].name;
+    }
+  }
+  for (const MetricsRegistry::Counter& c : counters) {
+    (metrics.*c.field).store(1000);
+  }
+  metrics.queue_wait.Record(1.0);
+  metrics.execution.Record(2.0);
+  metrics.total.Record(3.0);
+
+  // Reads "name value" for every counter row and "count=N" for every
+  // histogram row of a dump.
+  auto values = [](const std::string& dump) {
+    std::vector<std::pair<std::string, std::string>> out;
+    std::istringstream in(dump);
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      std::string name, value;
+      fields >> name >> value;
+      out.emplace_back(name, value);
+    }
+    return out;
+  };
+  const auto before = values(metrics.Dump());
+  ASSERT_EQ(before.size(), counters.size() + 3);
+  for (size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_EQ(before[i].first, counters[i].name);
+    EXPECT_TRUE(before[i].second == "1000" || before[i].second == "1.000")
+        << before[i].first << " " << before[i].second;
+  }
+  for (size_t i = counters.size(); i < before.size(); ++i) {
+    EXPECT_EQ(before[i].second, "count=1") << before[i].first;
+  }
+
+  metrics.Reset();
+  const auto after = values(metrics.Dump());
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_TRUE(after[i].second == "0" || after[i].second == "0.000")
+        << after[i].first << " " << after[i].second;
+  }
+  for (size_t i = counters.size(); i < after.size(); ++i) {
+    EXPECT_EQ(after[i].second, "count=0") << after[i].first;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // must surface as clean Status propagation — never a crash, never a hang,
 // and never a poisoned thread pool.
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -164,8 +165,6 @@ TEST_F(ServerFaultTest, ExecuteRetriesTransientAdmissionFailure) {
   engine::ParjEngine engine = MakeLubmEngine();
   ServerOptions options;
   options.query_defaults = CountMode();
-  options.retry.max_attempts = 3;
-  options.retry.initial_backoff_millis = 0.1;
   QueryServer server(&engine, options);
 
   // The first two admissions fail transiently; the third succeeds.
@@ -180,15 +179,36 @@ TEST_F(ServerFaultTest, ExecuteGivesUpAfterMaxAttempts) {
   engine::ParjEngine engine = MakeLubmEngine();
   ServerOptions options;
   options.query_defaults = CountMode();
-  options.retry.max_attempts = 2;
-  options.retry.initial_backoff_millis = 0.1;
   QueryServer server(&engine, options);
 
   ASSERT_TRUE(failpoint::Arm("server.admit", "exhausted").ok());
   Result<engine::QueryResult> result = server.Execute(SimpleQuery());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsResourceExhausted());
-  EXPECT_EQ(server.metrics().retries.load(), 1u);
+  EXPECT_EQ(server.metrics().retries.load(),
+            static_cast<uint64_t>(RetryPolicy::kMaxAttempts - 1));
+  EXPECT_EQ(server.metrics().admission_rejected.load(),
+            static_cast<uint64_t>(RetryPolicy::kMaxAttempts));
+}
+
+TEST_F(ServerFaultTest, ExecuteTimeoutSpansRetries) {
+  engine::ParjEngine engine = MakeLubmEngine();
+  ServerOptions options;
+  options.query_defaults = CountMode();
+  QueryServer server(&engine, options);
+
+  // Two transient rejections cost at least 0.5 + 1 ms of backoff, which
+  // already exceeds the 1 ms client budget: the last attempt must find
+  // its deadline expired instead of starting a fresh timeout.
+  ASSERT_TRUE(failpoint::Arm("server.admit", "exhausted:2").ok());
+  SubmitOptions submit;
+  submit.timeout_millis = 1.0;
+  Result<engine::QueryResult> result = server.Execute(SimpleQuery(), submit);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+  EXPECT_EQ(server.metrics().queries_admitted.load(), 0u);
+  EXPECT_EQ(server.metrics().deadlines_expired.load(), 1u);
 }
 
 TEST_F(ServerFaultTest, ExecuteNeverRetriesPermanentFailures) {
@@ -204,68 +224,86 @@ TEST_F(ServerFaultTest, ExecuteNeverRetriesPermanentFailures) {
   EXPECT_EQ(server.metrics().retries.load(), 0u);
 }
 
-TEST_F(ServerFaultTest, WatchdogKillsOverrunningQuery) {
+TEST_F(ServerFaultTest, QueryCapExpiresOverrunningQuery) {
   engine::ParjEngine engine = MakeLubmEngine();
   ServerOptions options;
   options.query_defaults = CountMode();
-  options.watchdog.max_query_millis = 20.0;
-  options.watchdog.poll_interval_millis = 2.0;
+  options.max_query_millis = 20.0;
   QueryServer server(&engine, options);
 
   // Deterministic overrun: the query stalls 200ms at the execution
-  // boundary, far past the 20ms cap, so the watchdog always fires.
+  // boundary, far past the 20ms cap, so its deadline has always passed
+  // by the time the engine checks it.
   ASSERT_TRUE(failpoint::Arm("server.execute", "sleep-200:1").ok());
   SubmittedQuery q = server.Submit(SimpleQuery());
   Result<engine::QueryResult> result = q.result.get();
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded())
       << result.status().ToString();
-  EXPECT_NE(result.status().message().find("watchdog"), std::string::npos);
-  EXPECT_EQ(server.metrics().watchdog_kills.load(), 1u);
+  EXPECT_EQ(server.metrics().deadlines_expired.load(), 1u);
 
   // Within-cap queries are untouched.
   EXPECT_TRUE(server.Execute(SimpleQuery()).ok());
-  EXPECT_EQ(server.metrics().watchdog_kills.load(), 1u);
+  EXPECT_EQ(server.metrics().deadlines_expired.load(), 1u);
 }
 
-TEST_F(ServerFaultTest, WatchdogDisabledByDefault) {
+TEST_F(ServerFaultTest, QueryCapStartsAtJobStart) {
   engine::ParjEngine engine = MakeLubmEngine();
   ServerOptions options;
   options.query_defaults = CountMode();
+  options.scheduler.max_in_flight = 1;
+  options.max_query_millis = 20.0;
   QueryServer server(&engine, options);
+
+  // A stalls 100ms in its only execution slot, so B waits in the queue
+  // for far longer than the cap. The cap counts from each job's start:
+  // A expires, B still gets its full 20ms and succeeds.
+  ASSERT_TRUE(failpoint::Arm("server.execute", "sleep-100:1").ok());
+  SubmittedQuery a = server.Submit(SimpleQuery());
+  SubmittedQuery b = server.Submit(SimpleQuery());
+  Result<engine::QueryResult> a_result = a.result.get();
+  Result<engine::QueryResult> b_result = b.result.get();
+  ASSERT_FALSE(a_result.ok());
+  EXPECT_TRUE(a_result.status().IsDeadlineExceeded())
+      << a_result.status().ToString();
+  ASSERT_TRUE(b_result.ok()) << b_result.status().ToString();
+  EXPECT_GE(server.metrics().queue_wait.max_millis(), 20.0);
+  EXPECT_EQ(server.metrics().deadlines_expired.load(), 1u);
+}
+
+TEST_F(ServerFaultTest, ClientTimeoutTighterThanCapStillFires) {
+  engine::ParjEngine engine = MakeLubmEngine();
+  ServerOptions options;
+  options.query_defaults = CountMode();
+  options.max_query_millis = 60000.0;
+  QueryServer server(&engine, options);
+
+  // Applying the cap at job start must not loosen a tighter client
+  // deadline: the 20ms timeout fires long before the one-minute cap.
+  ASSERT_TRUE(failpoint::Arm("server.execute", "sleep-200:1").ok());
+  SubmitOptions submit;
+  submit.timeout_millis = 20.0;
+  const auto start = std::chrono::steady_clock::now();
+  Result<engine::QueryResult> result =
+      server.Submit(SimpleQuery(), submit).result.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ(server.metrics().deadlines_expired.load(), 1u);
+}
+
+TEST_F(ServerFaultTest, QueryCapOffByDefault) {
+  engine::ParjEngine engine = MakeLubmEngine();
+  ServerOptions options;
+  options.query_defaults = CountMode();
+  EXPECT_EQ(options.max_query_millis, 0.0);
+  QueryServer server(&engine, options);
+
+  // Without a cap, a slow query runs to completion.
+  ASSERT_TRUE(failpoint::Arm("server.execute", "sleep-50:1").ok());
   EXPECT_TRUE(server.Execute(SimpleQuery()).ok());
-  EXPECT_EQ(server.metrics().watchdog_kills.load(), 0u);
-}
-
-TEST_F(ServerFaultTest, DegradedServerShedsAndDowngrades) {
-  engine::ParjEngine engine = MakeLubmEngine();
-  ServerOptions options;
-  options.query_defaults = CountMode();
-  options.degradation.enabled = true;
-  // Watermark 0 => permanently degraded; this isolates the shedding and
-  // downgrade behaviour from load timing.
-  options.degradation.high_watermark = 0.0;
-  options.degradation.low_watermark = -1.0;
-  options.degradation.min_priority = 1;
-  QueryServer server(&engine, options);
-
-  SubmitOptions low;
-  low.priority = 0;
-  Result<engine::QueryResult> shed = server.Submit(SimpleQuery(), low)
-                                         .result.get();
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.status().IsResourceExhausted());
-  EXPECT_NE(shed.status().message().find("shed"), std::string::npos);
-
-  SubmitOptions high;
-  high.priority = 1;
-  Result<engine::QueryResult> kept =
-      server.Submit(SimpleQuery(), high).result.get();
-  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
-
-  EXPECT_TRUE(server.degraded());
-  EXPECT_EQ(server.metrics().degraded_rejected.load(), 1u);
-  EXPECT_EQ(server.metrics().degraded_activations.load(), 1u);
+  EXPECT_EQ(server.metrics().deadlines_expired.load(), 0u);
 }
 
 TEST_F(ServerFaultTest, FaultedQueriesDoNotPoisonConcurrentOnes) {
