@@ -20,6 +20,8 @@
 // so peak_rss_mb is that load's own high-water mark. It includes what is
 // resident across loads (the text, the reference snapshot); rss_before_mb
 // says how much that is. On kernels without clear_refs both read 0.
+// dict_bytes is the loaded dictionary's own footprint
+// (Dictionary::MemoryUsage: the allocated capacity of its term tables).
 //
 // Speedups are wall-clock and therefore honest about the machine: on a
 // single-core container every thread count reports ~1x.
@@ -99,7 +101,7 @@ void ResetPeakRss() {
 struct LoadRun {
   int threads = 0;
   Spread total_ms, parse_ms, encode_ms, build_ms, index_ms;
-  Spread peak_rss_mb, rss_before_mb, snapshot_load_ms;
+  Spread peak_rss_mb, rss_before_mb, snapshot_load_ms, dict_bytes;
   double speedup = 0.0;  ///< first run's median total / this median total
 };
 
@@ -153,7 +155,7 @@ int Main() {
   std::vector<LoadRun> runs;
   for (int threads : thread_counts) {
     std::vector<double> total, parse, encode, build, index, peak, before,
-        snapshot_load;
+        snapshot_load, dict_bytes;
     for (int r = 0; r < repeats; ++r) {
       engine::EngineOptions options;
       options.load.threads = threads;
@@ -168,6 +170,8 @@ int Main() {
       encode.push_back(stats.encode_millis);
       build.push_back(stats.build_millis);
       index.push_back(stats.index_millis);
+      dict_bytes.push_back(
+          static_cast<double>(loaded->database().DictionaryMemoryUsage()));
 
       // Equivalence gate: snapshot bytes and query rows must both match.
       PARJ_CHECK(SnapshotBytes(loaded->database()) == reference_snapshot &&
@@ -202,6 +206,7 @@ int Main() {
     run.peak_rss_mb = Summarize(peak);
     run.rss_before_mb = Summarize(before);
     run.snapshot_load_ms = Summarize(snapshot_load);
+    run.dict_bytes = Summarize(dict_bytes);
     runs.push_back(run);
   }
   for (LoadRun& run : runs) {
@@ -212,7 +217,7 @@ int Main() {
 
   TablePrinter table({"threads", "total ms", "scan+encode", "merge", "build",
                       "index", "speedup", "peak RSS MB", "RSS before MB",
-                      "snap load ms"});
+                      "dict MB", "snap load ms"});
   for (const LoadRun& run : runs) {
     table.AddRow({std::to_string(run.threads), Fixed(run.total_ms.median, 1),
                   Fixed(run.parse_ms.median, 1),
@@ -221,6 +226,7 @@ int Main() {
                   Fixed(run.index_ms.median, 1), Fixed(run.speedup, 2) + "x",
                   Fixed(run.peak_rss_mb.median, 1),
                   Fixed(run.rss_before_mb.median, 1),
+                  Fixed(run.dict_bytes.median / (1024.0 * 1024.0), 1),
                   Fixed(run.snapshot_load_ms.median, 1)});
   }
   table.Print();
@@ -249,6 +255,7 @@ int Main() {
     json += "     \"index_ms\": " + SpreadJson(run.index_ms) + ",\n";
     json += "     \"peak_rss_mb\": " + SpreadJson(run.peak_rss_mb) + ",\n";
     json += "     \"rss_before_mb\": " + SpreadJson(run.rss_before_mb) + ",\n";
+    json += "     \"dict_bytes\": " + SpreadJson(run.dict_bytes) + ",\n";
     json += "     \"snapshot_load_ms\": " + SpreadJson(run.snapshot_load_ms) +
             ",\n";
     json += "     \"speedup\": " + Fixed(run.speedup, 3) + "}";

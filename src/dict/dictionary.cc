@@ -1,7 +1,5 @@
 #include "dict/dictionary.h"
 
-#include <utility>
-
 #include "common/logging.h"
 
 namespace parj::dict {
@@ -30,88 +28,52 @@ std::string_view ScratchKey(const rdf::Term& term) {
 
 Dictionary Dictionary::Clone() const {
   Dictionary copy;
-  copy.resources_ = resources_;
-  copy.predicates_ = predicates_;
-  copy.resource_ids_ = resource_ids_;
-  copy.predicate_ids_ = predicate_ids_;
+  copy.resources_ = resources_.Clone();
+  copy.predicates_ = predicates_.Clone();
   return copy;
 }
 
-void Dictionary::Reserve(size_t resources, size_t predicates) {
-  resources_.reserve(resources);
-  predicates_.reserve(predicates);
-  resource_ids_.reserve(resources);
-  predicate_ids_.reserve(predicates);
+void Dictionary::Reserve(size_t resources, size_t predicates,
+                         size_t resource_key_bytes,
+                         size_t predicate_key_bytes) {
+  resources_.Reserve(resources, resource_key_bytes);
+  predicates_.Reserve(predicates, predicate_key_bytes);
 }
 
 TermId Dictionary::EncodeResource(const rdf::Term& term) {
-  const std::string_view key = ScratchKey(term);
-  auto it = resource_ids_.find(key);
-  if (it != resource_ids_.end()) return it->second;  // hit: no allocation
-  resources_.push_back(term);
-  TermId id = static_cast<TermId>(resources_.size());
-  resource_ids_.emplace(std::string(key), id);
-  return id;
-}
-
-TermId Dictionary::EncodeResource(rdf::Term&& term) {
-  const std::string_view key = ScratchKey(term);
-  auto it = resource_ids_.find(key);
-  if (it != resource_ids_.end()) return it->second;
-  resources_.push_back(std::move(term));
-  TermId id = static_cast<TermId>(resources_.size());
-  resource_ids_.emplace(std::string(key), id);
-  return id;
+  return resources_.FindOrInsert(ScratchKey(term));
 }
 
 PredicateId Dictionary::EncodePredicate(const rdf::Term& term) {
-  const std::string_view key = ScratchKey(term);
-  auto it = predicate_ids_.find(key);
-  if (it != predicate_ids_.end()) return it->second;
-  predicates_.push_back(term);
-  PredicateId id = static_cast<PredicateId>(predicates_.size());
-  predicate_ids_.emplace(std::string(key), id);
-  return id;
-}
-
-PredicateId Dictionary::EncodePredicate(rdf::Term&& term) {
-  const std::string_view key = ScratchKey(term);
-  auto it = predicate_ids_.find(key);
-  if (it != predicate_ids_.end()) return it->second;
-  predicates_.push_back(std::move(term));
-  PredicateId id = static_cast<PredicateId>(predicates_.size());
-  predicate_ids_.emplace(std::string(key), id);
-  return id;
+  return predicates_.FindOrInsert(ScratchKey(term));
 }
 
 TermId Dictionary::LookupResource(const rdf::Term& term) const {
-  return LookupResourceByKey(ScratchKey(term));
+  return resources_.Find(ScratchKey(term));
 }
 
 PredicateId Dictionary::LookupPredicate(const rdf::Term& term) const {
-  return LookupPredicateByKey(ScratchKey(term));
+  return predicates_.Find(ScratchKey(term));
 }
 
-TermId Dictionary::LookupResourceByKey(std::string_view key) const {
-  auto it = resource_ids_.find(key);
-  return it == resource_ids_.end() ? kInvalidTermId : it->second;
-}
-
-PredicateId Dictionary::LookupPredicateByKey(std::string_view key) const {
-  auto it = predicate_ids_.find(key);
-  return it == predicate_ids_.end() ? kInvalidPredicateId : it->second;
-}
-
-const rdf::Term& Dictionary::DecodeResource(TermId id) const {
+std::string_view Dictionary::ResourceKey(TermId id) const {
   PARJ_CHECK(id != kInvalidTermId && id <= resources_.size())
       << "resource id out of range: " << id;
-  return resources_[id - 1];
+  return resources_.Key(id);
 }
 
-const rdf::Term& Dictionary::DecodePredicate(PredicateId id) const {
+std::string_view Dictionary::PredicateKey(PredicateId id) const {
   PARJ_CHECK(id != kInvalidPredicateId && id <= predicates_.size())
       << "predicate id out of range: " << id;
-  return predicates_[id - 1];
+  return predicates_.Key(id);
+}
+
+rdf::Term Dictionary::DecodeResource(TermId id) const {
+  return TermFromKey(ResourceKey(id));
+}
+
+rdf::Term Dictionary::DecodePredicate(PredicateId id) const {
+  return TermFromKey(PredicateKey(id));
 }
 
 EncodedTriple Dictionary::Encode(const rdf::Triple& triple) {
@@ -147,23 +109,6 @@ rdf::Triple Dictionary::Decode(const EncodedTriple& triple) const {
   return rdf::Triple{DecodeResource(triple.subject),
                      DecodePredicate(triple.predicate),
                      DecodeResource(triple.object)};
-}
-
-size_t Dictionary::MemoryUsage() const {
-  size_t bytes = 0;
-  auto term_bytes = [](const rdf::Term& t) {
-    return sizeof(rdf::Term) + t.lexical().capacity() +
-           t.datatype().capacity() + t.lang().capacity();
-  };
-  for (const auto& t : resources_) bytes += term_bytes(t);
-  for (const auto& t : predicates_) bytes += term_bytes(t);
-  for (const auto& [k, v] : resource_ids_) {
-    bytes += k.capacity() + sizeof(v) + 32;  // bucket overhead estimate
-  }
-  for (const auto& [k, v] : predicate_ids_) {
-    bytes += k.capacity() + sizeof(v) + 32;
-  }
-  return bytes;
 }
 
 }  // namespace parj::dict

@@ -3,32 +3,13 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
+#include "dict/term_table.h"
 #include "rdf/term.h"
 
 namespace parj::dict {
-
-/// Transparent (heterogeneous) hash for the dictionary's key maps: lets
-/// lookups probe with a `std::string_view` into a reused buffer, so a hit
-/// never allocates a key string. `std::hash<std::string_view>` is
-/// guaranteed to agree with `std::hash<std::string>` on equal content.
-struct TermKeyHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-/// Map from a term's canonical dictionary key to an ID, with transparent
-/// lookup. Shared by the Dictionary itself and the chunk-local delta maps
-/// of the sharded encoder.
-template <typename V>
-using TermKeyMap = std::unordered_map<std::string, V, TermKeyHash,
-                                      std::equal_to<>>;
 
 namespace internal {
 /// Per-thread scratch buffer for building dictionary keys. Reused across
@@ -39,7 +20,9 @@ std::string& TlsKeyBuffer();
 /// Dictionary encoding for RDF terms (paper §3): every distinct value that
 /// appears in a subject or object position receives a dense integer ID from
 /// one shared ID space (1..N); predicates receive IDs from a second,
-/// independent space. ID 0 is reserved as invalid in both spaces.
+/// independent space. ID 0 is reserved as invalid in both spaces. Each
+/// space is one TermTable, which stores every term once, as its
+/// canonical key (its N-Triples form).
 ///
 /// The dictionary is append-only; IDs are assigned in first-seen order,
 /// which the loader exploits to make encoding deterministic for a given
@@ -62,21 +45,30 @@ class Dictionary {
   /// Explicit deep copy preserving all ID assignments.
   Dictionary Clone() const;
 
-  /// Pre-sizes the hash tables and term arrays (load-time optimization;
-  /// never required for correctness).
-  void Reserve(size_t resources, size_t predicates);
+  /// Pre-sizes both term tables for that many terms and key bytes
+  /// (load-time optimization; never required for correctness).
+  void Reserve(size_t resources, size_t predicates,
+               size_t resource_key_bytes = 0,
+               size_t predicate_key_bytes = 0);
 
   /// Returns the ID for `term`, inserting it if absent.
   TermId EncodeResource(const rdf::Term& term);
-  /// Move-inserting variant for bulk paths (the sharded encoder's merge).
-  TermId EncodeResource(rdf::Term&& term);
 
   /// Returns the ID for predicate `term`, inserting it if absent.
   PredicateId EncodePredicate(const rdf::Term& term);
-  PredicateId EncodePredicate(rdf::Term&& term);
+
+  /// Encode by a canonical key (Term::AppendDictionaryKey bytes): the
+  /// bulk paths insert key views without building a term.
+  TermId EncodeResourceByKey(std::string_view key) {
+    return resources_.FindOrInsert(key);
+  }
+  PredicateId EncodePredicateByKey(std::string_view key) {
+    return predicates_.FindOrInsert(key);
+  }
 
   /// Returns the ID for `term` or kInvalidTermId when absent.
-  /// Allocation-free on hits (transparent map probe on a reused buffer).
+  /// Allocation-free on hits (a term-table probe with a view of a reused
+  /// key buffer).
   TermId LookupResource(const rdf::Term& term) const;
 
   /// Returns the predicate ID or kInvalidPredicateId when absent.
@@ -84,14 +76,23 @@ class Dictionary {
 
   /// Lookup by a precomputed canonical key (Term::AppendDictionaryKey);
   /// lets callers that already built the key probe without rebuilding it.
-  TermId LookupResourceByKey(std::string_view key) const;
-  PredicateId LookupPredicateByKey(std::string_view key) const;
+  TermId LookupResourceByKey(std::string_view key) const {
+    return resources_.Find(key);
+  }
+  PredicateId LookupPredicateByKey(std::string_view key) const {
+    return predicates_.Find(key);
+  }
 
-  /// Decodes a resource ID. Asserts on out-of-range IDs.
-  const rdf::Term& DecodeResource(TermId id) const;
+  /// A resource's canonical key, which is its N-Triples form; valid until
+  /// the next insert. Asserts on out-of-range IDs.
+  std::string_view ResourceKey(TermId id) const;
+  std::string_view PredicateKey(PredicateId id) const;
 
-  /// Decodes a predicate ID. Asserts on out-of-range IDs.
-  const rdf::Term& DecodePredicate(PredicateId id) const;
+  /// Rebuilds a resource term from its key. Asserts on out-of-range IDs.
+  rdf::Term DecodeResource(TermId id) const;
+
+  /// Rebuilds a predicate term from its key. Asserts on out-of-range IDs.
+  rdf::Term DecodePredicate(PredicateId id) const;
 
   /// Encodes a string-level triple, inserting unseen terms.
   EncodedTriple Encode(const rdf::Triple& triple);
@@ -103,23 +104,23 @@ class Dictionary {
   rdf::Triple Decode(const EncodedTriple& triple) const;
 
   /// Number of distinct resources (max resource ID).
-  TermId resource_count() const {
-    return static_cast<TermId>(resources_.size());
-  }
+  TermId resource_count() const { return resources_.size(); }
 
   /// Number of distinct predicates (max predicate ID).
-  PredicateId predicate_count() const {
-    return static_cast<PredicateId>(predicates_.size());
+  PredicateId predicate_count() const { return predicates_.size(); }
+
+  /// Total bytes of all resource / predicate keys.
+  size_t resource_key_bytes() const { return resources_.key_bytes(); }
+  size_t predicate_key_bytes() const { return predicates_.key_bytes(); }
+
+  /// Heap bytes held by both term tables (allocated capacity).
+  size_t MemoryUsage() const {
+    return resources_.MemoryUsage() + predicates_.MemoryUsage();
   }
 
-  /// Approximate heap footprint in bytes (strings + hash tables).
-  size_t MemoryUsage() const;
-
  private:
-  std::vector<rdf::Term> resources_;    // index = id - 1
-  std::vector<rdf::Term> predicates_;   // index = id - 1
-  TermKeyMap<TermId> resource_ids_;
-  TermKeyMap<PredicateId> predicate_ids_;
+  TermTable resources_;
+  TermTable predicates_;
 };
 
 }  // namespace parj::dict

@@ -9,50 +9,32 @@ namespace parj::dict {
 
 namespace {
 
-/// Encodes the term whose canonical key is `key` against base + delta,
-/// assigning a provisional delta index on a double miss. `delta_ids` maps
-/// key -> local index into `delta_terms`; `make_term` builds the term
-/// and is called only on a double miss.
-template <typename LookupByKey, typename MakeTerm>
+/// Encodes the term whose canonical key is `key` against base + delta:
+/// its base ID on a hit, else a provisional ID for its delta key.
+template <typename LookupByKey>
 TermId EncodeKeyAgainst(std::string_view key, const LookupByKey& base_lookup,
-                        TermKeyMap<TermId>* delta_ids,
-                        std::vector<rdf::Term>* delta_terms,
-                        const MakeTerm& make_term) {
+                        TermTable* delta) {
   const TermId base_id = base_lookup(key);
   if (base_id != kInvalidTermId) return base_id;
-  auto it = delta_ids->find(key);
-  if (it != delta_ids->end()) return kDeltaTag | it->second;
-  const TermId local = static_cast<TermId>(delta_terms->size());
-  delta_terms->push_back(make_term());
-  delta_ids->emplace(std::string(key), local);
-  return kDeltaTag | local;
+  return kDeltaTag | (delta->FindOrInsert(key) - 1);
 }
 
 template <typename LookupByKey>
 TermId EncodeTermAgainst(const rdf::Term& term, const LookupByKey& base_lookup,
-                         TermKeyMap<TermId>* delta_ids,
-                         std::vector<rdf::Term>* delta_terms) {
+                         TermTable* delta) {
   std::string& key = internal::TlsKeyBuffer();
   key.clear();
   term.AppendDictionaryKey(&key);
-  return EncodeKeyAgainst(key, base_lookup, delta_ids, delta_terms,
-                          [&term] { return term; });
+  return EncodeKeyAgainst(key, base_lookup, delta);
 }
 
 /// EncodeTermAgainst for a scanned span: the key is the span's own text
-/// when that is canonical, else the built term's key in the thread-local
-/// buffer.
+/// when that is canonical; only other spans build a term to canonicalize.
 template <typename LookupByKey>
 TermId EncodeSpanAgainst(const rdf::TermSpan& span,
-                         const LookupByKey& base_lookup,
-                         TermKeyMap<TermId>* delta_ids,
-                         std::vector<rdf::Term>* delta_terms) {
-  if (span.text_is_key) {
-    return EncodeKeyAgainst(span.text, base_lookup, delta_ids, delta_terms,
-                            [&span] { return rdf::TermFromSpan(span); });
-  }
-  return EncodeTermAgainst(rdf::TermFromSpan(span), base_lookup, delta_ids,
-                           delta_terms);
+                         const LookupByKey& base_lookup, TermTable* delta) {
+  if (span.text_is_key) return EncodeKeyAgainst(span.text, base_lookup, delta);
+  return EncodeTermAgainst(rdf::TermFromSpan(span), base_lookup, delta);
 }
 
 }  // namespace
@@ -61,8 +43,6 @@ EncodedChunk EncodeChunk(const Dictionary& base,
                          std::span<const rdf::Triple> triples) {
   EncodedChunk out;
   out.triples.reserve(triples.size());
-  TermKeyMap<TermId> resource_delta_ids;
-  TermKeyMap<TermId> predicate_delta_ids;
   const auto resource_lookup = [&base](std::string_view key) {
     return base.LookupResourceByKey(key);
   };
@@ -71,13 +51,12 @@ EncodedChunk EncodeChunk(const Dictionary& base,
   };
   for (const rdf::Triple& t : triples) {
     EncodedTriple e;
-    e.subject = EncodeTermAgainst(t.subject, resource_lookup,
-                                  &resource_delta_ids, &out.delta_resources);
+    e.subject =
+        EncodeTermAgainst(t.subject, resource_lookup, &out.delta_resources);
     e.predicate = EncodeTermAgainst(t.predicate, predicate_lookup,
-                                    &predicate_delta_ids,
                                     &out.delta_predicates);
-    e.object = EncodeTermAgainst(t.object, resource_lookup,
-                                 &resource_delta_ids, &out.delta_resources);
+    e.object =
+        EncodeTermAgainst(t.object, resource_lookup, &out.delta_resources);
     out.triples.push_back(e);
   }
   return out;
@@ -86,8 +65,6 @@ EncodedChunk EncodeChunk(const Dictionary& base,
 EncodedChunk EncodeTextChunk(const Dictionary& base, std::string_view text,
                              bool strict, ChunkLines* lines) {
   EncodedChunk out;
-  TermKeyMap<TermId> resource_delta_ids;
-  TermKeyMap<TermId> predicate_delta_ids;
   const auto resource_lookup = [&base](std::string_view key) {
     return base.LookupResourceByKey(key);
   };
@@ -107,13 +84,11 @@ EncodedChunk EncodeTextChunk(const Dictionary& base, std::string_view text,
     if (scanned.ok()) {
       EncodedTriple e;
       e.subject = EncodeSpanAgainst(spans.subject, resource_lookup,
-                                    &resource_delta_ids,
                                     &out.delta_resources);
       e.predicate = EncodeSpanAgainst(spans.predicate, predicate_lookup,
-                                      &predicate_delta_ids,
                                       &out.delta_predicates);
       e.object = EncodeSpanAgainst(spans.object, resource_lookup,
-                                   &resource_delta_ids, &out.delta_resources);
+                                   &out.delta_resources);
       out.triples.push_back(e);
     } else if (scanned.code() != StatusCode::kNotFound) {
       if (lines->first_error_line == 0) {
@@ -138,28 +113,34 @@ Result<std::vector<EncodedTriple>> MergeEncodedChunks(
   std::vector<std::vector<TermId>> resource_remap(chunks.size());
   std::vector<std::vector<PredicateId>> predicate_remap(chunks.size());
   // The deltas bound the dictionary's growth: sizing it once spares the
-  // rehashes and term-array regrowth of inserting one term at a time.
-  size_t delta_resources = 0;
-  size_t delta_predicates = 0;
+  // rehashes and arena regrowth of inserting one key at a time.
+  size_t resources = base->resource_count();
+  size_t predicates = base->predicate_count();
+  size_t resource_bytes = base->resource_key_bytes();
+  size_t predicate_bytes = base->predicate_key_bytes();
   for (const EncodedChunk& chunk : chunks) {
-    delta_resources += chunk.delta_resources.size();
-    delta_predicates += chunk.delta_predicates.size();
+    resources += chunk.delta_resources.size();
+    predicates += chunk.delta_predicates.size();
+    resource_bytes += chunk.delta_resources.key_bytes();
+    predicate_bytes += chunk.delta_predicates.key_bytes();
   }
-  base->Reserve(base->resource_count() + delta_resources,
-                base->predicate_count() + delta_predicates);
+  base->Reserve(resources, predicates, resource_bytes, predicate_bytes);
   uint64_t total_triples = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     EncodedChunk& chunk = chunks[c];
-    resource_remap[c].reserve(chunk.delta_resources.size());
-    for (rdf::Term& term : chunk.delta_resources) {
-      resource_remap[c].push_back(base->EncodeResource(std::move(term)));
+    const TermTable& delta_res = chunk.delta_resources;
+    resource_remap[c].resize(delta_res.size());
+    for (uint32_t id = 1; id <= delta_res.size(); ++id) {
+      resource_remap[c][id - 1] = base->EncodeResourceByKey(delta_res.Key(id));
     }
-    chunk.delta_resources.clear();
-    predicate_remap[c].reserve(chunk.delta_predicates.size());
-    for (rdf::Term& term : chunk.delta_predicates) {
-      predicate_remap[c].push_back(base->EncodePredicate(std::move(term)));
+    chunk.delta_resources = TermTable();
+    const TermTable& delta_pred = chunk.delta_predicates;
+    predicate_remap[c].resize(delta_pred.size());
+    for (uint32_t id = 1; id <= delta_pred.size(); ++id) {
+      predicate_remap[c][id - 1] =
+          base->EncodePredicateByKey(delta_pred.Key(id));
     }
-    chunk.delta_predicates.clear();
+    chunk.delta_predicates = TermTable();
     total_triples += chunk.triples.size();
   }
   if (base->resource_count() >= kDeltaTag ||

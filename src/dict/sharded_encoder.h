@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "dict/dictionary.h"
+#include "dict/term_table.h"
 #include "rdf/term.h"
 
 namespace parj::server {
@@ -22,8 +23,8 @@ namespace parj::dict {
 ///
 /// Phase 1 — one call per input chunk, all concurrent: each chunk encodes
 /// its triples against a FROZEN base dictionary (read-only, safely
-/// shared) plus a chunk-local delta dictionary that assigns provisional
-/// IDs (kDeltaTag | local-index) to terms the base does not know, in
+/// shared) plus a chunk-local delta TermTable that assigns provisional
+/// IDs (kDeltaTag | local-index) to the keys the base does not know, in
 /// first-occurrence order within the chunk. EncodeTextChunk does this
 /// straight from N-Triples text; EncodeChunk from parsed triples.
 ///
@@ -41,18 +42,18 @@ inline constexpr TermId kDeltaTag = TermId{1} << 31;
 /// One chunk's provisional encoding.
 struct EncodedChunk {
   /// Triples whose IDs are either final (base hits) or provisional
-  /// (kDeltaTag set; low bits index the delta lists below).
+  /// (kDeltaTag set; the low bits are the delta table ID minus one).
   std::vector<EncodedTriple> triples;
-  /// Terms unknown to the base, in first-occurrence (subject, predicate,
-  /// object within each triple) order.
-  std::vector<rdf::Term> delta_resources;
-  std::vector<rdf::Term> delta_predicates;
+  /// Keys of the terms unknown to the base, in first-occurrence (subject,
+  /// predicate, object within each triple) order.
+  TermTable delta_resources;
+  TermTable delta_predicates;
 };
 
 /// Phase 1: encodes `triples` against the frozen `base` plus a fresh
 /// chunk-local delta. Safe to run concurrently with other EncodeChunk
 /// calls sharing `base`, as long as nothing mutates `base` meanwhile.
-/// Base hits are allocation-free (transparent-hash probe).
+/// Base hits are allocation-free (a key probe on a reused buffer).
 EncodedChunk EncodeChunk(const Dictionary& base,
                          std::span<const rdf::Triple> triples);
 
@@ -72,16 +73,18 @@ struct ChunkLines {
 /// encodes each statement against the frozen `base` plus a fresh delta,
 /// exactly as EncodeChunk would encode the parsed triples. A term's key
 /// is its byte range in `text` whenever that already is the canonical
-/// key (rdf::TermSpan::text_is_key), so no rdf::Term is built except for
-/// a delta miss or an escaped literal. Strict mode stops at the first
-/// malformed line; otherwise malformed lines are counted and skipped.
+/// key (rdf::TermSpan::text_is_key), so an rdf::Term is built only to
+/// canonicalize the other spans (escaped literals). Strict mode stops at
+/// the first malformed line; otherwise malformed lines are counted and
+/// skipped.
 EncodedChunk EncodeTextChunk(const Dictionary& base, std::string_view text,
                              bool strict, ChunkLines* lines);
 
-/// Phases 2+3: merges every chunk's delta into `*base` in chunk order,
-/// patches all provisional IDs to final ones (on `pool` when non-null),
-/// and returns the chunks' triples concatenated in chunk order. Fails
-/// with Internal if the dictionary would cross the kDeltaTag capacity.
+/// Phases 2+3: merges every chunk's delta keys into `*base` in chunk
+/// order, by view and with no per-term allocation, patches all
+/// provisional IDs to final ones (on `pool` when non-null), and returns
+/// the chunks' triples concatenated in chunk order. Fails with Internal
+/// if the dictionary would cross the kDeltaTag capacity.
 Result<std::vector<EncodedTriple>> MergeEncodedChunks(
     Dictionary* base, std::vector<EncodedChunk> chunks,
     server::ThreadPool* pool = nullptr);

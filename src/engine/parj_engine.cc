@@ -849,12 +849,11 @@ std::vector<std::string> ParjEngine::DecodeRow(const QueryResult& result,
   const mut::TermOverlay& overlay = snap.delta().overlay();
   std::vector<std::string> out;
   out.reserve(result.column_count);
+  // A term's dictionary key is its N-Triples form, so decoding copies it.
   const auto decode_term = [&](TermId id) -> std::string {
-    if (id <= dict.resource_count()) {
-      return dict.DecodeResource(id).ToNTriples();
-    }
-    const rdf::Term* term = overlay.DecodeResource(id);
-    return term != nullptr ? term->ToNTriples() : std::string("?");
+    if (id <= dict.resource_count()) return std::string(dict.ResourceKey(id));
+    const std::string_view key = overlay.ResourceKey(id);
+    return key.empty() ? std::string("?") : std::string(key);
   };
   if (!result.column_kinds.empty()) {
     // Aggregated layout: row-major u64 cells typed by column_kinds.

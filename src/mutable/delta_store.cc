@@ -260,13 +260,15 @@ Status DeltaStore::Compact() {
     const TermOverlay& overlay = view.overlay();
 
     dict::Dictionary dict = old_base.dictionary().Clone();
-    for (const rdf::Term& term : overlay.resources()) {
-      const TermId id = dict.EncodeResource(term);
+    const dict::TermTable& new_resources = overlay.resource_keys();
+    for (uint32_t i = 1; i <= new_resources.size(); ++i) {
+      const TermId id = dict.EncodeResourceByKey(new_resources.Key(i));
       PARJ_CHECK(id == dict.resource_count())
           << "overlay resource folded to an unexpected ID";
     }
-    for (const rdf::Term& term : overlay.predicates()) {
-      const PredicateId id = dict.EncodePredicate(term);
+    const dict::TermTable& new_predicates = overlay.predicate_keys();
+    for (uint32_t i = 1; i <= new_predicates.size(); ++i) {
+      const PredicateId id = dict.EncodePredicateByKey(new_predicates.Key(i));
       PARJ_CHECK(id == dict.predicate_count())
           << "overlay predicate folded to an unexpected ID";
     }

@@ -1,5 +1,7 @@
 #include "mutable/delta_view.h"
 
+#include "dict/dictionary.h"
+
 namespace parj::mut {
 
 namespace {
@@ -17,54 +19,31 @@ std::string_view KeyFor(const rdf::Term& term) {
 }  // namespace
 
 TermId TermOverlay::AddResource(const rdf::Term& term) {
-  const std::string_view key = KeyFor(term);
-  auto it = resource_ids_.find(key);
-  if (it != resource_ids_.end()) return it->second;
-  resources_.push_back(term);
-  const TermId id = base_resources_ + static_cast<TermId>(resources_.size());
-  resource_ids_.emplace(std::string(key), id);
-  return id;
+  return base_resources_ + resources_.FindOrInsert(KeyFor(term));
 }
 
 PredicateId TermOverlay::AddPredicate(const rdf::Term& term) {
-  const std::string_view key = KeyFor(term);
-  auto it = predicate_ids_.find(key);
-  if (it != predicate_ids_.end()) return it->second;
-  predicates_.push_back(term);
-  const PredicateId id =
-      base_predicates_ + static_cast<PredicateId>(predicates_.size());
-  predicate_ids_.emplace(std::string(key), id);
-  return id;
+  return base_predicates_ + predicates_.FindOrInsert(KeyFor(term));
 }
 
 TermId TermOverlay::LookupResource(const rdf::Term& term) const {
-  auto it = resource_ids_.find(KeyFor(term));
-  return it == resource_ids_.end() ? kInvalidTermId : it->second;
+  const uint32_t local = resources_.Find(KeyFor(term));
+  return local == 0 ? kInvalidTermId : base_resources_ + local;
 }
 
 PredicateId TermOverlay::LookupPredicate(const rdf::Term& term) const {
-  auto it = predicate_ids_.find(KeyFor(term));
-  return it == predicate_ids_.end() ? kInvalidPredicateId : it->second;
+  const uint32_t local = predicates_.Find(KeyFor(term));
+  return local == 0 ? kInvalidPredicateId : base_predicates_ + local;
 }
 
-const rdf::Term* TermOverlay::DecodeResource(TermId id) const {
-  if (id <= base_resources_ || id > resource_count()) return nullptr;
-  return &resources_[id - base_resources_ - 1];
+std::string_view TermOverlay::ResourceKey(TermId id) const {
+  if (id <= base_resources_ || id > resource_count()) return {};
+  return resources_.Key(id - base_resources_);
 }
 
-const rdf::Term* TermOverlay::DecodePredicate(PredicateId id) const {
-  if (id <= base_predicates_ || id > predicate_count()) return nullptr;
-  return &predicates_[id - base_predicates_ - 1];
-}
-
-size_t TermOverlay::MemoryUsage() const {
-  size_t bytes = resources_.capacity() * sizeof(rdf::Term) +
-                 predicates_.capacity() * sizeof(rdf::Term);
-  for (const rdf::Term& t : resources_) bytes += t.lexical().capacity();
-  for (const rdf::Term& t : predicates_) bytes += t.lexical().capacity();
-  bytes += resource_ids_.size() * (sizeof(void*) * 4);
-  bytes += predicate_ids_.size() * (sizeof(void*) * 4);
-  return bytes;
+std::string_view TermOverlay::PredicateKey(PredicateId id) const {
+  if (id <= base_predicates_ || id > predicate_count()) return {};
+  return predicates_.Key(id - base_predicates_);
 }
 
 DeltaView::DeltaView(std::vector<std::shared_ptr<const PropertyDelta>> props,

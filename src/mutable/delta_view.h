@@ -2,11 +2,11 @@
 #define PARJ_MUTABLE_DELTA_VIEW_H_
 
 #include <memory>
-#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
-#include "dict/dictionary.h"
+#include "dict/term_table.h"
 #include "rdf/term.h"
 #include "storage/property_table.h"
 
@@ -37,16 +37,22 @@ struct PropertyDelta {
 
 /// Immutable snapshot of the terms allocated past a base dictionary: new
 /// resources get IDs base_resource_count+1.., new predicates likewise, in
-/// first-seen order. Readers (query encode, row decode) probe the overlay
-/// after missing in the base dictionary; because IDs are append-only and
-/// never reassigned, an ID decoded against any later overlay of the same
-/// store decodes to the same term.
+/// first-seen order. Each term is stored once, as its canonical key, in a
+/// dict::TermTable whose table ID is the overlay ID minus the base count.
+/// Readers (query encode, row decode) probe the overlay after missing in
+/// the base dictionary; because IDs are append-only and never reassigned,
+/// an ID decoded against any later overlay of the same store decodes to
+/// the same term.
 class TermOverlay {
  public:
   TermOverlay(TermId base_resources, PredicateId base_predicates)
       : base_resources_(base_resources), base_predicates_(base_predicates) {}
 
-  TermOverlay(const TermOverlay&) = default;
+  TermOverlay(const TermOverlay& other)
+      : base_resources_(other.base_resources_),
+        base_predicates_(other.base_predicates_),
+        resources_(other.resources_.Clone()),
+        predicates_(other.predicates_.Clone()) {}
   TermOverlay(TermOverlay&&) = default;
 
   /// Appends `term` if absent; returns its overlay ID either way.
@@ -59,37 +65,37 @@ class TermOverlay {
   TermId LookupResource(const rdf::Term& term) const;
   PredicateId LookupPredicate(const rdf::Term& term) const;
 
-  /// Decodes an overlay resource ID; nullptr for IDs at or below the base
-  /// count (the base dictionary owns those) or past the overlay.
-  const rdf::Term* DecodeResource(TermId id) const;
-  const rdf::Term* DecodePredicate(PredicateId id) const;
+  /// An overlay term's canonical key (its N-Triples form); empty for IDs
+  /// at or below the base count (the base dictionary owns those) or past
+  /// the overlay.
+  std::string_view ResourceKey(TermId id) const;
+  std::string_view PredicateKey(PredicateId id) const;
 
   TermId base_resource_count() const { return base_resources_; }
   PredicateId base_predicate_count() const { return base_predicates_; }
-  TermId resource_count() const {
-    return base_resources_ + static_cast<TermId>(resources_.size());
-  }
+  TermId resource_count() const { return base_resources_ + resources_.size(); }
   PredicateId predicate_count() const {
-    return base_predicates_ + static_cast<PredicateId>(predicates_.size());
+    return base_predicates_ + predicates_.size();
   }
 
-  /// Overlay terms in allocation order (IDs base_count+1, +2, ...) — the
-  /// order compaction folds them into the next base dictionary, which is
-  /// what keeps every previously handed-out ID stable.
-  std::span<const rdf::Term> resources() const { return resources_; }
-  std::span<const rdf::Term> predicates() const { return predicates_; }
+  /// Overlay keys in allocation order (table ID i is overlay ID
+  /// base_count + i) — the order compaction folds them into the next base
+  /// dictionary, which is what keeps every previously handed-out ID
+  /// stable.
+  const dict::TermTable& resource_keys() const { return resources_; }
+  const dict::TermTable& predicate_keys() const { return predicates_; }
 
   bool empty() const { return resources_.empty() && predicates_.empty(); }
 
-  size_t MemoryUsage() const;
+  size_t MemoryUsage() const {
+    return resources_.MemoryUsage() + predicates_.MemoryUsage();
+  }
 
  private:
   TermId base_resources_;
   PredicateId base_predicates_;
-  std::vector<rdf::Term> resources_;   // index = id - base_resources_ - 1
-  std::vector<rdf::Term> predicates_;  // index = id - base_predicates_ - 1
-  dict::TermKeyMap<TermId> resource_ids_;
-  dict::TermKeyMap<PredicateId> predicate_ids_;
+  dict::TermTable resources_;
+  dict::TermTable predicates_;
 };
 
 /// An immutable, shareable view of every pending write at one publish

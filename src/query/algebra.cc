@@ -6,6 +6,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "dict/term_table.h"
 #include "mutable/delta_view.h"
 
 namespace parj::query {
@@ -44,18 +45,37 @@ const char* AggFuncName(AggFunc func) {
   return "?";
 }
 
-bool TryNumericValue(const rdf::Term& term, double* value) {
-  if (!term.is_literal() || term.lexical().empty()) return false;
-  const std::string& text = term.lexical();
+namespace {
+
+/// TryNumericValue over a literal value's text. The byte after `text`
+/// must end any number: a string's NUL, or the closing `"` that follows
+/// a literal value inside a dictionary key. So strtod reads no further.
+bool TryNumericText(std::string_view text, double* value) {
+  if (text.empty()) return false;
   char* end = nullptr;
-  double parsed = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  if (!std::isfinite(parsed)) return false;
+  const double parsed = std::strtod(text.data(), &end);
+  if (end != text.data() + text.size() || !std::isfinite(parsed)) {
+    return false;
+  }
   *value = parsed;
   return true;
 }
 
-namespace {
+/// TryNumericValue over a dictionary key, without building the term.
+bool TryNumericKey(std::string_view key, double* value) {
+  const dict::KeyParts parts = dict::SplitKey(key);
+  if (parts.kind != rdf::TermKind::kLiteral) return false;
+  std::string scratch;
+  return TryNumericText(dict::UnescapedLexical(parts, &scratch), value);
+}
+
+/// The key of resource `id` in the base dictionary or, past it, the
+/// overlay (empty when neither holds it).
+std::string_view ResourceKeyOf(const dict::Dictionary& dict,
+                               const mut::TermOverlay* overlay, TermId id) {
+  return id <= dict.resource_count() ? dict.ResourceKey(id)
+                                     : overlay->ResourceKey(id);
+}
 
 bool CompareDoubles(double lhs, FilterOp op, double rhs) {
   switch (op) {
@@ -91,6 +111,10 @@ FilterOp FlipOp(FilterOp op) {
 }
 
 }  // namespace
+
+bool TryNumericValue(const rdf::Term& term, double* value) {
+  return term.is_literal() && TryNumericText(term.lexical(), value);
+}
 
 Result<EncodedQuery> EncodeQuery(const SelectQueryAst& ast,
                                  const storage::Database& db,
@@ -224,11 +248,8 @@ Result<EncodedQuery> EncodeQuery(const SelectQueryAst& ast,
       auto passing = std::make_shared<std::vector<bool>>(
           static_cast<size_t>(max_id) + 1, false);
       for (TermId id = 1; id <= max_id; ++id) {
-        const rdf::Term* term = id <= dict.resource_count()
-                                    ? &dict.DecodeResource(id)
-                                    : overlay->DecodeResource(id);
         double value;
-        if (term != nullptr && TryNumericValue(*term, &value) &&
+        if (TryNumericKey(ResourceKeyOf(dict, overlay, id), &value) &&
             CompareDoubles(value, filter.op, bound)) {
           (*passing)[id] = true;
         }
@@ -339,11 +360,8 @@ Result<EncodedQuery> EncodeQuery(const SelectQueryAst& ast,
           static_cast<size_t>(max_id) + 1,
           std::numeric_limits<double>::quiet_NaN());
       for (TermId id = 1; id <= max_id; ++id) {
-        const rdf::Term* term = id <= dict.resource_count()
-                                    ? &dict.DecodeResource(id)
-                                    : overlay->DecodeResource(id);
         double value;
-        if (term != nullptr && TryNumericValue(*term, &value)) {
+        if (TryNumericKey(ResourceKeyOf(dict, overlay, id), &value)) {
           (*table)[id] = value;
         }
       }

@@ -6,15 +6,16 @@
 namespace parj::storage {
 
 Status ExportNTriples(const Database& db, std::ostream& out) {
+  // Dictionary keys are the terms' N-Triples forms: write them as is.
   const dict::Dictionary& dict = db.dictionary();
   for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
-    const std::string predicate = dict.DecodePredicate(pid).ToNTriples();
+    const std::string_view predicate = dict.PredicateKey(pid);
     const TableReplica& so = db.entry(pid).table.so();
     so.ForEachRun([&](size_t, TermId s, std::span<const TermId> run) {
-      const std::string subject = dict.DecodeResource(s).ToNTriples();
+      const std::string_view subject = dict.ResourceKey(s);
       for (TermId object : run) {
-        out << subject << " " << predicate << " "
-            << dict.DecodeResource(object).ToNTriples() << " .\n";
+        out << subject << " " << predicate << " " << dict.ResourceKey(object)
+            << " .\n";
       }
     });
   }

@@ -11,6 +11,7 @@
 #include "common/durable_io.h"
 #include "common/failpoint.h"
 #include "common/timer.h"
+#include "dict/term_table.h"
 #include "storage/compressed.h"
 
 namespace parj::storage {
@@ -54,15 +55,19 @@ class SnapshotWriter {
     std::memcpy(buf, &v, 8);
     WriteBytes(buf, 8);
   }
-  void WriteString(const std::string& s) {
+  void WriteString(std::string_view s) {
     WriteU32(static_cast<uint32_t>(s.size()));
     WriteBytes(s.data(), s.size());
   }
-  void WriteTerm(const rdf::Term& term) {
-    WriteU8(static_cast<uint8_t>(term.kind()));
-    WriteString(term.lexical());
-    WriteString(term.datatype());
-    WriteString(term.lang());
+  /// Writes the term record {u8 kind, lexical, datatype, lang} straight
+  /// from a dictionary key's parts; only an escaped literal value is
+  /// copied, to unescape it.
+  void WriteTermKey(std::string_view key) {
+    const dict::KeyParts parts = dict::SplitKey(key);
+    WriteU8(static_cast<uint8_t>(parts.kind));
+    WriteString(dict::UnescapedLexical(parts, &scratch_));
+    WriteString(parts.datatype);
+    WriteString(parts.lang);
   }
 
   void BeginSection(uint32_t id) {
@@ -89,6 +94,7 @@ class SnapshotWriter {
   uint32_t crc_ = 0;
   bool crc_active_ = false;
   std::vector<uint32_t> section_crcs_;
+  std::string scratch_;  // an unescaped literal value
 };
 
 /// Streaming reader mirror: tracks the byte offset (for error messages)
@@ -516,11 +522,11 @@ Status WriteSnapshot(const Database& db, std::ostream& out) {
   writer.BeginSection(kSectionDictionary);
   writer.WriteU32(dict.resource_count());
   for (TermId id = 1; id <= dict.resource_count(); ++id) {
-    writer.WriteTerm(dict.DecodeResource(id));
+    writer.WriteTermKey(dict.ResourceKey(id));
   }
   writer.WriteU32(dict.predicate_count());
   for (PredicateId id = 1; id <= dict.predicate_count(); ++id) {
-    writer.WriteTerm(dict.DecodePredicate(id));
+    writer.WriteTermKey(dict.PredicateKey(id));
   }
   writer.EndSection();
 

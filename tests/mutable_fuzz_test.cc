@@ -61,11 +61,13 @@ engine::ParjEngine RebuildReference(const engine::ParjEngine& live,
                                     const std::set<NameTriple>& logical) {
   const MvccSnapshot snap = live.snapshot();
   dict::Dictionary dict = snap.base().dictionary().Clone();
-  for (const rdf::Term& term : snap.delta().overlay().resources()) {
-    dict.EncodeResource(term);
+  const dict::TermTable& resources = snap.delta().overlay().resource_keys();
+  for (uint32_t i = 1; i <= resources.size(); ++i) {
+    dict.EncodeResource(resources.Decode(i));
   }
-  for (const rdf::Term& term : snap.delta().overlay().predicates()) {
-    dict.EncodePredicate(term);
+  const dict::TermTable& predicates = snap.delta().overlay().predicate_keys();
+  for (uint32_t i = 1; i <= predicates.size(); ++i) {
+    dict.EncodePredicate(predicates.Decode(i));
   }
   std::vector<EncodedTriple> triples;
   triples.reserve(logical.size());

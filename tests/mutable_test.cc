@@ -78,15 +78,17 @@ TEST(TermOverlayTest, AllocatesPastBaseAndDecodes) {
   EXPECT_EQ(overlay.LookupResource(rdf::Term::Iri("new2")), r2);
   EXPECT_EQ(overlay.LookupResource(rdf::Term::Iri("absent")), kInvalidTermId);
 
-  ASSERT_NE(overlay.DecodeResource(r1), nullptr);
-  EXPECT_EQ(overlay.DecodeResource(r1)->ToNTriples(), "<new1>");
+  EXPECT_EQ(overlay.ResourceKey(r1), "<new1>");
+  EXPECT_EQ(overlay.ResourceKey(r2), "<new2>");
   // Base-range and out-of-range IDs are not the overlay's to decode.
-  EXPECT_EQ(overlay.DecodeResource(10), nullptr);
-  EXPECT_EQ(overlay.DecodeResource(13), nullptr);
+  EXPECT_TRUE(overlay.ResourceKey(10).empty());
+  EXPECT_TRUE(overlay.ResourceKey(13).empty());
 
   const PredicateId p1 = overlay.AddPredicate(rdf::Term::Iri("newp"));
   EXPECT_EQ(p1, 4u);
   EXPECT_EQ(overlay.LookupPredicate(rdf::Term::Iri("newp")), p1);
+  EXPECT_EQ(overlay.PredicateKey(p1), "<newp>");
+  EXPECT_TRUE(overlay.PredicateKey(3).empty());
 }
 
 // ---- Write semantics -------------------------------------------------

@@ -21,6 +21,15 @@ namespace {
 using rdf::Term;
 using rdf::Triple;
 
+/// A delta table's keys in ID order.
+std::vector<std::string> Keys(const TermTable& table) {
+  std::vector<std::string> keys;
+  for (uint32_t id = 1; id <= table.size(); ++id) {
+    keys.emplace_back(table.Key(id));
+  }
+  return keys;
+}
+
 /// Triples with heavy term overlap across the input, so most chunks see a
 /// mix of base hits, chunk-local repeats, and cross-chunk duplicates.
 std::vector<Triple> MakeTriples(int count) {
@@ -127,10 +136,10 @@ TEST(ShardedDictTest, UnknownTermsGetTaggedProvisionalIds) {
       EncodeChunk(base, std::span<const Triple>(triples.data(), 2));
   // Delta lists hold first occurrences in (s, p, o) scan order.
   ASSERT_EQ(chunk.delta_resources.size(), 2u);
-  EXPECT_EQ(chunk.delta_resources[0], Term::Iri("a"));
-  EXPECT_EQ(chunk.delta_resources[1], Term::Iri("b"));
+  EXPECT_EQ(chunk.delta_resources.Decode(1), Term::Iri("a"));
+  EXPECT_EQ(chunk.delta_resources.Decode(2), Term::Iri("b"));
   ASSERT_EQ(chunk.delta_predicates.size(), 1u);
-  // Every ID is provisional: kDeltaTag | delta index.
+  // Every ID is provisional: kDeltaTag | (delta table ID - 1).
   EXPECT_EQ(chunk.triples[0].subject, kDeltaTag | 0u);
   EXPECT_EQ(chunk.triples[0].object, kDeltaTag | 1u);
   EXPECT_EQ(chunk.triples[1].subject, kDeltaTag | 1u);
@@ -156,8 +165,8 @@ TEST(ShardedDictTest, CrossChunkDuplicatesKeepFirstChunkId) {
   encoded.push_back(
       EncodeChunk(base, std::span<const Triple>(triples.data() + 1, 1)));
   // Both chunks saw "shared" as a fresh delta term.
-  EXPECT_EQ(encoded[0].delta_resources[0], Term::Iri("shared"));
-  EXPECT_EQ(encoded[1].delta_resources[1], Term::Iri("shared"));
+  EXPECT_EQ(encoded[0].delta_resources.Key(1), "<shared>");
+  EXPECT_EQ(encoded[1].delta_resources.Key(2), "<shared>");
 
   auto merged = MergeEncodedChunks(&base, std::move(encoded));
   ASSERT_TRUE(merged.ok());
@@ -234,8 +243,10 @@ TEST(ShardedDictTest, TextChunksEncodeLikeTripleChunks) {
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     const EncodedChunk expected = EncodeChunk(base, *parsed);
     ExpectSameTriples(from_text[c].triples, expected.triples);
-    EXPECT_EQ(from_text[c].delta_resources, expected.delta_resources);
-    EXPECT_EQ(from_text[c].delta_predicates, expected.delta_predicates);
+    EXPECT_EQ(Keys(from_text[c].delta_resources),
+              Keys(expected.delta_resources));
+    EXPECT_EQ(Keys(from_text[c].delta_predicates),
+              Keys(expected.delta_predicates));
     EXPECT_EQ(lines[c].first_error_line, 0u);
     EXPECT_EQ(lines[c].count,
               static_cast<uint64_t>(

@@ -60,6 +60,8 @@ TEST(SnapshotTest, RoundTripPreservesLiteralKinds) {
        rdf::Term::LangLiteral("bonjour", "fr")},
       {rdf::Term::Iri("s"), rdf::Term::Iri("p"),
        rdf::Term::TypedLiteral("5", "http://dt")},
+      {rdf::Term::Iri("s"), rdf::Term::Iri("p"),
+       rdf::Term::Literal("esc \" \\ \n \r \t end")},
       {rdf::Term::Blank("b0"), rdf::Term::Iri("q"), rdf::Term::Iri("o")},
   };
   auto engine = engine::ParjEngine::FromTriples(triples);
@@ -74,6 +76,9 @@ TEST(SnapshotTest, RoundTripPreservesLiteralKinds) {
   EXPECT_NE(dict.LookupResource(rdf::Term::TypedLiteral("5", "http://dt")),
             kInvalidTermId);
   EXPECT_NE(dict.LookupResource(rdf::Term::Blank("b0")), kInvalidTermId);
+  EXPECT_NE(
+      dict.LookupResource(rdf::Term::Literal("esc \" \\ \n \r \t end")),
+      kInvalidTermId);
 }
 
 TEST(SnapshotTest, QueriesAgreeAfterRoundTrip) {

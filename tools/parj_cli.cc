@@ -97,6 +97,7 @@
 #include "common/simd.h"
 #include "common/strings.h"
 #include "common/timer.h"
+#include "dict/term_table.h"
 #include "engine/parj_engine.h"
 #include "rdf/ntriples.h"
 #include "server/server.h"
@@ -175,13 +176,15 @@ struct Shell {
         const storage::PropertyTable& table = db.entry(pid).table;
         const size_t table_packed = table.MemoryUsage();
         const size_t table_raw = table.RawBytes();
-        std::printf("  p%-4u %10s packed %10s raw (%.2fx)  %s\n",
+        const std::string_view iri =
+            dict::SplitKey(db.dictionary().PredicateKey(pid)).lexical;
+        std::printf("  p%-4u %10s packed %10s raw (%.2fx)  %.*s\n",
                     pid, FormatCount(table_packed).c_str(),
                     FormatCount(table_raw).c_str(),
                     table_packed > 0 ? static_cast<double>(table_raw) /
                                            static_cast<double>(table_packed)
                                      : 0.0,
-                    db.dictionary().DecodePredicate(pid).lexical().c_str());
+                    static_cast<int>(iri.size()), iri.data());
       }
     }
     std::printf("dict bytes:  %s\n",
