@@ -40,13 +40,9 @@ inline int BenchRepeats() { return EnvInt("PARJ_BENCH_REPEATS", 3); }
 
 /// Builds a PARJ engine from pre-generated data (indexes on) and runs
 /// Algorithm 2 calibration, exactly as the paper does after loading.
-/// `compression` selects the replica layout (flat vs bit-packed blocks).
-inline engine::ParjEngine BuildEngine(
-    workload::GeneratedData data,
-    storage::Compression compression = storage::Compression::kNone) {
+inline engine::ParjEngine BuildEngine(workload::GeneratedData data) {
   engine::EngineOptions options;
   options.calibrate = true;
-  options.database.compression = compression;
   auto engine = engine::ParjEngine::FromEncoded(std::move(data.dict),
                                                 std::move(data.triples),
                                                 options);

@@ -2,18 +2,13 @@
 // series of dataset sizes. The paper runs 1280 / 2560 / 5120 / 10240
 // universities with 32 threads; we run a doubling series of
 // container-friendly scales and check for the same near-linear growth.
-// Both replica layouts (flat and bit-packed blocks) run the full series,
-// with a bytes-per-triple summary showing how the compressed footprint
-// scales with the data.
+// A bytes-per-triple summary shows how the replica footprint scales with
+// the data.
 
 #include "bench_util.h"
 
 namespace parj::bench {
 namespace {
-
-constexpr storage::Compression kModes[2] = {storage::Compression::kNone,
-                                            storage::Compression::kBlocked};
-constexpr const char* kModeNames[2] = {"flat", "packed"};
 
 int Run() {
   const int base = LubmUniversities();
@@ -26,80 +21,66 @@ int Run() {
               std::to_string(scales[1]) + " / " + std::to_string(scales[2]) +
               " / " + std::to_string(scales[3]) +
               " universities (paper: 1280/2560/5120/10240) | " +
-              std::to_string(threads) +
-              " threads (emulated) | flat + packed replicas");
+              std::to_string(threads) + " threads (emulated)");
 
-  // times[mode][query][scale]; one engine alive at a time bounds the
-  // bench's peak memory to a single store at the largest scale.
-  std::vector<std::vector<double>> times[2];
-  uint64_t replica_bytes[2][4] = {};
-  times[0].resize(workload::LubmQueries().size());
-  times[1].resize(workload::LubmQueries().size());
+  // times[query][scale]; one engine alive at a time bounds the bench's
+  // peak memory to a single store at the largest scale.
+  const auto queries = workload::LubmQueries();
+  std::vector<std::vector<double>> times(queries.size());
+  uint64_t replica_bytes[4] = {};
   std::vector<uint64_t> triple_counts;
   for (int s = 0; s < 4; ++s) {
-    for (int m = 0; m < 2; ++m) {
-      workload::GeneratedData data =
-          workload::GenerateLubm({.universities = scales[s], .seed = 42});
-      if (m == 0) triple_counts.push_back(data.triples.size());
-      engine::ParjEngine engine = BuildEngine(std::move(data), kModes[m]);
-      replica_bytes[m][s] = engine.database().TableMemoryUsage();
-      const auto queries = workload::LubmQueries();
-      for (size_t i = 0; i < queries.size(); ++i) {
-        engine::QueryOptions opts;
-        opts.strategy = join::SearchStrategy::kAdaptiveIndex;
-        opts.num_threads = threads;
-        opts.emulate_parallel = true;
-        opts.scheduling = join::Scheduling::kStatic;  // paper replication
-        TimedRun run = TimeQuery(engine, queries[i].sparql, opts, repeats);
-        times[m][i].push_back(run.millis);
-      }
+    workload::GeneratedData data =
+        workload::GenerateLubm({.universities = scales[s], .seed = 42});
+    triple_counts.push_back(data.triples.size());
+    engine::ParjEngine engine = BuildEngine(std::move(data));
+    replica_bytes[s] = engine.database().TableMemoryUsage();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      engine::QueryOptions opts;
+      opts.strategy = join::SearchStrategy::kAdaptiveIndex;
+      opts.num_threads = threads;
+      opts.emulate_parallel = true;
+      opts.scheduling = join::Scheduling::kStatic;  // paper replication
+      TimedRun run = TimeQuery(engine, queries[i].sparql, opts, repeats);
+      times[i].push_back(run.millis);
     }
   }
 
-  const auto queries = workload::LubmQueries();
-  for (int m = 0; m < 2; ++m) {
-    std::printf("\n%s replicas:\n", kModeNames[m]);
-    TablePrinter table({"Query", std::to_string(scales[0]) + "U",
-                        std::to_string(scales[1]) + "U",
-                        std::to_string(scales[2]) + "U",
-                        std::to_string(scales[3]) + "U", "growth(8x data)"});
-    for (size_t i = 0; i < queries.size(); ++i) {
-      std::vector<std::string> row = {queries[i].name};
-      for (double t : times[m][i]) row.push_back(FormatMillis(t));
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.1fx",
-                    times[m][i].back() / std::max(1e-6, times[m][i].front()));
-      row.push_back(buf);
-      table.AddRow(std::move(row));
-    }
-    std::vector<std::string> triples_row = {"(triples)"};
-    for (uint64_t t : triple_counts) triples_row.push_back(FormatCount(t));
-    table.AddRow(std::move(triples_row));
-    table.Print();
+  std::printf("\n");
+  TablePrinter table({"Query", std::to_string(scales[0]) + "U",
+                      std::to_string(scales[1]) + "U",
+                      std::to_string(scales[2]) + "U",
+                      std::to_string(scales[3]) + "U", "growth(8x data)"});
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<std::string> row = {queries[i].name};
+    for (double t : times[i]) row.push_back(FormatMillis(t));
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.1fx",
+                  times[i].back() / std::max(1e-6, times[i].front()));
+    row.push_back(buf);
+    table.AddRow(std::move(row));
   }
+  std::vector<std::string> triples_row = {"(triples)"};
+  for (uint64_t t : triple_counts) triples_row.push_back(FormatCount(t));
+  table.AddRow(std::move(triples_row));
+  table.Print();
 
   std::printf("\nreplica storage (bytes/triple):\n");
-  TablePrinter mem({"scale", "triples", "flat B/t", "packed B/t",
-                    "reduction"});
+  TablePrinter mem({"scale", "triples", "B/t"});
   for (int s = 0; s < 4; ++s) {
-    char flat_bt[32], packed_bt[32], red[32];
-    const double t = static_cast<double>(triple_counts[s]);
-    std::snprintf(flat_bt, sizeof(flat_bt), "%.2f", replica_bytes[0][s] / t);
-    std::snprintf(packed_bt, sizeof(packed_bt), "%.2f",
-                  replica_bytes[1][s] / t);
-    std::snprintf(red, sizeof(red), "%.2fx",
-                  static_cast<double>(replica_bytes[0][s]) /
-                      static_cast<double>(replica_bytes[1][s]));
+    char bt[32];
+    std::snprintf(bt, sizeof(bt), "%.2f",
+                  replica_bytes[s] / static_cast<double>(triple_counts[s]));
     mem.AddRow({std::to_string(scales[s]) + "U", FormatCount(triple_counts[s]),
-                flat_bt, packed_bt, red});
+                bt});
   }
   mem.Print();
 
   std::printf(
       "\nShape check: 8x more data should cost roughly 8x time for the\n"
-      "scan-dominated queries (near-linear scaling, paper Fig. 3) in both\n"
-      "layouts; selective point queries (L4-L6) stay flat, and the packed\n"
-      "bytes-per-triple holds (or improves) as the dataset grows.\n");
+      "scan-dominated queries (near-linear scaling, paper Fig. 3);\n"
+      "selective point queries (L4-L6) stay flat, and bytes-per-triple\n"
+      "holds as the dataset grows.\n");
   return 0;
 }
 

@@ -82,15 +82,6 @@ const TableReplica& Csr() {
   return *replica;
 }
 
-const TableReplica& Packed() {
-  static const TableReplica* replica = [] {
-    auto* r = new TableReplica(TableReplica::Build(MakePairs()));
-    r->Compress();
-    return r;
-  }();
-  return *replica;
-}
-
 const FlatTable& Flat() {
   static const FlatTable* table = [] {
     auto* t = new FlatTable();
@@ -116,24 +107,6 @@ void BM_CsrPointLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CsrPointLookup);
-
-void BM_PackedPointLookup(benchmark::State& state) {
-  // The same point lookup against the bit-packed block layout: search the
-  // block-minima directory, decode one block, scan the run.
-  const TableReplica& replica = Packed();
-  const TableReplica& flat = Csr();  // to pick existing keys
-  Rng rng(11);
-  std::vector<TermId> scratch;
-  uint64_t sum = 0;
-  for (auto _ : state) {
-    const TermId key = flat.KeyAt(rng.Uniform(flat.key_count()));
-    const size_t pos = replica.FindKey(key);
-    for (TermId v : replica.RunInto(pos, &scratch)) sum += v;
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PackedPointLookup);
 
 void BM_FlatPointLookup(benchmark::State& state) {
   const FlatTable& table = Flat();
@@ -167,20 +140,6 @@ void BM_CsrFullSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * Csr().pair_count());
 }
 BENCHMARK(BM_CsrFullSweep);
-
-void BM_PackedFullSweep(benchmark::State& state) {
-  const TableReplica& replica = Packed();
-  uint64_t sum = 0;
-  for (auto _ : state) {
-    replica.ForEachRun([&](size_t, TermId key, std::span<const TermId> run) {
-      sum += key;
-      for (TermId v : run) sum += v;
-    });
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(state.iterations() * Packed().pair_count());
-}
-BENCHMARK(BM_PackedFullSweep);
 
 void BM_FlatFullSweep(benchmark::State& state) {
   const FlatTable& table = Flat();
@@ -308,21 +267,14 @@ void AssertLookupHitsDoNotAllocate() {
               static_cast<unsigned long long>(hits));
 }
 
-/// Prints bytes/triple for the flat and bit-packed replica layouts over
-/// the same pair set, so every bench run records the compression ratio
-/// next to the latency numbers.
+/// Prints the CSR replica's bytes/triple, so every bench run records the
+/// layout's footprint next to the latency numbers.
 void ReportBytesPerTriple() {
-  const TableReplica& flat = Csr();
-  const TableReplica& packed = Packed();
-  const double n = static_cast<double>(flat.pair_count());
-  std::printf(
-      "replica bytes/triple: flat %.2f, blocked %.2f (%.2fx smaller, "
-      "%zu pairs)\n",
-      static_cast<double>(flat.MemoryUsage()) / n,
-      static_cast<double>(packed.MemoryUsage()) / n,
-      static_cast<double>(flat.MemoryUsage()) /
-          static_cast<double>(packed.MemoryUsage()),
-      flat.pair_count());
+  const TableReplica& csr = Csr();
+  std::printf("replica bytes/triple: %.2f (%zu pairs)\n",
+              static_cast<double>(csr.MemoryUsage()) /
+                  static_cast<double>(csr.pair_count()),
+              csr.pair_count());
 }
 
 }  // namespace

@@ -25,8 +25,7 @@ std::vector<std::array<TermId, 2>> PatternPairs(const Database& db,
   if (s_const) {
     size_t pos = so.FindKey(pattern.subject.constant);
     if (pos == SIZE_MAX) return out;
-    std::vector<TermId> scratch;
-    for (TermId o : so.RunInto(pos, &scratch)) {
+    for (TermId o : so.Run(pos)) {
       if (o_const && o != pattern.object.constant) continue;
       out.push_back({pattern.subject.constant, o});
     }
@@ -35,8 +34,7 @@ std::vector<std::array<TermId, 2>> PatternPairs(const Database& db,
   if (o_const) {
     size_t pos = os.FindKey(pattern.object.constant);
     if (pos == SIZE_MAX) return out;
-    std::vector<TermId> scratch;
-    for (TermId s : os.RunInto(pos, &scratch)) {
+    for (TermId s : os.Run(pos)) {
       out.push_back({s, pattern.object.constant});
     }
     return out;

@@ -201,14 +201,14 @@ inline bool ContainsU32(const uint32_t* data, size_t count, uint32_t value) {
   return false;
 }
 
-// ---- Bit-packed block decode (compressed replicas, DESIGN.md §13) ----
+// ---- Bit-packed block decode (snapshot tables, DESIGN.md §13) ----
 //
 // A block stores up to 128 unsigned fields of a fixed `width` (0..32 bits)
 // packed LSB-first into little-endian 64-bit words with no padding between
 // fields. The three decoders below reverse that packing and apply the
 // block's reconstruction rule; like the scans, every tier produces
 // bit-identical output (the operations are exact integer arithmetic), so
-// compressed probes behave the same whatever level is active.
+// a snapshot decodes to the same store whatever level is active.
 //
 // Precondition shared by all three: `count <= 128`, and `words` must stay
 // readable for ceil(count*width/64) + 1 words — the AVX2 tier gathers

@@ -11,7 +11,6 @@
 #include "common/timer.h"
 #include "mutable/delta_view.h"
 #include "server/thread_pool.h"
-#include "storage/compressed.h"
 
 namespace parj::join {
 
@@ -26,10 +25,6 @@ using storage::TableReplica;
 /// Immutable per-step lookup info resolved once per execution.
 struct StepInfo {
   const TableReplica* replica = nullptr;
-  /// replica->packed() when the base replica is compressed (null when
-  /// flat): probes then go through the compressed kernels + the worker's
-  /// per-depth ReplicaCursor instead of the raw-array kernels.
-  const storage::CompressedReplica* packed = nullptr;
   const index::IdPositionIndex* index = nullptr;
   int64_t threshold = 0;
   /// Gallop-phase cap for the binary kernel, from the replica's
@@ -130,10 +125,6 @@ struct alignas(64) ShardContext {
 
   std::vector<TermId> bindings;
   std::vector<size_t> cursors;
-  /// Per-depth block-decode cursors for compressed base replicas. Like
-  /// `cursors`, one per step: recursion only ever descends, so the scratch
-  /// a depth-d span aliases is never clobbered while a deeper frame runs.
-  std::vector<storage::ReplicaCursor> rcursors;
   /// Per-depth scratch for materialized merged runs (dirty steps only).
   /// Safe without further care: recursion depth is strictly increasing,
   /// so at most one live frame uses merged_runs[d].
@@ -199,52 +190,9 @@ struct alignas(64) ShardContext {
     return filter.op == query::FilterOp::kEq ? lhs == rhs : lhs != rhs;
   }
 
-  /// Key at `pos` of step `depth`'s base replica, through the worker's
-  /// per-depth decode cursor when the replica is compressed.
-  TermId StepKeyAt(size_t depth, size_t pos) {
-    const StepInfo& step = (*steps)[depth];
-    if (step.packed != nullptr) {
-      return rcursors[depth].KeyAt(*step.packed, pos);
-    }
-    return step.replica->KeyAt(pos);
-  }
-
-  /// Value run at key position `pos` of step `depth`'s base replica. On a
-  /// compressed replica the span aliases rcursors[depth]'s run scratch: it
-  /// stays valid across deeper descents (those use their own cursors) but
-  /// is invalidated by the next StepRun at the same depth.
-  std::span<const TermId> StepRun(size_t depth, size_t pos) {
-    const StepInfo& step = (*steps)[depth];
-    if (step.packed != nullptr) {
-      return rcursors[depth].RunAt(*step.packed, pos);
-    }
-    return step.replica->Run(pos);
-  }
-
-  /// Membership test in the run at key position `pos` of step `depth`'s
-  /// base replica. On a compressed replica this probes the value-block
-  /// minima directory and decodes at most two blocks instead of
-  /// materializing the whole run — the hot path for bound-value steps
-  /// whose runs span many blocks (e.g. class-instance runs).
-  bool StepRunContains(size_t depth, size_t pos, TermId value) {
-    const StepInfo& step = (*steps)[depth];
-    if (step.packed != nullptr) {
-      return rcursors[depth].RunContains(*step.packed, pos, value);
-    }
-    return RunContains(step.replica->Run(pos), value);
-  }
-
-  /// Probes step `depth`'s key set for `value`. The compressed kernel
-  /// replays the flat kernel's exact probe trajectory, so cursors and
-  /// SearchCounters stay byte-identical across storage modes.
+  /// Probes step `depth`'s key set for `value`.
   size_t StepSearch(size_t depth, const StepInfo& step, TermId value,
                     SearchStrategy strategy) {
-    if (step.packed != nullptr) {
-      return CompressedAdaptiveSearch(*step.packed, value, &cursors[depth],
-                                      step.threshold, strategy, step.index,
-                                      &counters, &rcursors[depth],
-                                      step.gallop_cap);
-    }
     return AdaptiveSearch(step.replica->keys(), value, &cursors[depth],
                           step.threshold, strategy, step.index, &counters,
                           step.gallop_cap);
@@ -289,7 +237,7 @@ struct alignas(64) ShardContext {
       // Cartesian continuation (or a forced odd plan): scan every key.
       const size_t key_count = replica.key_count();
       for (size_t pos = 0; pos < key_count && !limit_reached; ++pos) {
-        bindings[step.key.var] = StepKeyAt(depth, pos);
+        bindings[step.key.var] = replica.KeyAt(pos);
         DescendIntoRun(depth, pos, strategy);
       }
       return;
@@ -312,7 +260,7 @@ struct alignas(64) ShardContext {
     // Dirty step: a base miss can still hit a pending insert, and a base
     // hit may be partially or fully deleted.
     const std::span<const TermId> base_run =
-        pos == kNotFound ? std::span<const TermId>() : StepRun(depth, pos);
+        pos == kNotFound ? std::span<const TermId>() : replica.Run(pos);
     const std::span<const TermId> ins_run = LookupRun(step.ins, key_value);
     if (base_run.empty() && ins_run.empty()) return;
     const std::span<const TermId> del_run =
@@ -369,7 +317,7 @@ struct alignas(64) ShardContext {
     while ((bi < base_count || ii < ins_count) && !limit_reached) {
       const bool take_ins =
           bi >= base_count ||
-          (ii < ins_count && ins->KeyAt(ii) < StepKeyAt(depth, bi));
+          (ii < ins_count && ins->KeyAt(ii) < base.KeyAt(bi));
       if (take_ins) {
         // Delta-only key: no base run, and del ⊆ base means no deletes.
         bindings[step.key.var] = ins->KeyAt(ii);
@@ -377,10 +325,10 @@ struct alignas(64) ShardContext {
         ++ii;
         continue;
       }
-      const TermId key = StepKeyAt(depth, bi);
+      const TermId key = base.KeyAt(bi);
       const bool merged = ii < ins_count && ins->KeyAt(ii) == key;
       bindings[step.key.var] = key;
-      DescendMergedRun(depth, StepRun(depth, bi),
+      DescendMergedRun(depth, base.Run(bi),
                        merged ? ins->Run(ii) : std::span<const TermId>(),
                        LookupRun(step.del, key), strategy);
       if (merged) ++ii;
@@ -390,30 +338,18 @@ struct alignas(64) ShardContext {
 
   void DescendIntoRun(size_t depth, size_t key_pos, SearchStrategy strategy) {
     const StepInfo& step = (*steps)[depth];
-    // Bound-value steps only need membership, so skip materializing the
-    // run (a compressed replica would decode every covering value block).
-    if (step.value.is_constant()) {
+    const std::span<const TermId> run = step.replica->Run(key_pos);
+    if (step.value.is_constant() || step.value_is_key_var ||
+        step.value_bound) {
+      // Bound value: only membership matters.
+      const TermId value = step.value.is_constant() ? step.value.constant
+                           : step.value_is_key_var ? bindings[step.key.var]
+                                                   : bindings[step.value.var];
       ++counters.run_probes;
-      if (StepRunContains(depth, key_pos, step.value.constant)) {
-        Descend(depth + 1, strategy);
-      }
+      if (RunContains(run, value)) Descend(depth + 1, strategy);
       return;
     }
-    if (step.value_is_key_var) {
-      ++counters.run_probes;
-      if (StepRunContains(depth, key_pos, bindings[step.key.var])) {
-        Descend(depth + 1, strategy);
-      }
-      return;
-    }
-    if (step.value_bound) {
-      ++counters.run_probes;
-      if (StepRunContains(depth, key_pos, bindings[step.value.var])) {
-        Descend(depth + 1, strategy);
-      }
-      return;
-    }
-    RunValues(depth, StepRun(depth, key_pos), strategy);
+    RunValues(depth, run, strategy);
   }
 
   /// Iterates a value run at `depth`, binding the step's value variable
@@ -445,12 +381,8 @@ struct alignas(64) ShardContext {
     const size_t next_depth = depth + 1;
     const StepInfo& next = (*steps)[next_depth];
     const TableReplica& replica = *next.replica;
-    const storage::CompressedReplica* packed = next.packed;
-    // Flat key span for prefetch/search; empty (and unused) when the
-    // replica is compressed — probes then go through the block directory.
-    const std::span<const TermId> keys =
-        packed != nullptr ? std::span<const TermId>() : replica.keys();
-    const size_t key_count = replica.key_count();
+    const std::span<const TermId> keys = replica.keys();
+    const size_t key_count = keys.size();
     const bool use_index = strategy == SearchStrategy::kIndex ||
                            strategy == SearchStrategy::kAdaptiveIndex;
     // Per-group hit buffers live on the stack: stage C's descents can
@@ -472,11 +404,7 @@ struct alignas(64) ShardContext {
           if (pred < 0.0) pred = 0.0;
           size_t guess = static_cast<size_t>(pred);
           if (guess >= key_count) guess = key_count - 1;
-          if (packed != nullptr) {
-            packed->PrefetchProbe(guess);
-          } else {
-            __builtin_prefetch(&keys[guess], 0, 1);
-          }
+          __builtin_prefetch(&keys[guess], 0, 1);
         }
       }
       size_t hits = 0;
@@ -510,11 +438,7 @@ struct alignas(64) ShardContext {
         hit_vals[hits] = v;
         hit_pos[hits] = pos;
         ++hits;
-        if (packed != nullptr) {
-          packed->PrefetchRun(pos);
-        } else {
-          __builtin_prefetch(replica.Run(pos).data(), 0, 1);
-        }
+        __builtin_prefetch(replica.Run(pos).data(), 0, 1);
       }
       for (size_t h = 0; h < hits && !limit_reached; ++h) {
         bindings[step.value.var] = hit_vals[h];
@@ -570,22 +494,12 @@ WorkSource ResolveWorkSource(const StepInfo& first) {
                              : std::span<const TermId>();
     if (ins_run.empty() && del_run.empty()) {
       // Clean key (even under a dirty step): slice the base run in place.
-      // A compressed base decodes the run once up front; shards then slice
-      // the materialized copy exactly like a flat run.
       src.kind = WorkSource::Kind::kRunRange;
-      if (replica.is_compressed()) {
-        replica.RunInto(pos, &src.merged_run);
-        src.use_merged_run = true;
-        src.size = src.merged_run.size();
-      } else {
-        src.size = replica.RunLength(pos);
-      }
+      src.size = replica.RunLength(pos);
       return src;
     }
-    std::vector<TermId> base_scratch;
     const std::span<const TermId> base_run =
-        src.base_key_present ? replica.RunInto(pos, &base_scratch)
-                             : std::span<const TermId>();
+        src.base_key_present ? replica.Run(pos) : std::span<const TermId>();
     MergeDeltaRun(base_run, ins_run, del_run, &src.merged_run);
     if (src.merged_run.empty()) return src;
     src.use_merged_run = true;
@@ -652,11 +566,11 @@ void RunMergedKeyRange(const StepInfo& first, const WorkSource& src,
     const std::span<const TermId> ins_keys = ins->keys();
     ii = static_cast<size_t>(
         std::upper_bound(ins_keys.begin(), ins_keys.end(),
-                         ctx->StepKeyAt(0, begin - 1)) -
+                         replica.KeyAt(begin - 1)) -
         ins_keys.begin());
   }
   for (size_t pos = begin; pos < end && !ctx->limit_reached; ++pos) {
-    const TermId key = ctx->StepKeyAt(0, pos);
+    const TermId key = replica.KeyAt(pos);
     while (ii < ins_count && ins->KeyAt(ii) < key && !ctx->limit_reached) {
       ctx->bindings[first.key.var] = ins->KeyAt(ii);
       ctx->DescendMergedRun(0, {}, ins->Run(ii), {}, strategy);
@@ -665,7 +579,7 @@ void RunMergedKeyRange(const StepInfo& first, const WorkSource& src,
     if (ctx->limit_reached) return;
     const bool merged = ii < ins_count && ins->KeyAt(ii) == key;
     ctx->bindings[first.key.var] = key;
-    ctx->DescendMergedRun(0, ctx->StepRun(0, pos),
+    ctx->DescendMergedRun(0, replica.Run(pos),
                           merged ? ins->Run(ii) : std::span<const TermId>(),
                           LookupRun(first.del, key), strategy);
     if (merged) ++ii;
@@ -700,7 +614,7 @@ void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
                                : first.key.constant;  // ?x==?x impossible here
       if (first.dirty) {
         const std::span<const TermId> base_run =
-            src.base_key_present ? ctx->StepRun(0, src.key_pos)
+            src.base_key_present ? replica.Run(src.key_pos)
                                  : std::span<const TermId>();
         const std::span<const TermId> ins_run =
             LookupRun(first.ins, first.key.constant);
@@ -714,9 +628,9 @@ void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
         return;
       }
       ++ctx->counters.run_probes;
-      if (ctx->StepRunContains(0, src.key_pos, value)) {
+      if (RunContains(replica.Run(src.key_pos), value)) {
         if (first.key.is_variable()) {
-          ctx->bindings[first.key.var] = ctx->StepKeyAt(0, src.key_pos);
+          ctx->bindings[first.key.var] = replica.KeyAt(src.key_pos);
         }
         ctx->Descend(1, strategy);
       }
@@ -735,11 +649,11 @@ void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
         return;
       }
       for (size_t pos = begin; pos < end && !ctx->limit_reached; ++pos) {
-        const TermId key = ctx->StepKeyAt(0, pos);
+        const TermId key = replica.KeyAt(pos);
         if (first.value_is_key_var) {
           // ?x p ?x: key scan with reflexive membership check.
           ++ctx->counters.run_probes;
-          if (!RunContains(ctx->StepRun(0, pos), key)) continue;
+          if (!RunContains(replica.Run(pos), key)) continue;
           ctx->bindings[first.key.var] = key;
           ctx->Descend(1, strategy);
           continue;
@@ -747,12 +661,12 @@ void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
         ctx->bindings[first.key.var] = key;
         if (first.value.is_constant()) {
           ++ctx->counters.run_probes;
-          if (RunContains(ctx->StepRun(0, pos), first.value.constant)) {
+          if (RunContains(replica.Run(pos), first.value.constant)) {
             ctx->Descend(1, strategy);
           }
           continue;
         }
-        ctx->RunValues(0, ctx->StepRun(0, pos), strategy);
+        ctx->RunValues(0, replica.Run(pos), strategy);
       }
       return;
     }
@@ -848,9 +762,7 @@ Status ResolvePlan(const storage::Database& db, const mut::DeltaView* delta,
     }
     info.threshold = meta.ThresholdFor(options.strategy);
     info.gallop_cap = GallopCapForWindow(meta.window_binary);
-    info.packed = info.replica->packed();
-    // Interpolation model from the key-set summary (identical values to
-    // the former keys().front()/back() reads, but valid in both modes).
+    // Interpolation model from the key-set summary.
     const size_t key_count = info.replica->key_count();
     if (key_count > 1 && info.replica->max_key() > info.replica->min_key()) {
       info.interp_base = info.replica->min_key();
@@ -947,7 +859,6 @@ void InitShardContext(ShardContext* ctx, size_t shard,
   ctx->bindings.assign(std::max(1, plan.variable_count), kInvalidTermId);
   ctx->emit_row.assign(plan.projection.size(), 0);
   ctx->cursors.assign(resolved.steps.size(), 0);
-  ctx->rcursors.assign(resolved.steps.size(), storage::ReplicaCursor());
   ctx->merged_runs.resize(resolved.steps.size());
   ctx->step_rows.assign(resolved.steps.size(), 0);
   ctx->tracing = options.collect_probe_trace;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "storage/compressed.h"
-
 namespace parj::join {
 
 const char* SearchStrategyName(SearchStrategy strategy) {
@@ -78,192 +76,6 @@ size_t AdaptiveSearch(std::span<const TermId> array, TermId value,
   DirectMemory mem;
   return AdaptiveSearchWith(array, value, cursor, threshold, strategy, index,
                             counters, mem, gallop_cap);
-}
-
-size_t BinarySearchReplay(size_t n, size_t lower_bound_pos, bool found,
-                          size_t* cursor, size_t gallop_cap) {
-  // Mirrors BinarySearchWith line for line with each comparison replaced
-  // by its positional equivalent on a strictly-increasing array:
-  //   a[p] <  value  <=>  p < lower_bound_pos
-  //   a[p] == value  <=>  found && p == lower_bound_pos
-  const size_t lb = lower_bound_pos;
-  if (n == 0) return kNotFound;
-  const size_t start = *cursor < n ? *cursor : n - 1;
-  size_t last = start;
-  size_t lo = 0;
-  size_t hi = n;
-  if (found && start == lb) {
-    // The anchor probe hits; distinct keys make the flat kernel's
-    // duplicate guard (a[start-1] != value) vacuously true.
-    *cursor = start;
-    return start;
-  }
-  if (gallop_cap < 1) gallop_cap = 1;
-  if (start < lb) {  // anchor < value
-    lo = start + 1;
-    const size_t room = n - 1 - start;
-    const size_t edge = start + (gallop_cap < room ? gallop_cap : room);
-    if (edge > start) {
-      last = edge;
-      if (edge < lb) {
-        lo = edge + 1;  // far probe: the whole window is below value
-      } else {
-        hi = edge;  // near probe: gallop brackets inside the window
-        size_t stride = 1;
-        while (start + stride < edge) {
-          const size_t pos = start + stride;
-          last = pos;
-          if (pos >= lb) {
-            hi = pos;
-            break;
-          }
-          lo = pos + 1;
-          stride <<= 1;
-        }
-      }
-    }
-  } else {  // anchor > value (the anchor-hit case returned above)
-    hi = start;
-    const size_t edge = start - (gallop_cap < start ? gallop_cap : start);
-    if (edge < start) {
-      last = edge;
-      if (edge >= lb) {
-        hi = edge;  // far probe: the lower bound is at or before the edge
-      } else {
-        lo = edge + 1;  // near probe: gallop brackets inside the window
-        size_t stride = 1;
-        while (stride < start - edge) {
-          const size_t pos = start - stride;
-          last = pos;
-          if (pos < lb) {
-            lo = pos + 1;
-            break;
-          }
-          hi = pos;
-          stride <<= 1;
-        }
-      }
-    }
-  }
-  // The flat kernel's two shrink regimes (branchy above kCmovRange, cmov
-  // below) probe the identical midpoint sequence, so one loop replays
-  // both. Conditional moves: the mid < lb outcome is a coin flip on
-  // random probes, and a mispredicted branch costs more than the whole
-  // iteration's arithmetic.
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    last = mid;
-    // Arithmetic select: gcc rewrites the ternary form back into a branch,
-    // and the mid < lb outcome is a coin flip on random probes.
-    const size_t below = size_t{0} - static_cast<size_t>(mid < lb);
-    lo = (lo & ~below) | ((mid + 1) & below);
-    hi = (hi & below) | (mid & ~below);
-  }
-  if (lo < n && found && lo == lb) {
-    *cursor = lo;
-    return lo;
-  }
-  *cursor = last;
-  return kNotFound;
-}
-
-size_t CompressedBinarySearch(const storage::CompressedReplica& replica,
-                              TermId value, size_t* cursor,
-                              storage::ReplicaCursor* rc, size_t gallop_cap) {
-  const size_t n = replica.key_count();
-  if (n == 0) return kNotFound;
-  const storage::LowerBoundResult lb =
-      storage::LowerBoundKeys(replica, value, rc);
-  const size_t found = BinarySearchReplay(n, lb.pos, lb.found, cursor, gallop_cap);
-  if (found != kNotFound) rc->NoteKey(replica, found, value);
-  return found;
-}
-
-size_t CompressedSequentialSearch(const storage::CompressedReplica& replica,
-                                  TermId value, size_t* cursor,
-                                  storage::ReplicaCursor* rc,
-                                  uint64_t* steps_out) {
-  const size_t n = replica.key_count();
-  if (n == 0) return kNotFound;
-  const size_t start = *cursor < n ? *cursor : n - 1;
-  const storage::LowerBoundResult r = storage::LowerBoundKeys(replica, value, rc);
-  size_t stop;
-  bool hit;
-  if (r.found && start == r.pos) {
-    stop = start;  // already on the value: the flat scan takes no steps
-    hit = true;
-  } else if (start < r.pos) {
-    // a[start] < value: forward scan parks on the lower bound, or on the
-    // last element when every key is smaller.
-    stop = r.pos < n ? r.pos : n - 1;
-    hit = r.found && stop == r.pos;
-  } else {
-    // a[start] > value: backward scan parks on the hit, on the last key
-    // below value, or on element 0 when every key in range is larger.
-    stop = r.found ? r.pos : (r.pos == 0 ? 0 : r.pos - 1);
-    hit = r.found;
-  }
-  if (steps_out != nullptr) {
-    *steps_out += stop >= start ? stop - start : start - stop;
-  }
-  *cursor = stop;
-  if (hit) rc->NoteKey(replica, stop, value);
-  return hit ? stop : kNotFound;
-}
-
-size_t CompressedAdaptiveSearch(const storage::CompressedReplica& replica,
-                                TermId value, size_t* cursor,
-                                int64_t threshold, SearchStrategy strategy,
-                                const index::IdPositionIndex* index,
-                                SearchCounters* counters,
-                                storage::ReplicaCursor* rc,
-                                size_t gallop_cap) {
-  const size_t n = replica.key_count();
-  if (n == 0) return kNotFound;
-  DirectMemory mem;
-  switch (strategy) {
-    case SearchStrategy::kBinary:
-      if (counters != nullptr) ++counters->binary_searches;
-      return CompressedBinarySearch(replica, value, cursor, rc, gallop_cap);
-    case SearchStrategy::kIndex: {
-      if (counters != nullptr) ++counters->index_lookups;
-      const size_t pos = index->FindWith(value, mem);
-      if (pos != kNotFound) {
-        *cursor = pos;
-        rc->NoteKey(replica, pos, value);
-      }
-      return pos;
-    }
-    case SearchStrategy::kAdaptiveBinary:
-    case SearchStrategy::kAdaptiveIndex: {
-      size_t pos = *cursor;
-      if (pos >= n) pos = n - 1;
-      // KeyAtMemo: after an index hit the cursor's key is the probed id
-      // itself, recorded by NoteKey — no block decode for the distance
-      // check on the dominant hit-then-probe-nearby pattern.
-      const int64_t distance =
-          static_cast<int64_t>(rc->KeyAtMemo(replica, pos)) -
-          static_cast<int64_t>(value);
-      if (distance <= threshold && distance >= -threshold) {
-        if (counters != nullptr) ++counters->sequential_searches;
-        return CompressedSequentialSearch(
-            replica, value, cursor, rc,
-            counters != nullptr ? &counters->sequential_steps : nullptr);
-      }
-      if (strategy == SearchStrategy::kAdaptiveBinary) {
-        if (counters != nullptr) ++counters->binary_searches;
-        return CompressedBinarySearch(replica, value, cursor, rc, gallop_cap);
-      }
-      if (counters != nullptr) ++counters->index_lookups;
-      const size_t found = index->FindWith(value, mem);
-      if (found != kNotFound) {
-        *cursor = found;
-        rc->NoteKey(replica, found, value);
-      }
-      return found;
-    }
-  }
-  return kNotFound;
 }
 
 bool RunContains(std::span<const TermId> run, TermId value) {

@@ -11,11 +11,6 @@
 #include "common/types.h"
 #include "index/id_position_index.h"
 
-namespace parj::storage {
-struct CompressedReplica;
-class ReplicaCursor;
-}  // namespace parj::storage
-
 namespace parj::join {
 
 /// Returned by all search kernels when the value is absent.
@@ -428,55 +423,6 @@ size_t AdaptiveSearch(std::span<const TermId> array, TermId value,
 /// cursor. Short runs use a vectorized equality scan, long runs a binary
 /// search — the boolean is identical either way.
 bool RunContains(std::span<const TermId> run, TermId value);
-
-// ---- Compressed-replica probe kernels (DESIGN.md §13) -------------------
-//
-// A compressed probe must land on the SAME cursor position and bump the
-// SAME counters as its flat twin, or compressed and uncompressed stores
-// would diverge in SearchCounters (and, through adaptive decisions, in
-// probe work). The flat kernels' outputs are pure functions of the
-// array CONTENT — specifically of the lower-bound position of the probe
-// value and whether it is an exact hit — because replica key arrays are
-// strictly increasing: every comparison a[p] < value is equivalent to
-// p < lower_bound. So the compressed kernels compute (lower_bound, found)
-// with a two-level search (upper_bound on block minima + one decoded
-// block, cached in the ReplicaCursor) and then REPLAY the flat kernel's
-// probe trajectory arithmetically, touching no further memory.
-
-/// Replays BinarySearchWith's exact trajectory on a strictly-increasing
-/// array of length `n` from the content facts alone: same hit position,
-/// same miss `*cursor` (the last probed position). Exposed for
-/// differential tests against the flat kernel.
-size_t BinarySearchReplay(size_t n, size_t lower_bound_pos, bool found,
-                          size_t* cursor,
-                          size_t gallop_cap = kDefaultGallopCap);
-
-/// BinarySearchWith over a compressed replica's keys.
-size_t CompressedBinarySearch(const storage::CompressedReplica& replica,
-                              TermId value, size_t* cursor,
-                              storage::ReplicaCursor* rc,
-                              size_t gallop_cap = kDefaultGallopCap);
-
-/// SequentialSearchWith over a compressed replica's keys. Stop positions
-/// and step counts match the flat scan (they are content-pure: forward
-/// stops at min(lower_bound, n-1), backward at lower_bound on a hit and
-/// max(lower_bound-1, 0) on a miss), so no per-element walk happens.
-size_t CompressedSequentialSearch(const storage::CompressedReplica& replica,
-                                  TermId value, size_t* cursor,
-                                  storage::ReplicaCursor* rc,
-                                  uint64_t* steps_out);
-
-/// AdaptiveSearchWith over a compressed replica: identical strategy
-/// dispatch, counter increments, and cursor trajectory. The adaptive
-/// distance check reads the key under the cursor through the cursor's
-/// cached block decode; index lookups never touch the key array at all.
-size_t CompressedAdaptiveSearch(const storage::CompressedReplica& replica,
-                                TermId value, size_t* cursor,
-                                int64_t threshold, SearchStrategy strategy,
-                                const index::IdPositionIndex* index,
-                                SearchCounters* counters,
-                                storage::ReplicaCursor* rc,
-                                size_t gallop_cap = kDefaultGallopCap);
 
 }  // namespace parj::join
 

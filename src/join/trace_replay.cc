@@ -43,13 +43,7 @@ Result<ReplayStats> ReplaySearchTrace(const storage::Database& db,
     const int64_t threshold = meta.threshold_binary;
     const size_t gallop_cap = GallopCapForWindow(meta.window_binary);
 
-    // A compressed replica has no flat key array to instrument; the replay
-    // probes its decoded (flat-equivalent) keys instead, which preserves
-    // the probe trajectory and counters the flat store would produce.
-    std::vector<TermId> decode_scratch;
-    const std::span<const TermId> keys =
-        replica.is_compressed() ? replica.DecodedKeys(&decode_scratch)
-                                : replica.keys();
+    const std::span<const TermId> keys = replica.keys();
     size_t cursor = 0;
     for (TermId value : values) {
       AdaptiveSearchWith(keys, value, &cursor, threshold, strategy,

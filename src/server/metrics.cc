@@ -102,7 +102,6 @@ std::span<const MetricsRegistry::Counter> MetricsRegistry::Counters() {
       {"active_epochs", &M::active_epochs},
       {"store_bytes", &M::store_bytes},
       {"store_allocated_bytes", &M::store_allocated_bytes},
-      {"store_raw_bytes", &M::store_raw_bytes},
       {"wal_records", &M::wal_records},
       {"wal_bytes", &M::wal_bytes},
       {"wal_fsyncs", &M::wal_fsyncs},

@@ -94,14 +94,11 @@ struct MetricsRegistry {
   std::atomic<uint64_t> active_epochs{0};     ///< live pinned versions
 
   // Base-store size gauges (refreshed alongside the mutation gauges).
-  // store_bytes counts live bytes (vector sizes / packed payloads);
-  // store_allocated_bytes counts allocator capacity, so the difference is
-  // exactly the reserve slack. With compression=blocked, store_bytes drops
-  // to the packed size while store_raw_bytes keeps the flat-equivalent
-  // denominator of the compression ratio.
+  // store_bytes counts live bytes (vector sizes); store_allocated_bytes
+  // counts allocator capacity, so the difference is exactly the reserve
+  // slack.
   std::atomic<uint64_t> store_bytes{0};
   std::atomic<uint64_t> store_allocated_bytes{0};
-  std::atomic<uint64_t> store_raw_bytes{0};
 
   // Crash-durability gauges (DESIGN.md §14), refreshed from mut::WalStats /
   // mut::RecoveryStats alongside the mutation gauges. All zero when the

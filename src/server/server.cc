@@ -124,8 +124,6 @@ void QueryServer::RefreshMutationGauges() {
   metrics_.store_bytes.store(db.TableMemoryUsage(), std::memory_order_relaxed);
   metrics_.store_allocated_bytes.store(db.TableAllocatedUsage(),
                                        std::memory_order_relaxed);
-  metrics_.store_raw_bytes.store(db.TableRawBytes(),
-                                 std::memory_order_relaxed);
   const mut::WalStats w = engine_->wal_stats();
   metrics_.wal_records.store(w.records, std::memory_order_relaxed);
   metrics_.wal_bytes.store(w.bytes, std::memory_order_relaxed);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -41,12 +40,7 @@ void AppendBlock(PackedColumn* col, const uint32_t* fields, size_t count,
 /// overread of the last block stays in bounds.
 void FinishColumn(PackedColumn* col) {
   col->words.push_back(0);
-  col->words.shrink_to_fit();
-  col->block_word.shrink_to_fit();
-  col->meta.shrink_to_fit();
 }
-
-std::atomic<uint64_t> g_replica_generation{0};
 
 }  // namespace
 
@@ -68,7 +62,6 @@ PackedKeys PackKeys(std::span<const TermId> keys) {
                 static_cast<uint8_t>(BitsFor(max_field) | kPackDeltaFlag));
   }
   FinishColumn(&pk.col);
-  pk.minima.shrink_to_fit();
   return pk;
 }
 
@@ -106,8 +99,6 @@ PackedLengths PackLengths(std::span<const uint64_t> offsets) {
                 static_cast<uint8_t>(BitsFor(max_field)));
   }
   FinishColumn(&pl.col);
-  pl.base.shrink_to_fit();
-  pl.min_len.shrink_to_fit();
   return pl;
 }
 
@@ -145,7 +136,6 @@ PackedValues PackValues(std::span<const TermId> values) {
     AppendBlock(&pv.col, fields, len, meta_byte);
   }
   FinishColumn(&pv.col);
-  pv.minima.shrink_to_fit();
   return pv;
 }
 
@@ -177,303 +167,6 @@ void DecodeLengthBlock(const PackedLengths& pl, size_t b, uint64_t* out) {
   const uint64_t min_len = pl.min_len[b];
   for (size_t i = 0; i < len; ++i) out[i] = base + i * min_len + excess[i];
   out[len] = b + 1 < pl.base.size() ? pl.base[b + 1] : pl.total;
-}
-
-uint64_t LengthAt(const PackedLengths& pl, size_t pos) {
-  const size_t b = pos / kPackBlock;
-  const size_t i = pos % kPackBlock;
-  const uint64_t min_len = pl.min_len[b];
-  const uint64_t o0 = pl.base[b] + i * min_len + PackedFieldU32(pl.col, b, i);
-  const uint64_t o1 =
-      i + 1 < pl.col.BlockLen(b)
-          ? pl.base[b] + (i + 1) * min_len + PackedFieldU32(pl.col, b, i + 1)
-          : (b + 1 < pl.base.size() ? pl.base[b + 1] : pl.total);
-  return o1 - o0;
-}
-
-size_t CompressedReplica::HeapBytes() const {
-  return keys.col.HeapBytes() + keys.minima.size() * sizeof(TermId) +
-         lens.col.HeapBytes() + lens.base.size() * sizeof(uint64_t) +
-         lens.min_len.size() * sizeof(uint32_t) + vals.col.HeapBytes() +
-         vals.minima.size() * sizeof(TermId);
-}
-
-size_t CompressedReplica::AllocatedBytes() const {
-  return keys.col.AllocatedBytes() + keys.minima.capacity() * sizeof(TermId) +
-         lens.col.AllocatedBytes() + lens.base.capacity() * sizeof(uint64_t) +
-         lens.min_len.capacity() * sizeof(uint32_t) +
-         vals.col.AllocatedBytes() + vals.minima.capacity() * sizeof(TermId);
-}
-
-CompressedReplica CompressReplica(std::span<const TermId> keys,
-                                  std::span<const uint64_t> offsets,
-                                  std::span<const TermId> values) {
-  PARJ_CHECK(offsets.size() == keys.size() + 1);
-  CompressedReplica r;
-  r.keys = PackKeys(keys);
-  r.lens = PackLengths(offsets);
-  r.vals = PackValues(values);
-  if (!keys.empty()) {
-    r.min_key = keys.front();
-    r.max_key = keys.back();
-  }
-  r.generation = 1 + g_replica_generation.fetch_add(1, std::memory_order_relaxed);
-  return r;
-}
-
-namespace {
-
-/// Decodes value fields [lo, hi) of FOR-coded block `b` straight from the
-/// packed words — cost proportional to the slice, not the block. Used for
-/// short-run point access where decoding all 128 ids wastes the work.
-void DecodeValueSliceFor(const PackedValues& pv, size_t b, size_t lo,
-                         size_t hi, uint32_t* out) {
-  const unsigned width = pv.col.meta[b] & kPackWidthMask;
-  const TermId base = pv.minima[b];
-  if (width == 0) {
-    for (size_t i = lo; i < hi; ++i) out[i - lo] = base;
-    return;
-  }
-  const uint64_t* words = pv.col.words.data() + pv.col.block_word[b];
-  const uint64_t mask = (uint64_t{1} << width) - 1;
-  for (size_t i = lo; i < hi; ++i) {
-    const size_t bit = i * width;
-    const size_t word = bit >> 6;
-    const unsigned off = bit & 63u;
-    uint64_t v = words[word] >> off;
-    if (off + width > 64) v |= words[word + 1] << (64 - off);
-    out[i - lo] = base + static_cast<uint32_t>(v & mask);
-  }
-}
-
-/// Slices at most this many ids are point-decoded; longer ones go through
-/// the cached full-block decode (SIMD unpack amortizes past this point).
-constexpr size_t kSliceDecodeLimit = 32;
-
-/// Branchless (cmov) lower bound: first index with data[i] >= value.
-/// Probe outcomes are coin flips on uncorrelated values, so the branchy
-/// std:: loop spends more on mispredicts than on its arithmetic.
-inline size_t CmovLowerBound(const TermId* data, size_t n, TermId value) {
-  size_t lo = 0;
-  size_t hi = n;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const bool below = data[mid] < value;
-    lo = below ? mid + 1 : lo;
-    hi = below ? hi : mid;
-  }
-  return lo;
-}
-
-/// Branchless upper bound: first index with data[i] > value.
-inline size_t CmovUpperBound(const TermId* data, size_t n, TermId value) {
-  size_t lo = 0;
-  size_t hi = n;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    const bool le = data[mid] <= value;
-    lo = le ? mid + 1 : lo;
-    hi = le ? hi : mid;
-  }
-  return lo;
-}
-
-}  // namespace
-
-std::span<const TermId> ReplicaCursor::RunAt(const CompressedReplica& r,
-                                             size_t pos) {
-  const OffsetPair o = OffsetPairAt(r, pos);
-  const uint64_t o0 = o.begin;
-  const uint64_t o1 = o.end;
-  const size_t len = static_cast<size_t>(o1 - o0);
-  if (len == 0) return {};
-  const size_t vb0 = static_cast<size_t>(o0 / kPackBlock);
-  if (o1 <= (static_cast<uint64_t>(vb0) + 1) * kPackBlock) {
-    const size_t lo =
-        static_cast<size_t>(o0 - static_cast<uint64_t>(vb0) * kPackBlock);
-    if (val_gen_ == r.generation && val_block_ == vb0) {
-      // Block already decoded: alias it, zero copy.
-      return {val_buf_ + lo, len};
-    }
-    if (len <= kSliceDecodeLimit &&
-        (r.vals.col.meta[vb0] & kPackDeltaFlag) == 0) {
-      // Short run in a FOR block (blocks holding several runs are never
-      // monotone, so they are FOR-coded): decode just the slice.
-      run_buf_.resize(len);
-      DecodeValueSliceFor(r.vals, vb0, lo, lo + len, run_buf_.data());
-      return {run_buf_.data(), len};
-    }
-    const std::span<const TermId> blk = ValueBlock(r, vb0);
-    return blk.subspan(lo, len);
-  }
-  run_buf_.resize(len);
-  size_t out = 0;
-  for (size_t vb = static_cast<size_t>(o0 / kPackBlock);
-       vb * kPackBlock < o1; ++vb) {
-    const std::span<const TermId> blk = ValueBlock(r, vb);
-    const uint64_t blk_begin = static_cast<uint64_t>(vb) * kPackBlock;
-    const size_t lo = static_cast<size_t>(std::max(o0, blk_begin) - blk_begin);
-    const size_t hi = static_cast<size_t>(
-        std::min(o1, blk_begin + blk.size()) - blk_begin);
-    std::memcpy(run_buf_.data() + out, blk.data() + lo,
-                (hi - lo) * sizeof(TermId));
-    out += hi - lo;
-  }
-  return {run_buf_.data(), len};
-}
-
-bool ReplicaCursor::RunContains(const CompressedReplica& r, size_t pos,
-                                TermId value) {
-  const OffsetPair o = OffsetPairAt(r, pos);
-  const uint64_t o0 = o.begin;
-  const uint64_t o1 = o.end;
-  if (o0 == o1) return false;
-  const size_t vb_first = static_cast<size_t>(o0 / kPackBlock);
-  const size_t vb_last = static_cast<size_t>((o1 - 1) / kPackBlock);
-  // Pick the one candidate block by binary-searching the run's interior
-  // block minima. A block fully inside the run holds an ascending slice,
-  // so it is delta-coded and its stored minimum IS the slice's first
-  // value; those minima ascend across the run. The first and last
-  // covering blocks can share their storage with neighbouring runs, so
-  // their minima are not trusted — the first is the default candidate
-  // and the last is the fallback below.
-  size_t vb = vb_first;
-  if (vb_last > vb_first + 1) {
-    const TermId* interior = r.vals.minima.data() + vb_first + 1;
-    const size_t ub =
-        CmovUpperBound(interior, vb_last - vb_first - 1, value);
-    if (ub != 0) vb = vb_first + ub;
-  }
-  for (;;) {
-    const uint64_t blk_begin = static_cast<uint64_t>(vb) * kPackBlock;
-    const size_t blk_len = r.vals.col.BlockLen(vb);
-    const size_t lo = static_cast<size_t>(std::max(o0, blk_begin) - blk_begin);
-    const size_t hi = static_cast<size_t>(
-        std::min(o1, blk_begin + blk_len) - blk_begin);
-    const bool cached = val_gen_ == r.generation && val_block_ == vb;
-    if (!cached && (r.vals.col.meta[vb] & kPackDeltaFlag) == 0) {
-      // FOR block, not in the cache: lower-bound the run's ascending
-      // slice straight off the packed words — log2(slice) single-field
-      // extracts, never a decode.
-      const TermId base = r.vals.minima[vb];
-      const unsigned width = r.vals.col.meta[vb] & kPackWidthMask;
-      if (width == 0) {
-        if (value == base) return true;
-        if (vb == vb_last || base >= value) return false;
-        vb = vb_last;
-        continue;
-      }
-      if (value < base) return false;  // slice ascends and is >= base
-      const uint64_t target = value - base;
-      const uint64_t mask = (uint64_t{1} << width) - 1;
-      if (target <= mask) {
-        const uint64_t* words =
-            r.vals.col.words.data() + r.vals.col.block_word[vb];
-        const auto field = [&](size_t i) {
-          const size_t bit = i * width;
-          const unsigned off = bit & 63u;
-          uint64_t v = words[bit >> 6] >> off;
-          if (off + width > 64) v |= words[(bit >> 6) + 1] << (64 - off);
-          return v & mask;
-        };
-        size_t a = lo;
-        size_t c = hi;
-        while (a < c) {
-          const size_t mid = (a + c) / 2;
-          if (field(mid) < target) {
-            a = mid + 1;
-          } else {
-            c = mid;
-          }
-        }
-        // a < hi: the slice holds a field >= target, so the answer is
-        // decided here — value is present iff that field equals it.
-        if (a < hi) return field(a) == target;
-      }
-      // Everything in this slice is below value: the only remaining
-      // possibility is the run's tail slice in the last covering block
-      // (its minimum was not part of the directory search).
-      if (vb == vb_last) return false;
-      vb = vb_last;
-      continue;
-    }
-    const TermId* slice =
-        cached ? val_buf_ + lo : ValueBlock(r, vb).data() + lo;
-    if (std::binary_search(slice, slice + (hi - lo), value)) return true;
-    if (vb == vb_last || slice[hi - lo - 1] >= value) return false;
-    vb = vb_last;
-  }
-}
-
-LowerBoundResult LowerBoundKeys(const CompressedReplica& r, TermId value,
-                                ReplicaCursor* rc) {
-  const size_t n = r.keys.col.size;
-  if (n == 0) return {0, false};
-  const auto& minima = r.keys.minima;
-  // Adaptive probes cluster near the cursor: when the value falls in the
-  // cached block's key range the lower bound resolves inside it — no
-  // directory search, no decode. (Non-tail blocks are full, so an
-  // in-block lower bound of block.size() is the next block's first
-  // position, which is the correct global lower bound here because
-  // value < minima[cb + 1].)
-  const size_t cb = rc->CachedKeyBlockIndex(r);
-  if (cb != SIZE_MAX) {
-    if (value >= minima[cb] &&
-        (cb + 1 == minima.size() || value < minima[cb + 1])) {
-      const std::span<const TermId> block = rc->KeyBlock(r, cb);
-      const size_t li = CmovLowerBound(block.data(), block.size(), value);
-      const size_t pos = cb * kPackBlock + li;
-      if (li == block.size()) return {pos, false};
-      return {pos, block[li] == value};
-    }
-    // Forward scans cross into the NEXT block far more often than they
-    // jump: resolve there directly before paying the directory search.
-    const size_t nb = cb + 1;
-    if (nb < minima.size() && value >= minima[nb] &&
-        (nb + 1 == minima.size() || value < minima[nb + 1])) {
-      const std::span<const TermId> block = rc->KeyBlock(r, nb);
-      const size_t li = CmovLowerBound(block.data(), block.size(), value);
-      const size_t pos = nb * kPackBlock + li;
-      if (li == block.size()) return {pos, false};
-      return {pos, block[li] == value};
-    }
-  }
-  // Last block whose first key <= value; all of an earlier block's keys
-  // are below the next block's minimum. Block minima inherit the key
-  // column's spread, which on id-dense RDF data is near-uniform, so an
-  // interpolated guess with a widening verification window replaces most
-  // of the log2(blocks) serially-dependent directory loads; the window
-  // bounds below guarantee the narrowed range still brackets the global
-  // upper bound, and skewed data just falls back to the full search.
-  size_t lo = 0;
-  size_t hi = minima.size();
-  if (hi >= 64 && value >= minima[0] && value < minima[hi - 1]) {
-    const uint64_t span = minima[hi - 1] - minima[0];
-    const size_t g = static_cast<size_t>(
-        uint64_t{value - minima[0]} * (hi - 1) / span);
-    for (size_t w = 16;; w *= 4) {
-      const size_t a = g > w ? g - w : 0;
-      const size_t b = g + w < minima.size() ? g + w : minima.size();
-      // minima[a] <= value keeps the upper bound at or after a;
-      // minima[b] > value keeps it at or before b.
-      if ((a == 0 || minima[a] <= value) &&
-          (b == minima.size() || minima[b] > value)) {
-        lo = a;
-        hi = b;
-        break;
-      }
-      if (a == 0 && b == minima.size()) break;
-    }
-  }
-  const size_t ub =
-      lo + CmovUpperBound(minima.data() + lo, hi - lo, value);
-  if (ub == 0) return {0, false};
-  const size_t b = ub - 1;
-  const std::span<const TermId> block = rc->KeyBlock(r, b);
-  const size_t li = CmovLowerBound(block.data(), block.size(), value);
-  const size_t pos = b * kPackBlock + li;
-  if (li == block.size()) return {pos, false};
-  return {pos, block[li] == value};
 }
 
 }  // namespace parj::storage

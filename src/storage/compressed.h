@@ -1,31 +1,27 @@
 #ifndef PARJ_STORAGE_COMPRESSED_H_
 #define PARJ_STORAGE_COMPRESSED_H_
 
-// Blocked FOR/delta bit-packed columns for compressed TableReplicas
+// Blocked FOR/delta bit-packed columns: the snapshot v3 table encoding
 // (DESIGN.md §13).
 //
 // A replica's three arrays are each cut into fixed 128-id blocks and
 // bit-packed with the narrowest width that represents the block:
 //
 //   keys     strictly increasing  -> delta-coded gaps, block minima kept
-//            uncompressed as the two-level search directory;
+//            uncompressed;
 //   offsets  stored as the CUMULATIVE length excess over a min-length
 //            ramp (offsets[b*128+i] == base[b] + i*min_len[b] + field_i),
 //            plus one uncompressed u64 base offset per block (offsets
 //            themselves grow past 2^32). Uniform-length blocks pack to
-//            width 0, and any offset random-accesses in O(1);
+//            width 0;
 //   values   sorted per run, not globally -> per-block adaptive: delta
 //            when the block happens to be non-decreasing, FOR over the
 //            block minimum otherwise.
 //
-// Every probe decodes EXACTLY ONE block into a cursor-owned scratch
-// buffer via the simd::Unpack* kernels; the per-block directory arrays
-// (minima / widths / word offsets) are what the search and the batched
-// prefetcher touch first. Encoding is deterministic — the same arrays
-// always produce the same packed bytes — which is what lets snapshot v3
-// write packed sections regardless of the in-memory store mode.
+// Blocks decode through the simd::Unpack* kernels. Encoding is
+// deterministic — the same arrays always produce the same packed bytes —
+// so a store always writes the same snapshot.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -57,19 +53,10 @@ struct PackedColumn {
     return b + 1 < meta.size() ? kPackBlock
                                : static_cast<size_t>(size) - b * kPackBlock;
   }
-  size_t HeapBytes() const {
-    return words.size() * sizeof(uint64_t) +
-           block_word.size() * sizeof(uint32_t) + meta.size();
-  }
-  size_t AllocatedBytes() const {
-    return words.capacity() * sizeof(uint64_t) +
-           block_word.capacity() * sizeof(uint32_t) + meta.capacity();
-  }
 };
 
 /// Strictly increasing u32 column (replica keys). Every block is
-/// delta-coded; minima[b] is the block's first key and doubles as the
-/// two-level search directory entry.
+/// delta-coded; minima[b] is the block's first key.
 struct PackedKeys {
   PackedColumn col;
   std::vector<TermId> minima;
@@ -79,8 +66,8 @@ struct PackedKeys {
 /// block's min-length ramp: offsets[b*128+i] == base[b] + i*min_len[b] +
 /// field_i. base[b] is the offset of the block's first key
 /// (offsets[b*128]); min_len[b] the block's minimum run length. The ramp
-/// form keeps uniform-length blocks at width 0 AND gives O(1) random
-/// access to any offset (fields are independent, not a prefix chain).
+/// form keeps uniform-length blocks at width 0, and its fields are
+/// independent (no prefix chain on decode).
 struct PackedLengths {
   PackedColumn col;                ///< col.size == key count
   std::vector<uint64_t> base;
@@ -88,28 +75,15 @@ struct PackedLengths {
   uint64_t total = 0;              ///< offsets.back() == pair count
 };
 
-/// Field `i` of block `b` of a packed column, extracted in O(1).
-inline uint32_t PackedFieldU32(const PackedColumn& col, size_t b, size_t i) {
-  const unsigned width = col.meta[b] & kPackWidthMask;
-  if (width == 0) return 0;
-  const size_t bit = i * width;
-  const uint64_t* words = col.words.data() + col.block_word[b];
-  const size_t word = bit >> 6;
-  const unsigned off = bit & 63u;
-  uint64_t v = words[word] >> off;
-  if (off + width > 64) v |= words[word + 1] << (64 - off);
-  return static_cast<uint32_t>(v & ((uint64_t{1} << width) - 1));
-}
-
 /// Concatenated value runs, per-block adaptive delta/FOR.
 struct PackedValues {
   PackedColumn col;
   std::vector<TermId> minima;  ///< delta: first value; FOR: block minimum
 };
 
-/// Deterministic builders (shared by TableReplica::Compress and the v3
-/// snapshot writer). `keys` must be strictly increasing; `offsets` has
-/// keys.size()+1 monotone entries; all sizes must fit in u32.
+/// Deterministic builders used by the snapshot writer. `keys` must be
+/// strictly increasing; `offsets` has keys.size()+1 monotone entries; all
+/// sizes must fit in u32.
 PackedKeys PackKeys(std::span<const TermId> keys);
 PackedLengths PackLengths(std::span<const uint64_t> offsets);
 PackedValues PackValues(std::span<const TermId> values);
@@ -120,172 +94,6 @@ PackedValues PackValues(std::span<const TermId> values);
 void DecodeKeyBlock(const PackedKeys& pk, size_t b, uint32_t* out);
 void DecodeValueBlock(const PackedValues& pv, size_t b, uint32_t* out);
 void DecodeLengthBlock(const PackedLengths& pl, size_t b, uint64_t* out);
-
-/// Single-field reads off the packed lengths (no block decode).
-uint64_t LengthAt(const PackedLengths& pl, size_t pos);
-
-/// All three packed columns of one replica. `generation` is process-unique
-/// (assigned by CompressReplica) so decode caches keyed on it can never
-/// confuse two replicas, even when a compaction swap reuses addresses.
-struct CompressedReplica {
-  PackedKeys keys;
-  PackedLengths lens;
-  PackedValues vals;
-  TermId min_key = 0;
-  TermId max_key = 0;
-  uint64_t generation = 0;
-
-  size_t key_count() const { return keys.col.size; }
-  size_t pair_count() const { return vals.col.size; }
-  size_t HeapBytes() const;
-  size_t AllocatedBytes() const;
-
-  /// Prefetches the key-block directory entries the two-level search for
-  /// a probe expected near key position `pos` will touch (batched
-  /// probing's stage-A analogue of prefetching &keys[pos]).
-  void PrefetchProbe(size_t pos) const {
-    size_t b = pos / kPackBlock;
-    const size_t nb = keys.col.block_count();
-    if (nb == 0) return;
-    if (b >= nb) b = nb - 1;
-    __builtin_prefetch(&keys.minima[b]);
-    __builtin_prefetch(&keys.col.block_word[b]);
-  }
-
-  /// Prefetches the length directory for key position `pos` (stage-C
-  /// analogue of prefetching the run head).
-  void PrefetchRun(size_t pos) const {
-    const size_t b = pos / kPackBlock;
-    if (b >= lens.col.block_count()) return;
-    __builtin_prefetch(&lens.base[b]);
-    __builtin_prefetch(lens.col.words.data() + lens.col.block_word[b]);
-  }
-};
-
-/// Packs a flat replica. Deterministic; assigns a fresh generation.
-CompressedReplica CompressReplica(std::span<const TermId> keys,
-                                  std::span<const uint64_t> offsets,
-                                  std::span<const TermId> values);
-
-/// Per-(worker, plan-depth) decode cache: one decoded key block, one
-/// length-prefix block, one value block, plus a scratch vector for
-/// materialized runs. All probe-side decoding funnels through a cursor so
-/// repeated probes into the same block pay the unpack once. NOT
-/// thread-safe — each worker owns its cursors.
-class ReplicaCursor {
- public:
-  /// The decoded key block `b` (cached).
-  std::span<const TermId> KeyBlock(const CompressedReplica& r, size_t b) {
-    if (key_gen_ != r.generation || key_block_ != b) {
-      DecodeKeyBlock(r.keys, b, key_buf_);
-      key_gen_ = r.generation;
-      key_block_ = b;
-    }
-    return {key_buf_, r.keys.col.BlockLen(b)};
-  }
-
-  TermId KeyAt(const CompressedReplica& r, size_t pos) {
-    return KeyBlock(r, pos / kPackBlock)[pos % kPackBlock];
-  }
-
-  /// Index of the currently cached key block for `r`, or SIZE_MAX. Lets
-  /// LowerBoundKeys resolve probes that land in the cached block without
-  /// re-searching the block directory.
-  size_t CachedKeyBlockIndex(const CompressedReplica& r) const {
-    return key_gen_ == r.generation ? key_block_ : SIZE_MAX;
-  }
-
-  /// Records that keys[pos] == key (e.g. after a confirmed probe hit),
-  /// so the next KeyAtMemo at the same position skips the block decode.
-  void NoteKey(const CompressedReplica& r, size_t pos, TermId key) {
-    memo_gen_ = r.generation;
-    memo_pos_ = pos;
-    memo_key_ = key;
-  }
-
-  /// KeyAt through the single-position memo: an adaptive probe's distance
-  /// check reads the key at the previous hit's position, which NoteKey
-  /// recorded without ever decoding that block.
-  TermId KeyAtMemo(const CompressedReplica& r, size_t pos) {
-    if (memo_gen_ == r.generation && memo_pos_ == pos) return memo_key_;
-    return KeyAt(r, pos);
-  }
-
-  /// [begin, end) value offsets of key position `pos`. O(1): offsets are
-  /// a min-length ramp plus an independently extractable excess field —
-  /// no block decode, no cache traffic on the probe path.
-  struct OffsetPair {
-    uint64_t begin;
-    uint64_t end;
-  };
-  OffsetPair OffsetPairAt(const CompressedReplica& r, size_t pos) {
-    const PackedLengths& pl = r.lens;
-    const size_t b = pos / kPackBlock;
-    const size_t i = pos % kPackBlock;
-    const uint64_t min_len = pl.min_len[b];
-    const uint64_t o0 =
-        pl.base[b] + i * min_len + PackedFieldU32(pl.col, b, i);
-    const uint64_t o1 =
-        i + 1 < pl.col.BlockLen(b)
-            ? pl.base[b] + (i + 1) * min_len + PackedFieldU32(pl.col, b, i + 1)
-            : (b + 1 < pl.base.size() ? pl.base[b + 1] : pl.total);
-    return {o0, o1};
-  }
-
-  uint64_t OffsetAt(const CompressedReplica& r, size_t pos) {
-    if (pos >= r.lens.col.size) return r.lens.total;
-    return OffsetPairAt(r, pos).begin;
-  }
-
-  size_t RunLength(const CompressedReplica& r, size_t pos) {
-    const OffsetPair o = OffsetPairAt(r, pos);
-    return static_cast<size_t>(o.end - o.begin);
-  }
-
-  /// The decoded value block `b` (cached).
-  std::span<const TermId> ValueBlock(const CompressedReplica& r, size_t b) {
-    if (val_gen_ != r.generation || val_block_ != b) {
-      DecodeValueBlock(r.vals, b, val_buf_);
-      val_gen_ = r.generation;
-      val_block_ = b;
-    }
-    return {val_buf_, r.vals.col.BlockLen(b)};
-  }
-
-  /// The value run of key position `pos`. A run contained in a single
-  /// value block aliases the cursor's cached block (zero copy); a run
-  /// spanning blocks is materialized into the cursor's run scratch. The
-  /// span is valid until the next value-block access on this cursor
-  /// (RunAt / RunContains / ValueBlock).
-  std::span<const TermId> RunAt(const CompressedReplica& r, size_t pos);
-
-  /// Membership test inside the run of key position `pos` without
-  /// materializing it (runs are sorted ascending).
-  bool RunContains(const CompressedReplica& r, size_t pos, TermId value);
-
- private:
-  uint64_t key_gen_ = 0;
-  uint64_t val_gen_ = 0;
-  uint64_t memo_gen_ = 0;
-  size_t memo_pos_ = SIZE_MAX;
-  TermId memo_key_ = 0;
-  size_t key_block_ = SIZE_MAX;
-  size_t val_block_ = SIZE_MAX;
-  alignas(64) TermId key_buf_[kPackBlock];
-  alignas(64) TermId val_buf_[kPackBlock];
-  std::vector<TermId> run_buf_;
-};
-
-/// Content facts a probe needs: the std::lower_bound position of `value`
-/// in the replica's key array and whether it is an exact hit. Computed by
-/// the two-level search — upper_bound on block minima, then one decoded
-/// block — and consumed by the trajectory-replay kernels in join/search.
-struct LowerBoundResult {
-  size_t pos = 0;
-  bool found = false;
-};
-LowerBoundResult LowerBoundKeys(const CompressedReplica& r, TermId value,
-                                ReplicaCursor* rc);
 
 }  // namespace parj::storage
 

@@ -223,16 +223,6 @@ Result<Database> Database::Build(dict::Dictionary dict,
       timings->char_sets_millis = char_timer.ElapsedMillis();
     }
   }
-
-  // --- Compression (last) -----------------------------------------------
-  // Every derived structure above (histograms, ID indexes, pairwise stats,
-  // characteristic sets) reads the flat arrays, so the re-encode runs only
-  // after all of them are built. Per-table packing is independent work.
-  if (options.compression == Compression::kBlocked) {
-    RunIndexed(pool, predicate_count, [&](size_t p) {
-      db.entries_[p].table.Compress();
-    });
-  }
   return db;
 }
 
@@ -329,13 +319,7 @@ void Database::Calibrate(const join::CalibrationOptions& options) {
     const TableReplica& replica = entry.table.replica(kind);
     ReplicaMeta& meta = entry.meta(kind);
     if (replica.key_count() < 64) return;  // too small to measure
-    // Calibration measures the key distribution, not the storage layout;
-    // a compressed replica is measured on its decoded key array so both
-    // modes calibrate to identical windows.
-    std::vector<TermId> scratch;
-    const std::span<const TermId> keys =
-        replica.is_compressed() ? replica.DecodedKeys(&scratch)
-                                : replica.keys();
+    const std::span<const TermId> keys = replica.keys();
     join::CalibrationResult binary = join::CalibrateWindow(
         keys, join::CalibrationMode::kVersusBinarySearch, nullptr, options);
     meta.window_binary = binary.window_positions;
@@ -369,14 +353,6 @@ size_t Database::TableAllocatedUsage() const {
     bytes += entry.os_meta.id_index.MemoryUsage();
   }
   bytes += pair_stats_.size() * (sizeof(uint64_t) + sizeof(PairJoinStat) + 16);
-  return bytes;
-}
-
-size_t Database::TableRawBytes() const {
-  size_t bytes = 0;
-  for (const PropertyEntry& entry : entries_) {
-    bytes += entry.table.RawBytes();
-  }
   return bytes;
 }
 

@@ -87,16 +87,6 @@ struct PropertyEntry {
   }
 };
 
-/// Storage representation for the replicas' key/offset/value arrays.
-enum class Compression : uint8_t {
-  kNone = 0,     ///< flat sorted arrays (the paper's layout)
-  kBlocked = 1,  ///< 128-id FOR/delta bit-packed blocks (DESIGN.md §13)
-};
-
-inline const char* CompressionName(Compression c) {
-  return c == Compression::kBlocked ? "blocked" : "none";
-}
-
 /// Build-time options.
 struct DatabaseOptions {
   /// Equi-depth histogram buckets per replica.
@@ -124,10 +114,6 @@ struct DatabaseOptions {
   /// concurrency here, to keep the default deterministic-cheap); the
   /// built store is identical whatever the value (DESIGN.md §10).
   int build_threads = 1;
-  /// Replica storage representation. kBlocked re-encodes every replica as
-  /// bit-packed blocks after all derived metadata is built; query results
-  /// and SearchCounters are identical to kNone.
-  Compression compression = Compression::kNone;
 };
 
 /// Wall-clock breakdown of one Database::Build (+ Calibrate), filled when
@@ -198,19 +184,12 @@ class Database {
 
   /// Heap bytes of tables + metadata, excluding the dictionary (the paper
   /// quotes storage "excluding dictionary" separately). Counts live bytes
-  /// (vector sizes / packed payloads), not reserve slack.
+  /// (vector sizes), not reserve slack.
   size_t TableMemoryUsage() const;
 
   /// Like TableMemoryUsage() but counting allocated capacity, so the gap
   /// between the two gauges is exactly the allocator slack.
   size_t TableAllocatedUsage() const;
-
-  /// Bytes the replicas' flat arrays would occupy uncompressed — the
-  /// denominator of the compression ratio. Excludes indexes/metadata.
-  size_t TableRawBytes() const;
-
-  /// Storage representation the store was built with.
-  Compression compression() const { return options_.compression; }
 
   const DatabaseOptions& options() const { return options_; }
 

@@ -34,18 +34,6 @@ TableReplica TableReplica::Build(
   return replica;
 }
 
-void TableReplica::Compress() {
-  if (packed_ != nullptr || keys_.empty()) return;
-  packed_ = std::make_unique<CompressedReplica>(
-      CompressReplica(keys_, offsets_, values_));
-  keys_.clear();
-  keys_.shrink_to_fit();
-  offsets_.clear();
-  offsets_.shrink_to_fit();
-  values_.clear();
-  values_.shrink_to_fit();
-}
-
 double TableReplica::AverageKeyGap() const {
   const size_t n = key_count();
   if (n < 2 || max_key() <= min_key()) return 1.0;
@@ -54,34 +42,6 @@ double TableReplica::AverageKeyGap() const {
 
 std::vector<size_t> TableReplica::CostBalancedSplit(size_t begin, size_t end,
                                                     size_t parts) const {
-  if (packed_ != nullptr) {
-    PARJ_DCHECK(begin <= end && end <= key_count());
-    if (parts == 0) parts = 1;
-    std::vector<size_t> cuts(parts + 1, end);
-    cuts[0] = begin;
-    ReplicaCursor rc;
-    const CompressedReplica& r = *packed_;
-    const uint64_t base = rc.OffsetAt(r, begin);
-    const uint64_t total = rc.OffsetAt(r, end) - base;
-    for (size_t k = 1; k < parts; ++k) {
-      // First key position whose cumulative cost reaches share k/parts —
-      // the same lower_bound over the same offset values as the flat
-      // branch, so cut positions (and thus morsel counters) match.
-      const uint64_t target = base + total * k / parts;
-      size_t lo = begin;
-      size_t hi = end;
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (rc.OffsetAt(r, mid) < target) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      cuts[k] = std::clamp(lo, cuts[k - 1], end);
-    }
-    return cuts;
-  }
   PARJ_DCHECK(begin <= end && end + 1 <= offsets_.size());
   if (parts == 0) parts = 1;
   std::vector<size_t> cuts(parts + 1, end);
@@ -100,49 +60,14 @@ std::vector<size_t> TableReplica::CostBalancedSplit(size_t begin, size_t end,
 }
 
 size_t TableReplica::FindKey(TermId key) const {
-  if (packed_ != nullptr) {
-    ReplicaCursor rc;
-    const LowerBoundResult lb = LowerBoundKeys(*packed_, key, &rc);
-    return lb.found ? lb.pos : SIZE_MAX;
-  }
   auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
   if (it == keys_.end() || *it != key) return SIZE_MAX;
   return static_cast<size_t>(it - keys_.begin());
 }
 
-uint64_t TableReplica::OffsetAt(size_t pos) const {
-  if (packed_ == nullptr) return offsets_[pos];
-  ReplicaCursor rc;
-  return rc.OffsetAt(*packed_, pos);
-}
-
-std::span<const TermId> TableReplica::RunInto(
-    size_t key_index, std::vector<TermId>* scratch) const {
-  if (packed_ == nullptr) return Run(key_index);
-  ReplicaCursor rc;
-  const std::span<const TermId> run = rc.RunAt(*packed_, key_index);
-  scratch->assign(run.begin(), run.end());
-  return *scratch;
-}
-
 bool TableReplica::RunContains(size_t key_index, TermId value) const {
-  if (packed_ == nullptr) {
-    const std::span<const TermId> run = Run(key_index);
-    return std::binary_search(run.begin(), run.end(), value);
-  }
-  ReplicaCursor rc;
-  return rc.RunContains(*packed_, key_index, value);
-}
-
-std::span<const TermId> TableReplica::DecodedKeys(
-    std::vector<TermId>* scratch) const {
-  if (packed_ == nullptr) return keys_;
-  const PackedKeys& pk = packed_->keys;
-  scratch->resize(pk.col.size);
-  for (size_t b = 0; b < pk.col.block_count(); ++b) {
-    DecodeKeyBlock(pk, b, scratch->data() + b * kPackBlock);
-  }
-  return *scratch;
+  const std::span<const TermId> run = Run(key_index);
+  return std::binary_search(run.begin(), run.end(), value);
 }
 
 PropertyTable PropertyTable::Build(

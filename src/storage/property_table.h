@@ -2,14 +2,11 @@
 #define PARJ_STORAGE_PROPERTY_TABLE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/types.h"
-#include "storage/compressed.h"
 
 namespace parj::storage {
 
@@ -36,14 +33,6 @@ inline const char* ReplicaKindName(ReplicaKind kind) {
 /// The layout stores each distinct key exactly once (the paper's simple
 /// column-specific compression) and makes both the key array and each run
 /// sequentially scannable, which the adaptive join exploits.
-///
-/// A replica is either FLAT (the three raw arrays above) or COMPRESSED
-/// (Compress() re-encodes them as blocked FOR/delta bit-packed columns —
-/// see storage/compressed.h — and frees the raw arrays). The direct-span
-/// accessors (keys()/values()/offsets()/Run()/KeyAt()) are flat-only;
-/// every position/cost/lookup accessor below is mode-aware and returns
-/// identical answers in both modes, which is what keeps query results and
-/// SearchCounters byte-identical across store modes.
 class TableReplica {
  public:
   TableReplica() = default;
@@ -57,76 +46,39 @@ class TableReplica {
   TableReplica(const TableReplica&) = delete;
   TableReplica& operator=(const TableReplica&) = delete;
 
-  /// Re-encodes the three arrays as bit-packed blocks and frees the flat
-  /// storage. No-op on an empty or already-compressed replica.
-  void Compress();
-
-  bool is_compressed() const { return packed_ != nullptr; }
-
-  /// The packed representation (null while flat).
-  const CompressedReplica* packed() const { return packed_.get(); }
-
   /// Number of distinct keys.
-  size_t key_count() const {
-    return packed_ != nullptr ? packed_->key_count() : keys_.size();
-  }
+  size_t key_count() const { return keys_.size(); }
 
   /// Number of (key, value) pairs, i.e. distinct triples in this property.
-  size_t pair_count() const {
-    return packed_ != nullptr ? packed_->pair_count() : values_.size();
-  }
+  size_t pair_count() const { return values_.size(); }
 
   bool empty() const { return key_count() == 0; }
 
-  /// The sorted distinct-key array (flat replicas only).
-  std::span<const TermId> keys() const {
-    PARJ_DCHECK(packed_ == nullptr);
-    return keys_;
-  }
+  /// The sorted distinct-key array.
+  std::span<const TermId> keys() const { return keys_; }
 
-  /// The concatenated value runs (flat replicas only).
-  std::span<const TermId> values() const {
-    PARJ_DCHECK(packed_ == nullptr);
-    return values_;
-  }
+  /// The concatenated value runs.
+  std::span<const TermId> values() const { return values_; }
 
-  /// Run offsets (size key_count()+1; flat replicas only).
-  std::span<const uint64_t> offsets() const {
-    PARJ_DCHECK(packed_ == nullptr);
-    return offsets_;
-  }
+  /// Run offsets (size key_count()+1).
+  std::span<const uint64_t> offsets() const { return offsets_; }
 
-  /// The sorted partner run of the key at `key_index` (flat replicas
-  /// only; compressed callers use RunInto / ReplicaCursor::RunAt).
+  /// The sorted partner run of the key at `key_index`.
   std::span<const TermId> Run(size_t key_index) const {
-    PARJ_DCHECK(packed_ == nullptr);
     return {values_.data() + offsets_[key_index],
             static_cast<size_t>(offsets_[key_index + 1] -
                                 offsets_[key_index])};
   }
 
-  /// Length of the run at `key_index` (both modes; compressed reads one
-  /// packed length field, no block decode).
+  /// Length of the run at `key_index`.
   size_t RunLength(size_t key_index) const {
-    if (packed_ != nullptr) {
-      return static_cast<size_t>(LengthAt(packed_->lens, key_index));
-    }
     return static_cast<size_t>(offsets_[key_index + 1] - offsets_[key_index]);
   }
 
-  TermId KeyAt(size_t key_index) const {
-    PARJ_DCHECK(packed_ == nullptr);
-    return keys_[key_index];
-  }
+  TermId KeyAt(size_t key_index) const { return keys_[key_index]; }
 
-  TermId min_key() const {
-    if (packed_ != nullptr) return packed_->min_key;
-    return keys_.empty() ? 0 : keys_.front();
-  }
-  TermId max_key() const {
-    if (packed_ != nullptr) return packed_->max_key;
-    return keys_.empty() ? 0 : keys_.back();
-  }
+  TermId min_key() const { return keys_.empty() ? 0 : keys_.front(); }
+  TermId max_key() const { return keys_.empty() ? 0 : keys_.back(); }
 
   /// Average arithmetic distance between consecutive keys under the
   /// paper's uniform-distribution assumption:
@@ -141,19 +93,13 @@ class TableReplica {
   }
 
   /// Exact position of `key` via std::lower_bound semantics, or SIZE_MAX.
-  /// Both modes (compressed: two-level block search). Reference
-  /// implementation used by tests and cold paths; the join path uses the
-  /// search kernels in join/search.h.
+  /// Reference implementation used by tests and cold paths; the join path
+  /// uses the search kernels in join/search.h.
   size_t FindKey(TermId key) const;
 
-  /// offsets[pos] in either mode (compressed decodes one length block).
-  uint64_t OffsetAt(size_t pos) const;
-
   /// Cost of processing the key range [begin, end): its cumulative run
-  /// length (= number of triples). O(1) flat, one block decode per end
-  /// compressed.
+  /// length (= number of triples).
   uint64_t RangeCost(size_t begin, size_t end) const {
-    if (packed_ != nullptr) return OffsetAt(end) - OffsetAt(begin);
     return offsets_[end] - offsets_[begin];
   }
 
@@ -163,44 +109,23 @@ class TableReplica {
   /// cuts.front() == begin and cuts.back() == end. A single key whose run
   /// exceeds the per-part share gets its own (oversized) sub-range and the
   /// neighbouring sub-ranges may be empty — cost balance is as good as the
-  /// key granularity allows. Cut positions are identical in both modes
-  /// (morsel boundaries, and therefore per-worker counters, must not
-  /// depend on the store mode).
+  /// key granularity allows.
   std::vector<size_t> CostBalancedSplit(size_t begin, size_t end,
                                         size_t parts) const;
 
-  /// The run of `key_index` in either mode: flat replicas return the run
-  /// span zero-copy; compressed replicas decode into `*scratch`.
-  std::span<const TermId> RunInto(size_t key_index,
-                                  std::vector<TermId>* scratch) const;
-
-  /// Membership of `value` in the (sorted) run of `key_index`; both modes.
+  /// Membership of `value` in the (sorted) run of `key_index`.
   bool RunContains(size_t key_index, TermId value) const;
 
-  /// The full key array in either mode: flat replicas return it zero-copy;
-  /// compressed replicas decode into `*scratch`.
-  std::span<const TermId> DecodedKeys(std::vector<TermId>* scratch) const;
-
-  /// Calls fn(key_index, key, run) for every key in order; both modes.
+  /// Calls fn(key_index, key, run) for every key in order.
   template <typename Fn>
   void ForEachRun(Fn&& fn) const {
-    if (packed_ == nullptr) {
-      for (size_t i = 0; i < keys_.size(); ++i) fn(i, keys_[i], Run(i));
-      return;
-    }
-    ReplicaCursor rc;
-    const CompressedReplica& r = *packed_;
-    const size_t n = r.key_count();
-    for (size_t i = 0; i < n; ++i) {
-      fn(i, rc.KeyAt(r, i), rc.RunAt(r, i));
-    }
+    for (size_t i = 0; i < keys_.size(); ++i) fn(i, keys_[i], Run(i));
   }
 
   /// Bytes of heap memory USED by the replica's arrays (size-based; the
   /// serve-time `store_bytes` gauge). See AllocatedBytes() for
   /// capacity-based accounting.
   size_t MemoryUsage() const {
-    if (packed_ != nullptr) return packed_->HeapBytes();
     return keys_.size() * sizeof(TermId) +
            offsets_.size() * sizeof(uint64_t) +
            values_.size() * sizeof(TermId);
@@ -208,25 +133,15 @@ class TableReplica {
 
   /// Bytes of heap memory RESERVED by the replica's arrays.
   size_t AllocatedBytes() const {
-    if (packed_ != nullptr) return packed_->AllocatedBytes();
     return keys_.capacity() * sizeof(TermId) +
            offsets_.capacity() * sizeof(uint64_t) +
            values_.capacity() * sizeof(TermId);
-  }
-
-  /// Bytes the flat three-array layout takes for this content, whatever
-  /// the current mode (the numerator of the compression ratio).
-  size_t RawBytes() const {
-    return key_count() * sizeof(TermId) +
-           (key_count() + 1) * sizeof(uint64_t) +
-           pair_count() * sizeof(TermId);
   }
 
  private:
   std::vector<TermId> keys_;
   std::vector<uint64_t> offsets_;
   std::vector<TermId> values_;
-  std::unique_ptr<CompressedReplica> packed_;
 };
 
 /// Both replicas of one property's two-column table plus its triple count.
@@ -250,14 +165,6 @@ class PropertyTable {
     return kind == ReplicaKind::kSO ? so_ : os_;
   }
 
-  /// Compresses both replicas (see TableReplica::Compress).
-  void Compress() {
-    so_.Compress();
-    os_.Compress();
-  }
-
-  bool is_compressed() const { return so_.is_compressed(); }
-
   /// Number of distinct triples with this predicate.
   uint64_t triple_count() const { return so_.pair_count(); }
 
@@ -271,8 +178,6 @@ class PropertyTable {
   size_t AllocatedBytes() const {
     return so_.AllocatedBytes() + os_.AllocatedBytes();
   }
-
-  size_t RawBytes() const { return so_.RawBytes() + os_.RawBytes(); }
 
  private:
   TableReplica so_;

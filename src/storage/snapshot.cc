@@ -1,5 +1,6 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -212,6 +213,25 @@ void WritePackedColumn(SnapshotWriter& writer, const PackedColumn& col) {
   writer.WriteBytes(col.meta.data(), col.meta.size());
 }
 
+/// Reads `count` elements into `*out`, growing it one bounded chunk at a
+/// time. Section CRCs are checked only at section end, so a count from a
+/// corrupt or truncated file must not size an allocation up front: memory
+/// follows the bytes actually present.
+template <typename T>
+Status ReadArray(SnapshotReader& reader, size_t count, std::vector<T>* out,
+                 const char* what) {
+  constexpr size_t kChunk = (size_t{1} << 20) / sizeof(T);  // 1 MiB
+  out->clear();
+  while (out->size() < count) {
+    const size_t begin = out->size();
+    const size_t n = std::min(kChunk, count - begin);
+    out->resize(begin + n);
+    PARJ_RETURN_NOT_OK(
+        reader.ReadBytes(out->data() + begin, n * sizeof(T), what));
+  }
+  return Status::OK();
+}
+
 /// Reads and structurally validates one packed column: every width must
 /// be <= 32 and every block's payload (plus the decoder's one-word
 /// overread allowance) must sit inside the word array, so a decoder can
@@ -230,15 +250,10 @@ Status ReadPackedColumn(SnapshotReader& reader, PackedColumn* col,
                               "' has implausible word count " +
                               std::to_string(word_count));
   }
-  col->words.resize(static_cast<size_t>(word_count));
-  PARJ_RETURN_NOT_OK(reader.ReadBytes(col->words.data(),
-                                      col->words.size() * sizeof(uint64_t),
-                                      what));
-  col->block_word.resize(blocks);
-  PARJ_RETURN_NOT_OK(reader.ReadBytes(col->block_word.data(),
-                                      blocks * sizeof(uint32_t), what));
-  col->meta.resize(blocks);
-  PARJ_RETURN_NOT_OK(reader.ReadBytes(col->meta.data(), blocks, what));
+  PARJ_RETURN_NOT_OK(ReadArray(reader, static_cast<size_t>(word_count),
+                               &col->words, what));
+  PARJ_RETURN_NOT_OK(ReadArray(reader, blocks, &col->block_word, what));
+  PARJ_RETURN_NOT_OK(ReadArray(reader, blocks, &col->meta, what));
   for (size_t b = 0; b < blocks; ++b) {
     const unsigned width = col->meta[b] & kPackWidthMask;
     if (width > 32) {
@@ -259,25 +274,26 @@ Status ReadPackedColumn(SnapshotReader& reader, PackedColumn* col,
   return Status::OK();
 }
 
-/// Serializes one replica's packed form. The encoder is deterministic, so
-/// the bytes are identical whether the source store was flat (packed on
-/// the fly) or already compressed.
-void WritePackedReplica(SnapshotWriter& writer, const CompressedReplica& r) {
-  writer.WriteU32(static_cast<uint32_t>(r.key_count()));
-  writer.WriteU64(r.lens.total);
-  if (r.key_count() == 0) return;
-  writer.WriteU32(r.min_key);
-  writer.WriteU32(r.max_key);
-  WritePackedColumn(writer, r.keys.col);
-  writer.WriteBytes(r.keys.minima.data(),
-                    r.keys.minima.size() * sizeof(TermId));
-  WritePackedColumn(writer, r.lens.col);
-  writer.WriteBytes(r.lens.base.data(), r.lens.base.size() * sizeof(uint64_t));
-  writer.WriteBytes(r.lens.min_len.data(),
-                    r.lens.min_len.size() * sizeof(uint32_t));
-  WritePackedColumn(writer, r.vals.col);
-  writer.WriteBytes(r.vals.minima.data(),
-                    r.vals.minima.size() * sizeof(TermId));
+/// Serializes one replica through the deterministic block encoder: key
+/// count, pair count, then (for a non-empty replica) the key range and
+/// the packed keys, lengths and values.
+void WritePackedReplica(SnapshotWriter& writer, const TableReplica& replica) {
+  const std::span<const TermId> keys = replica.keys();
+  writer.WriteU32(static_cast<uint32_t>(keys.size()));
+  writer.WriteU64(replica.pair_count());
+  if (keys.empty()) return;
+  writer.WriteU32(keys.front());
+  writer.WriteU32(keys.back());
+  const PackedKeys pk = PackKeys(keys);
+  WritePackedColumn(writer, pk.col);
+  writer.WriteBytes(pk.minima.data(), pk.minima.size() * sizeof(TermId));
+  const PackedLengths pl = PackLengths(replica.offsets());
+  WritePackedColumn(writer, pl.col);
+  writer.WriteBytes(pl.base.data(), pl.base.size() * sizeof(uint64_t));
+  writer.WriteBytes(pl.min_len.data(), pl.min_len.size() * sizeof(uint32_t));
+  const PackedValues pv = PackValues(replica.values());
+  WritePackedColumn(writer, pv.col);
+  writer.WriteBytes(pv.minima.data(), pv.minima.size() * sizeof(TermId));
 }
 
 /// Reads one packed replica and (when `triples` is non-null) decodes it
@@ -295,43 +311,37 @@ Result<uint64_t> ReadPackedReplica(SnapshotReader& reader, PredicateId pid,
     }
     return uint64_t{0};
   }
-  CompressedReplica r;
-  PARJ_ASSIGN_OR_RETURN(r.min_key, reader.ReadU32("table min key"));
-  PARJ_ASSIGN_OR_RETURN(r.max_key, reader.ReadU32("table max key"));
-  r.lens.total = pair_count;
+  // The key range (min, max) is redundant with the key column.
+  char key_range[8];
+  PARJ_RETURN_NOT_OK(
+      reader.ReadBytes(key_range, sizeof(key_range), "table key range"));
 
-  PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &r.keys.col, "keys"));
-  if (r.keys.col.size != key_count) {
+  PackedKeys pk;
+  PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pk.col, "keys"));
+  if (pk.col.size != key_count) {
     return Status::ParseError("snapshot key column size mismatch");
   }
-  const size_t key_blocks = r.keys.col.block_count();
-  r.keys.minima.resize(key_blocks);
-  PARJ_RETURN_NOT_OK(reader.ReadBytes(r.keys.minima.data(),
-                                      key_blocks * sizeof(TermId),
-                                      "key minima"));
+  const size_t key_blocks = pk.col.block_count();
+  PARJ_RETURN_NOT_OK(ReadArray(reader, key_blocks, &pk.minima, "key minima"));
 
-  PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &r.lens.col, "lengths"));
-  if (r.lens.col.size != key_count) {
+  PackedLengths pl;
+  pl.total = pair_count;
+  PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pl.col, "lengths"));
+  if (pl.col.size != key_count) {
     return Status::ParseError("snapshot length column size mismatch");
   }
-  r.lens.base.resize(key_blocks);
-  PARJ_RETURN_NOT_OK(reader.ReadBytes(r.lens.base.data(),
-                                      key_blocks * sizeof(uint64_t),
-                                      "length bases"));
-  r.lens.min_len.resize(key_blocks);
-  PARJ_RETURN_NOT_OK(reader.ReadBytes(r.lens.min_len.data(),
-                                      key_blocks * sizeof(uint32_t),
-                                      "length minima"));
+  PARJ_RETURN_NOT_OK(ReadArray(reader, key_blocks, &pl.base, "length bases"));
+  PARJ_RETURN_NOT_OK(
+      ReadArray(reader, key_blocks, &pl.min_len, "length minima"));
 
-  PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &r.vals.col, "values"));
-  if (r.vals.col.size != pair_count) {
+  PackedValues pv;
+  PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pv.col, "values"));
+  if (pv.col.size != pair_count) {
     return Status::ParseError("snapshot value column size mismatch");
   }
-  const size_t val_blocks = r.vals.col.block_count();
-  r.vals.minima.resize(val_blocks);
-  PARJ_RETURN_NOT_OK(reader.ReadBytes(r.vals.minima.data(),
-                                      val_blocks * sizeof(TermId),
-                                      "value minima"));
+  const size_t val_blocks = pv.col.block_count();
+  PARJ_RETURN_NOT_OK(
+      ReadArray(reader, val_blocks, &pv.minima, "value minima"));
   if (triples == nullptr) return pair_count;
 
   // Decode back to flat arrays. Database::Build revalidates and re-sorts
@@ -339,13 +349,13 @@ Result<uint64_t> ReadPackedReplica(SnapshotReader& reader, PredicateId pid,
   // load failure or a well-formed store, never a malformed one.
   std::vector<TermId> keys(key_count);
   for (size_t b = 0; b < key_blocks; ++b) {
-    DecodeKeyBlock(r.keys, b, keys.data() + b * kPackBlock);
+    DecodeKeyBlock(pk, b, keys.data() + b * kPackBlock);
   }
   std::vector<uint64_t> offsets(static_cast<size_t>(key_count) + 1);
   uint64_t len_buf[kPackBlock + 1];
   for (size_t b = 0; b < key_blocks; ++b) {
-    DecodeLengthBlock(r.lens, b, len_buf);
-    const size_t len = r.lens.col.BlockLen(b);
+    DecodeLengthBlock(pl, b, len_buf);
+    const size_t len = pl.col.BlockLen(b);
     for (size_t i = 0; i <= len; ++i) offsets[b * kPackBlock + i] = len_buf[i];
   }
   if (offsets.front() != 0 || offsets.back() != pair_count) {
@@ -358,7 +368,7 @@ Result<uint64_t> ReadPackedReplica(SnapshotReader& reader, PredicateId pid,
   }
   std::vector<TermId> values(static_cast<size_t>(pair_count));
   for (size_t b = 0; b < val_blocks; ++b) {
-    DecodeValueBlock(r.vals, b, values.data() + b * kPackBlock);
+    DecodeValueBlock(pv, b, values.data() + b * kPackBlock);
   }
   for (size_t k = 0; k < key_count; ++k) {
     const TermId s = keys[k];
@@ -531,23 +541,12 @@ Status WriteSnapshot(const Database& db, std::ostream& out) {
   writer.EndSection();
 
   PARJ_FAILPOINT("snapshot.write.triples");
-  // Each predicate's SO replica through the deterministic block encoder —
-  // byte-identical output whether the in-memory store is flat (packed here
-  // on the fly) or already compressed (reused as is).
+  // Each predicate's SO replica through the deterministic block encoder.
   writer.BeginSection(kSectionTables);
   writer.WriteU64(db.total_triples());
   writer.WriteU32(static_cast<uint32_t>(db.predicate_count()));
   for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
-    const TableReplica& so = db.entry(pid).table.so();
-    if (so.empty()) {
-      writer.WriteU32(0);
-      writer.WriteU64(0);
-    } else if (so.is_compressed()) {
-      WritePackedReplica(writer, *so.packed());
-    } else {
-      WritePackedReplica(
-          writer, CompressReplica(so.keys(), so.offsets(), so.values()));
-    }
+    WritePackedReplica(writer, db.entry(pid).table.so());
   }
   writer.EndSection();
   writer.WriteTrailer();

@@ -34,11 +34,10 @@ namespace parj::storage {
 /// (decoded by rdf::Term::FromParts); strings are u32 length + bytes.
 ///
 /// The tables section is written through the deterministic block encoder
-/// whatever the in-memory store mode, so a flat and a compressed store
-/// produce byte-identical snapshots. Loading rebuilds the property tables,
-/// indexes and statistics under the caller's DatabaseOptions — including
-/// its compression mode and build_threads — so the on-disk layout never
-/// constrains the in-memory one.
+/// (storage/compressed.h), so a store always produces the same bytes.
+/// Loading decodes the tables back into flat arrays and rebuilds the
+/// property tables, indexes and statistics under the caller's
+/// DatabaseOptions, including its build_threads.
 ///
 /// Every section payload is covered by a CRC-32C record; the reader
 /// verifies each section as it streams past and returns

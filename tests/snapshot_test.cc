@@ -1,5 +1,7 @@
 #include "storage/snapshot.h"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -9,6 +11,7 @@
 
 #include "common/crc32c.h"
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "engine/parj_engine.h"
 #include "test_util.h"
 #include "workload/lubm.h"
@@ -367,6 +370,123 @@ TEST(SnapshotTest, ReadFailpointsInjectCleanly) {
     ASSERT_EQ(status.code(), StatusCode::kDataLoss) << point;
     EXPECT_NE(status.message().find(point), std::string::npos);
   }
+}
+
+/// Peak resident set size of this process, in KiB.
+long PeakRssKib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+uint32_t ReadU32At(const std::string& bytes, size_t at) {
+  uint32_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+/// Byte offset of the first table's key count in a v3 snapshot: walks the
+/// dictionary section's term records (u8 kind + three u32-length strings)
+/// and skips the tables-section header.
+size_t FirstTableOffset(const std::string& bytes) {
+  size_t pos = 8 + 4 + 4 + 4;  // magic, version, flags, dictionary id
+  for (int list = 0; list < 2; ++list) {  // resources, then predicates
+    const uint32_t count = ReadU32At(bytes, pos);
+    pos += 4;
+    for (uint32_t i = 0; i < count; ++i) {
+      pos += 1;
+      for (int part = 0; part < 3; ++part) pos += 4 + ReadU32At(bytes, pos);
+    }
+  }
+  // Dictionary CRC, tables id, triple count, table count.
+  return pos + 4 + 4 + 8 + 4;
+}
+
+// Section CRCs are checked only at section end, so a corrupt column
+// header must not size an allocation before its bytes arrive.
+TEST(SnapshotTest, CorruptColumnSizeDoesNotAllocateUpFront) {
+  workload::GeneratedData data =
+      workload::GenerateLubm({.universities = 1, .seed = 5});
+  auto db = Database::Build(std::move(data.dict), std::move(data.triples));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(*db, buffer).ok());
+  std::string bytes = buffer.str();
+
+  // First table: u32 key count, u64 pair count, u32 min key, u32 max key,
+  // then the key column's u32 size and u64 word count.
+  const size_t table = FirstTableOffset(bytes);
+  const uint32_t key_count = ReadU32At(bytes, table);
+  ASSERT_GT(key_count, 0u);
+  ASSERT_EQ(key_count, db->entry(1).table.so().key_count());
+  const size_t column = table + 4 + 8 + 4 + 4;
+  ASSERT_EQ(ReadU32At(bytes, column), key_count);
+
+  // 2^28 keys in 2^21 blocks; the plausible maximum is 65 words per
+  // block plus the guard word, about 1.09 GB of zero-filled words.
+  const uint32_t size = uint32_t{1} << 28;
+  const uint64_t word_count = (uint64_t{1} << 21) * 65 + 1;
+  ASSERT_EQ(word_count, 136314881u);
+  std::memcpy(bytes.data() + column, &size, sizeof(size));
+  std::memcpy(bytes.data() + column + 4, &word_count, sizeof(word_count));
+  bytes.resize(column + 4 + 8);
+
+  const long before = PeakRssKib();
+  std::stringstream read_in(bytes);
+  EXPECT_FALSE(ReadSnapshot(read_in).ok());
+  std::stringstream verify_in(bytes);
+  EXPECT_FALSE(VerifySnapshot(verify_in).ok());
+  EXPECT_LT(PeakRssKib() - before, 64 * 1024);
+}
+
+/// A graph with enough keys per predicate to span several packed blocks.
+Spec MultiBlockSpec() {
+  Spec spec;
+  Rng rng(271828);
+  for (int i = 0; i < 3000; ++i) {
+    const int a = static_cast<int>(rng.Uniform(260));
+    const int b = static_cast<int>(rng.Uniform(260));
+    spec.push_back({"n" + std::to_string(a), "p0", "n" + std::to_string(b)});
+  }
+  for (int i = 0; i < 1500; ++i) {
+    const int a = static_cast<int>(rng.Uniform(260));
+    const int b = static_cast<int>(rng.Uniform(90));
+    spec.push_back({"n" + std::to_string(a), "p1", "m" + std::to_string(b)});
+  }
+  for (int i = 0; i < 700; ++i) {
+    const int a = static_cast<int>(rng.Uniform(90));
+    const int b = static_cast<int>(rng.Uniform(40));
+    spec.push_back({"m" + std::to_string(a), "p2", "k" + std::to_string(b)});
+  }
+  return spec;
+}
+
+TEST(CompressedSnapshot, V3Verifies) {
+  Database db = MakeDatabase(MultiBlockSpec());
+  std::stringstream v3;
+  ASSERT_TRUE(WriteSnapshot(db, v3).ok());
+  auto info = VerifySnapshot(v3);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  ASSERT_EQ(info->version, kSnapshotVersion);
+  ASSERT_EQ(info->triple_count, db.total_triples());
+  ASSERT_EQ(info->sections_verified, 3u);
+}
+
+TEST(CompressedSnapshot, CorruptPackedSectionIsDataLoss) {
+  Database db = MakeDatabase(MultiBlockSpec());
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(db, buffer).ok());
+  std::string bytes = buffer.str();
+  // The tables section sits just before the 4-byte section CRC and the
+  // trailer (4 + 8 + 4 bytes): flip a packed payload byte inside it.
+  ASSERT_GT(bytes.size(), 64u);
+  bytes[bytes.size() - 40] ^= 0x20;
+  std::stringstream corrupted(bytes);
+  const Status read = ReadSnapshot(corrupted).status();
+  ASSERT_EQ(read.code(), StatusCode::kDataLoss) << read.ToString();
+  std::stringstream corrupted2(bytes);
+  const Status verify = VerifySnapshot(corrupted2).status();
+  ASSERT_EQ(verify.code(), StatusCode::kDataLoss) << verify.ToString();
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 //   parj_cli [--load file.nt | --snapshot file.parj | --lubm N | --watdiv N]
 //            [--load-threads N] [--chunk-mb N] [--simd LEVEL] [--no-batch]
-//            [--compression {none,blocked}] [--failpoints name=spec,...]
+//            [--failpoints name=spec,...]
 //            [--wal-dir DIR] [--wal-sync {none,batch,always}]
 //            [--plan-cache on|off] [--result-cache-mb N]
 //            [--shared-scan on|off] [serve | --serve]
@@ -68,7 +68,6 @@
 //   .verify FILE          CRC-check a snapshot without loading it
 //   .threads N            set worker threads for queries
 //   .load-threads N       set worker threads for loads/restores
-//   .compression MODE     none | blocked (applies to subsequent loads)
 //   .strategy NAME        Binary | AdBinary | Index | AdIndex
 //   .simd LEVEL           scalar | sse2 | avx2 | auto (probe kernel tier)
 //   .batch on|off         batched prefetched probing (default on)
@@ -97,7 +96,6 @@
 #include "common/simd.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "dict/term_table.h"
 #include "engine/parj_engine.h"
 #include "rdf/ntriples.h"
 #include "server/server.h"
@@ -116,7 +114,6 @@ struct Shell {
   size_t chunk_mb = 16;
   join::SearchStrategy strategy = join::SearchStrategy::kAdaptiveIndex;
   join::Scheduling scheduling = join::Scheduling::kMorsel;
-  storage::Compression compression = storage::Compression::kNone;
   bool batch_probes = true;
   bool explain = false;
   uint64_t print_limit = 20;
@@ -125,7 +122,6 @@ struct Shell {
     engine::EngineOptions options;
     options.load.threads = load_threads;
     options.load.chunk_bytes = chunk_mb << 20;
-    options.database.compression = compression;
     return options;
   }
 
@@ -157,36 +153,8 @@ struct Shell {
     std::printf("properties:  %zu\n", db.predicate_count());
     std::printf("resources:   %s\n",
                 FormatCount(db.dictionary().resource_count()).c_str());
-    std::printf("compression: %s\n",
-                storage::CompressionName(db.compression()));
     std::printf("table bytes: %s\n",
                 FormatCount(db.TableMemoryUsage()).c_str());
-    if (db.compression() != storage::Compression::kNone) {
-      const size_t raw = db.TableRawBytes();
-      size_t packed = 0;
-      for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
-        packed += db.entry(pid).table.MemoryUsage();
-      }
-      std::printf("replica bytes: %s packed vs %s raw (%.2fx)\n",
-                  FormatCount(packed).c_str(), FormatCount(raw).c_str(),
-                  packed > 0 ? static_cast<double>(raw) /
-                                   static_cast<double>(packed)
-                             : 0.0);
-      for (PredicateId pid = 1; pid <= db.predicate_count(); ++pid) {
-        const storage::PropertyTable& table = db.entry(pid).table;
-        const size_t table_packed = table.MemoryUsage();
-        const size_t table_raw = table.RawBytes();
-        const std::string_view iri =
-            dict::SplitKey(db.dictionary().PredicateKey(pid)).lexical;
-        std::printf("  p%-4u %10s packed %10s raw (%.2fx)  %.*s\n",
-                    pid, FormatCount(table_packed).c_str(),
-                    FormatCount(table_raw).c_str(),
-                    table_packed > 0 ? static_cast<double>(table_raw) /
-                                           static_cast<double>(table_packed)
-                                     : 0.0,
-                    static_cast<int>(iri.size()), iri.data());
-      }
-    }
     std::printf("dict bytes:  %s\n",
                 FormatCount(db.DictionaryMemoryUsage()).c_str());
   }
@@ -362,7 +330,7 @@ struct Shell {
       std::printf(
           ".load FILE | .gen lubm N | .gen watdiv N | .save FILE |\n"
           ".restore FILE | .verify FILE | .dump FILE | .threads N |\n"
-          ".load-threads N | .compression none|blocked | .strategy NAME |\n"
+          ".load-threads N | .strategy NAME |\n"
           ".scheduling static|morsel |\n"
           ".simd scalar|sse2|avx2|auto | .batch on|off |\n"
           ".insert <s> <p> <o> . | .remove <s> <p> <o> . | .compact |\n"
@@ -467,19 +435,6 @@ struct Shell {
       in >> load_threads;
       if (load_threads < 1) load_threads = 1;
       std::printf("load threads = %d\n", load_threads);
-    } else if (command == ".compression") {
-      std::string name;
-      in >> name;
-      if (name == "none") {
-        compression = storage::Compression::kNone;
-      } else if (name == "blocked") {
-        compression = storage::Compression::kBlocked;
-      } else if (!name.empty()) {
-        std::printf("unknown compression (none|blocked)\n");
-        return true;
-      }
-      std::printf("compression = %s (applies to subsequent loads)\n",
-                  storage::CompressionName(compression));
     } else if (command == ".scheduling") {
       std::string name;
       in >> name;
@@ -963,10 +918,6 @@ int main(int argc, char** argv) {
       shell.HandleCommand(std::string(".simd ") + argv[++i]);
     } else if (std::strcmp(argv[i], "--no-batch") == 0) {
       shell.HandleCommand(".batch off");
-    } else if (std::strcmp(argv[i], "--compression") == 0 && i + 1 < argc) {
-      shell.HandleCommand(std::string(".compression ") + argv[++i]);
-    } else if (std::strncmp(argv[i], "--compression=", 14) == 0) {
-      shell.HandleCommand(std::string(".compression ") + (argv[i] + 14));
     } else if (std::strcmp(argv[i], "--load-threads") == 0 && i + 1 < argc) {
       shell.HandleCommand(std::string(".load-threads ") + argv[++i]);
     } else if (std::strcmp(argv[i], "--chunk-mb") == 0 && i + 1 < argc) {
@@ -1007,7 +958,6 @@ int main(int argc, char** argv) {
                 std::strcmp(argv[i], "--shared-scan") == 0 ||
                 std::strcmp(argv[i], "--threads") == 0 ||
                 std::strcmp(argv[i], "--simd") == 0 ||
-                std::strcmp(argv[i], "--compression") == 0 ||
                 std::strcmp(argv[i], "--load-threads") == 0 ||
                 std::strcmp(argv[i], "--chunk-mb") == 0 ||
                 std::strcmp(argv[i], "--wal-dir") == 0 ||
