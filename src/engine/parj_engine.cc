@@ -161,8 +161,7 @@ Result<ParjEngine> ParjEngine::FinishLoad(dict::Dictionary dict,
       storage::Database::Build(std::move(dict), std::move(triples),
                                effective.database, &timings));
   stats.build_millis += timings.group_millis + timings.tables_millis;
-  stats.index_millis += timings.meta_millis + timings.pair_stats_millis +
-                        timings.char_sets_millis;
+  stats.index_millis += timings.meta_millis + timings.pair_stats_millis;
   ParjEngine engine(std::move(db), effective.calibration, effective.database);
   if (effective.calibrate) {
     Stopwatch calibrate_timer;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -44,11 +45,10 @@ struct VarEstimate {
   /// order (the first step's key variable, or the value variable of a
   /// constant-key first step) — probes keyed on it behave like merge scans.
   bool globally_sorted = false;
-  /// Predicates for which this variable already plays the subject role
-  /// (sorted) — the star context consumed by characteristic-set
-  /// estimation.
-  std::vector<PredicateId> star_preds;
 };
+// Every DP extension copies a PlanState; a trivially copyable VarEstimate
+// keeps that to one allocation per state.
+static_assert(std::is_trivially_copyable_v<VarEstimate>);
 
 struct PlanState {
   double cost = 0.0;
@@ -71,8 +71,8 @@ struct StepOutcome {
 class PlannerContext {
  public:
   PlannerContext(const EncodedQuery& query, const Database& db,
-                 const OptimizerOptions& options, const mut::DeltaView* delta)
-      : query_(query), db_(db), options_(options), delta_(delta) {}
+                 const mut::DeltaView* delta)
+      : query_(query), db_(db), delta_(delta) {}
 
   /// Evaluates appending `pattern_idx` with `kind` to `state`.
   StepOutcome EvaluateStep(const PlanState& state, int pattern_idx,
@@ -157,22 +157,6 @@ class PlannerContext {
       double avg_run_hit;
       EstimateJoin(kv, pat.predicate, KeyRole(kind), replica, &hit_fraction,
                    &avg_run_hit);
-      // Characteristic-set refinement for subject stars: the conditional
-      // expansion factor of adding this predicate to the star the key
-      // variable already satisfies.
-      const storage::CharacteristicSets* cs = db_.characteristic_sets();
-      const bool star_step = options_.use_characteristic_sets &&
-                             cs != nullptr &&
-                             KeyRole(kind) == Role::kSubject &&
-                             !kv.star_preds.empty();
-      double star_factor = -1.0;
-      if (star_step) {
-        std::vector<PredicateId> extended = kv.star_preds;
-        extended.push_back(pat.predicate);
-        const double old_rows = cs->EstimateStarCardinality(kv.star_preds);
-        const double new_rows = cs->EstimateStarCardinality(extended);
-        if (old_rows >= 0.5) star_factor = new_rows / old_rows;
-      }
       double per_probe_matches;
       double value_distinct = 1.0;
       if (value_const) {
@@ -185,8 +169,7 @@ class PlannerContext {
         const double dv = std::max(1.0, state.vars[value.var].distinct);
         per_probe_matches = hit_fraction * std::min(1.0, avg_run_hit / dv);
       } else {
-        per_probe_matches = star_factor >= 0.0 ? star_factor
-                                               : hit_fraction * avg_run_hit;
+        per_probe_matches = hit_fraction * avg_run_hit;
         value_distinct = std::min(std::max(1.0, card * per_probe_matches),
                                   std::max(1.0, num_values));
       }
@@ -199,11 +182,6 @@ class PlannerContext {
       // fraction.
       next.vars[key.var].distinct =
           std::max(1.0, next.vars[key.var].distinct * hit_fraction);
-      if (KeyRole(kind) == Role::kSubject) {
-        auto& star = next.vars[key.var].star_preds;
-        star.insert(std::upper_bound(star.begin(), star.end(), pat.predicate),
-                    pat.predicate);
-      }
       MarkBound(&next, value, value_distinct, pat.predicate, ValueRole(kind),
                 /*sorted=*/false);
     } else {
@@ -264,8 +242,6 @@ class PlannerContext {
     plan.total_cost = state.cost;
 
     uint64_t bound = 0;
-    PlanState sim;
-    sim.vars.assign(query_.variable_count, VarEstimate{});
     for (const auto& [idx, kind] : state.order) {
       const EncodedPattern& pat = query_.patterns[idx];
       PlanStep step;
@@ -314,7 +290,6 @@ class PlannerContext {
     v.prov_pred = pred;
     v.prov_role = role;
     v.globally_sorted = sorted;
-    if (role == Role::kSubject) v.star_preds = {pred};
   }
 
   /// Estimates, for probing `replica` (the `role`-keyed replica of
@@ -326,7 +301,7 @@ class PlannerContext {
                     double* avg_run_hit) const {
     const double num_keys = static_cast<double>(replica.key_count());
     const double avg_run = replica.AverageRunLength();
-    if (options_.use_pair_stats && kv.prov_pred != kInvalidPredicateId) {
+    if (kv.prov_pred != kInvalidPredicateId) {
       auto stat = db_.GetPairStat(kv.prov_pred, kv.prov_role, pred, role);
       if (stat.has_value() && stat->intersection > 0) {
         const double prov_keys = static_cast<double>(
@@ -355,7 +330,6 @@ class PlannerContext {
 
   const EncodedQuery& query_;
   const Database& db_;
-  const OptimizerOptions& options_;
   const mut::DeltaView* delta_;
 };
 
@@ -482,7 +456,7 @@ Result<Plan> Optimize(const EncodedQuery& query, const Database& db,
     plan.numeric_values = query.numeric_values;
     return plan;
   }
-  PlannerContext ctx(query, db, options, delta);
+  PlannerContext ctx(query, db, delta);
   if (!options.forced_order.empty()) {
     return OptimizeForced(ctx, query, options.forced_order);
   }

@@ -15,12 +15,6 @@ class DeltaView;
 namespace parj::query {
 
 struct OptimizerOptions {
-  /// Use precomputed pairwise property-join cardinalities as the
-  /// corrective step of paper §4.3 when the database has them.
-  bool use_pair_stats = true;
-  /// Use characteristic-set statistics for subject-star selectivities
-  /// when the database has them (paper §4.3's planned extension).
-  bool use_characteristic_sets = true;
   /// Exact bottom-up DP is used up to this many patterns; beyond it the
   /// optimizer falls back to greedy extension.
   size_t dp_max_patterns = 14;
@@ -34,7 +28,8 @@ struct OptimizerOptions {
 /// programming over left-deep orders, centralized cost model (parallelism
 /// deliberately ignored — the paper assumes a fixed speedup factor for
 /// every order), per-step replica selection, selectivity from equi-depth
-/// histograms plus pairwise join cardinalities.
+/// histograms plus pairwise join cardinalities (used whenever
+/// `db.has_pair_stats()`).
 ///
 /// `delta` (optional) is the pending-write view the executor will merge
 /// with `db`: predicates absent from the base but present in the delta

@@ -20,8 +20,6 @@ uint64_t HashCombine(uint64_t seed, uint64_t value) {
 
 uint64_t OptimizerFingerprint(const OptimizerOptions& options) {
   uint64_t fp = 0x50415253ull;  // arbitrary non-zero seed
-  fp = HashCombine(fp, options.use_pair_stats ? 1 : 0);
-  fp = HashCombine(fp, options.use_characteristic_sets ? 1 : 0);
   fp = HashCombine(fp, options.dp_max_patterns);
   fp = HashCombine(fp, options.forced_order.size());
   for (int idx : options.forced_order) {

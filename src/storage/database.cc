@@ -208,20 +208,10 @@ Result<Database> Database::Build(dict::Dictionary dict,
   if (timings != nullptr) timings->meta_millis = meta_timer.ElapsedMillis();
 
   // --- Derived statistics -----------------------------------------------
-  if (options.precompute_pairwise_stats) {
-    Stopwatch pair_timer;
-    db.ComputePairStats(options.pairwise_max_columns, pool);
-    if (timings != nullptr) {
-      timings->pair_stats_millis = pair_timer.ElapsedMillis();
-    }
-  }
-  if (options.build_characteristic_sets) {
-    Stopwatch char_timer;
-    db.char_sets_ =
-        CharacteristicSets::Build(db, options.characteristic_max_sets, pool);
-    if (timings != nullptr) {
-      timings->char_sets_millis = char_timer.ElapsedMillis();
-    }
+  Stopwatch pair_timer;
+  db.ComputePairStats(options.pairwise_max_columns, pool);
+  if (timings != nullptr) {
+    timings->pair_stats_millis = pair_timer.ElapsedMillis();
   }
   return db;
 }

@@ -11,7 +11,6 @@
 #include "index/id_position_index.h"
 #include "join/calibration.h"
 #include "join/search.h"
-#include "storage/char_sets.h"
 #include "storage/histogram.h"
 #include "storage/property_table.h"
 
@@ -96,23 +95,18 @@ struct DatabaseOptions {
   bool build_id_position_indexes = true;
   /// Precompute PairJoinStats for all property-column pairs. Skipped when
   /// the dataset has more than `pairwise_max_columns` property columns
-  /// (2 per property).
-  bool precompute_pairwise_stats = true;
+  /// (2 per property); 0 builds none.
   size_t pairwise_max_columns = 256;
   /// Default windows (positions) used before/without calibration. The
   /// paper's calibrated values on its test machine were ~200 (binary) and
   /// ~20 (index).
   double default_binary_window = 200.0;
   double default_index_window = 20.0;
-  /// Build characteristic-set statistics for star-query cardinality
-  /// estimation (paper §4.3's planned extension; off by default).
-  bool build_characteristic_sets = false;
-  size_t characteristic_max_sets = 65536;
   /// Worker threads for store construction: the grouping scatter, the
-  /// per-predicate table + metadata builds, and the pairwise-stat /
-  /// characteristic-set loops. <=1 builds serially (0 is NOT hardware
-  /// concurrency here, to keep the default deterministic-cheap); the
-  /// built store is identical whatever the value (DESIGN.md §10).
+  /// per-predicate table + metadata builds, and the pairwise-stat loop.
+  /// <=1 builds serially (0 is NOT hardware concurrency here, to keep the
+  /// default deterministic-cheap); the built store is identical whatever
+  /// the value (DESIGN.md §10).
   int build_threads = 1;
 };
 
@@ -124,7 +118,6 @@ struct BuildTimings {
   double tables_millis = 0.0;      ///< PropertyTable::Build over predicates
   double meta_millis = 0.0;        ///< histograms, ID indexes, thresholds
   double pair_stats_millis = 0.0;  ///< pairwise join statistics
-  double char_sets_millis = 0.0;   ///< characteristic sets (when enabled)
 };
 
 /// An immutable-after-build, in-memory RDF store: dictionary + vertically
@@ -177,11 +170,6 @@ class Database {
 
   bool has_pair_stats() const { return has_pair_stats_; }
 
-  /// Characteristic-set statistics, or nullptr when not built.
-  const CharacteristicSets* characteristic_sets() const {
-    return char_sets_.has_value() ? &*char_sets_ : nullptr;
-  }
-
   /// Heap bytes of tables + metadata, excluding the dictionary (the paper
   /// quotes storage "excluding dictionary" separately). Counts live bytes
   /// (vector sizes), not reserve slack.
@@ -206,7 +194,6 @@ class Database {
   uint64_t total_triples_ = 0;
   bool has_pair_stats_ = false;
   std::unordered_map<uint64_t, PairJoinStat> pair_stats_;
-  std::optional<CharacteristicSets> char_sets_;
   DatabaseOptions options_;
 };
 

@@ -1,8 +1,13 @@
 #include "query/optimizer.h"
 
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "workload/lubm.h"
+#include "workload/watdiv.h"
 
 namespace parj::query {
 namespace {
@@ -171,8 +176,9 @@ TEST(OptimizerTest, EstimatesPopulated) {
 
 TEST(OptimizerTest, WithAndWithoutPairStatsBothPlan) {
   storage::DatabaseOptions no_stats;
-  no_stats.precompute_pairwise_stats = false;
+  no_stats.pairwise_max_columns = 0;
   auto db = MakeDatabase(MakeSkewedSpec(), no_stats);
+  EXPECT_FALSE(db.has_pair_stats());
   auto q = Encode(
       "SELECT * WHERE { ?s <memberOf> ?d . ?p <headOf> ?d . ?s <advisor> ?p }",
       db);
@@ -205,6 +211,77 @@ TEST(OptimizerTest, TooManyPatternsRejected) {
     q.patterns.push_back(p);
   }
   EXPECT_FALSE(Optimize(q, db).ok());
+}
+
+/// A plan's join order as "pattern_index:replica" steps, e.g. "2:OS 0:SO".
+std::string PlanOrder(const Plan& plan) {
+  std::string out;
+  for (const PlanStep& step : plan.steps) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(step.pattern_index);
+    out += step.replica == ReplicaKind::kSO ? ":SO" : ":OS";
+  }
+  return out;
+}
+
+void ExpectPlansPinned(workload::GeneratedData data,
+                       const std::vector<workload::NamedQuery>& queries,
+                       const std::map<std::string, std::string>& expected) {
+  auto db = storage::Database::Build(std::move(data.dict),
+                                     std::move(data.triples));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ(queries.size(), expected.size());
+  for (const workload::NamedQuery& q : queries) {
+    auto plan = Optimize(Encode(q.sparql, *db), *db);
+    ASSERT_TRUE(plan.ok()) << q.name << ": " << plan.status().ToString();
+    auto it = expected.find(q.name);
+    ASSERT_NE(it, expected.end()) << q.name;
+    EXPECT_EQ(PlanOrder(*plan), it->second) << q.name;
+  }
+}
+
+// Every benchmark template's chosen order and replicas with default
+// options: a change to the cardinality model that moves any plan fails
+// here.
+TEST(OptimizerTest, TemplatePlansArePinned) {
+  ExpectPlansPinned(workload::GenerateLubm({.universities = 1, .seed = 42}),
+                    workload::LubmQueries(),
+                    {
+                        {"LUBM1", "1:OS 5:OS 0:SO 3:SO 2:SO 4:SO"},
+                        {"LUBM2", "0:OS 1:SO"},
+                        {"LUBM3", "1:OS 2:SO 0:OS 3:SO"},
+                        {"LUBM4", "1:OS 2:SO 3:SO 4:SO 0:OS"},
+                        {"LUBM5", "1:OS 0:OS"},
+                        {"LUBM6", "1:OS 0:OS"},
+                        {"LUBM7", "3:OS 2:OS 1:SO 0:OS"},
+                        {"LUBM8", "1:SO 4:SO 0:OS 2:OS 3:OS"},
+                        {"LUBM9", "0:OS 2:SO 1:SO"},
+                        {"LUBM10", "2:OS 1:OS 3:OS 0:OS"},
+                    });
+  ExpectPlansPinned(workload::GenerateWatdiv({.scale = 1, .seed = 7}),
+                    workload::WatdivBasicQueries(),
+                    {
+                        {"L1", "0:OS 1:SO"},
+                        {"L2", "0:OS 1:SO"},
+                        {"L3", "0:OS 1:SO"},
+                        {"L4", "1:OS 0:OS"},
+                        {"L5", "0:OS 1:OS"},
+                        {"S1", "0:SO 1:SO 2:SO 7:SO 3:SO 4:SO 5:SO 6:SO"},
+                        {"S2", "0:OS 2:SO 1:SO 3:OS"},
+                        {"S3", "0:OS 2:SO 1:SO"},
+                        {"S4", "0:OS 2:SO 1:SO"},
+                        {"S5", "0:OS 1:SO 2:SO 3:OS"},
+                        {"S6", "0:OS 1:SO 2:SO"},
+                        {"S7", "0:OS 1:SO 2:SO"},
+                        {"F1", "0:OS 4:SO 1:SO 2:SO 3:SO"},
+                        {"F2", "0:SO 1:SO 2:SO 4:SO 3:SO"},
+                        {"F3", "2:OS 1:OS 0:OS 3:SO"},
+                        {"F4", "1:OS 0:OS 2:SO 3:SO"},
+                        {"F5", "0:SO 1:SO 4:SO 2:SO 3:SO"},
+                        {"C1", "4:OS 2:OS 1:OS 0:SO 3:OS"},
+                        {"C2", "6:OS 5:OS 4:OS 3:OS 2:OS 1:OS 0:OS"},
+                        {"C3", "3:OS 1:SO 2:SO 0:SO"},
+                    });
 }
 
 }  // namespace

@@ -231,7 +231,7 @@ TEST(PlanCacheTest, OptimizerFingerprintSeparatesOptionSets) {
   OptimizerOptions a;
   OptimizerOptions b;
   EXPECT_EQ(OptimizerFingerprint(a), OptimizerFingerprint(b));
-  b.use_pair_stats = !b.use_pair_stats;
+  b.dp_max_patterns = a.dp_max_patterns + 1;
   EXPECT_NE(OptimizerFingerprint(a), OptimizerFingerprint(b));
   OptimizerOptions c;
   c.forced_order = {1, 0};
