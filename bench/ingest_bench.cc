@@ -30,6 +30,10 @@
 // Environment overrides (see bench_util.h): PARJ_LUBM_UNIV, PARJ_THREADS,
 // PARJ_INGEST_ROUNDS (mix repetitions per phase, default 4),
 // PARJ_WAL_BATCHES (write batches per durability mode, default 400).
+//
+// BENCH_ingest.json also records five compactions timed one by one, each
+// folding a single inserted triple into the base
+// (compaction_median_millis): the fixed cost of a rebuild at this scale.
 
 #include <algorithm>
 #include <atomic>
@@ -200,6 +204,23 @@ class Writer {
   int next_ = 0;
   int removed_ = 0;
 };
+
+/// Compactions timed one by one, each folding a single fresh link of the
+/// writer's chain into the base: the fixed cost of a rebuild.
+constexpr int kOneTripleCompactions = 5;
+
+std::vector<double> TimeOneTripleCompactions(engine::ParjEngine& engine) {
+  std::vector<double> millis;
+  for (int i = 0; i < kOneTripleCompactions; ++i) {
+    const Status inserted = engine.Insert(ChainLink(1'000'000'000 + 2 * i));
+    PARJ_CHECK(inserted.ok()) << inserted.ToString();
+    Stopwatch timer;
+    const Status compacted = engine.Compact();
+    millis.push_back(timer.ElapsedMillis());
+    PARJ_CHECK(compacted.ok()) << compacted.ToString();
+  }
+  return millis;
+}
 
 // ---- Crash-durability section (DESIGN.md §14) ------------------------
 
@@ -471,6 +492,7 @@ int Main() {
         << compactor.last_status().ToString();
   }
   GateRowEquivalence(engine, mix, threads, "ingest+compact");
+  const Spread one_triple = Summarize(TimeOneTripleCompactions(engine));
 
   const mut::MutationStats stats = engine.mutation_stats();
 
@@ -503,6 +525,10 @@ int Main() {
               static_cast<unsigned long long>(compact_batches),
               static_cast<unsigned long long>(stats.compactions),
               static_cast<double>(stats.compaction_micros) / 1e3);
+  std::printf("one-triple compaction (LUBM %d): median %.1f ms over %d "
+              "(min %.1f, max %.1f)\n",
+              universities, one_triple.median, kOneTripleCompactions,
+              one_triple.min, one_triple.max);
   std::printf("p99 under ingest+compact / baseline p99: %.2fx\n", p99_ratio);
 
   std::string json = "{\n  \"bench\": \"ingest\",\n";
@@ -525,10 +551,14 @@ int Main() {
   std::snprintf(buf, sizeof(buf),
                 "  \"compactions\": %llu,\n  \"compaction_millis\": %.3f,\n"
                 "  \"p99_ratio_vs_baseline\": %.3f,\n"
-                "  \"row_equivalence\": \"ok\"\n",
+                "  \"row_equivalence\": \"ok\",\n",
                 static_cast<unsigned long long>(stats.compactions),
                 static_cast<double>(stats.compaction_micros) / 1e3, p99_ratio);
   json += buf;
+  json += "  \"one_triple_compactions\": " +
+          std::to_string(kOneTripleCompactions) +
+          ",\n  \"compaction_median_millis\": " +
+          Fixed(one_triple.median, 3) + "\n";
   json += "}\n";
   WriteBenchJson("BENCH_ingest.json", json);
 

@@ -50,6 +50,17 @@ class IdPositionIndex {
   IdPositionIndex(const IdPositionIndex&) = delete;
   IdPositionIndex& operator=(const IdPositionIndex&) = delete;
 
+  /// A deep copy (compaction keeps an untouched replica's index this way).
+  IdPositionIndex Clone() const {
+    IdPositionIndex copy;
+    copy.bits_ = bits_;
+    copy.samples_ = samples_;
+    copy.word_ranks_ = word_ranks_;
+    copy.universe_ = universe_;
+    copy.key_count_ = key_count_;
+    return copy;
+  }
+
   bool empty() const { return bits_.empty(); }
 
   /// Position of `id` in the indexed key array, or kNotFound.

@@ -1,6 +1,8 @@
 #include "mutable/delta_store.h"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -25,6 +27,58 @@ std::vector<std::pair<TermId, TermId>> Unpack(
                        static_cast<TermId>(p & 0xFFFFFFFFu));
   }
   return pairs;
+}
+
+/// The S-O runs of (base \ deletes) ∪ inserts, merged subject by
+/// subject. A subject whose run empties is dropped.
+storage::SortedRuns MergeRuns(const storage::TableReplica& base,
+                              const storage::TableReplica& deletes,
+                              const storage::TableReplica& inserts) {
+  storage::SortedRuns out;
+  out.keys.reserve(base.key_count() + inserts.key_count());
+  out.offsets.reserve(base.key_count() + inserts.key_count() + 1);
+  out.values.reserve(base.pair_count() + inserts.pair_count());
+  out.offsets.push_back(0);
+  size_t b = 0;
+  size_t d = 0;
+  size_t i = 0;
+  while (b < base.key_count() || i < inserts.key_count()) {
+    constexpr TermId kEnd = std::numeric_limits<TermId>::max();
+    const TermId s =
+        std::min(b < base.key_count() ? base.KeyAt(b) : kEnd,
+                 i < inserts.key_count() ? inserts.KeyAt(i) : kEnd);
+    std::span<const TermId> kept;
+    std::span<const TermId> removed;
+    std::span<const TermId> added;
+    if (b < base.key_count() && base.KeyAt(b) == s) kept = base.Run(b++);
+    if (i < inserts.key_count() && inserts.KeyAt(i) == s) {
+      added = inserts.Run(i++);
+    }
+    while (d < deletes.key_count() && deletes.KeyAt(d) < s) ++d;
+    if (d < deletes.key_count() && deletes.KeyAt(d) == s) {
+      removed = deletes.Run(d);
+    }
+    size_t x = 0;
+    size_t y = 0;
+    size_t z = 0;
+    const size_t before = out.values.size();
+    while (x < kept.size() || y < added.size()) {
+      if (y == added.size() || (x < kept.size() && kept[x] < added[y])) {
+        const TermId v = kept[x++];
+        while (z < removed.size() && removed[z] < v) ++z;
+        if (z < removed.size() && removed[z] == v) continue;
+        out.values.push_back(v);
+      } else {
+        if (x < kept.size() && kept[x] == added[y]) ++x;
+        out.values.push_back(added[y++]);
+      }
+    }
+    if (out.values.size() > before) {
+      out.keys.push_back(s);
+      out.offsets.push_back(out.values.size());
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -251,9 +305,9 @@ Status DeltaStore::Compact() {
     }
 
     // Phase 2 — rebuild (no locks held): fold the pinned delta into a new
-    // base Database via the parallel build path. Term IDs are preserved
-    // exactly: the new dictionary is the old one plus the overlay terms
-    // appended in allocation order.
+    // base Database by merging sorted runs (Database::FromSortedRuns).
+    // Term IDs are preserved exactly: the new dictionary is the old one
+    // plus the overlay terms appended in allocation order.
     PARJ_FAILPOINT("compactor.build");
     const storage::Database& old_base = pinned->base();
     const DeltaView& view = pinned->delta();
@@ -273,44 +327,22 @@ Status DeltaStore::Compact() {
           << "overlay predicate folded to an unexpected ID";
     }
 
-    std::vector<EncodedTriple> triples;
-    triples.reserve(old_base.total_triples() + view.insert_triples());
+    // Each touched predicate's S-O runs are merged with its delta runs;
+    // the others (nullopt) keep their tables and metadata as they are.
     const PredicateId max_pid = dict.predicate_count();
+    const storage::TableReplica empty;
+    std::vector<std::optional<storage::SortedRuns>> runs(max_pid);
     for (PredicateId pid = 1; pid <= max_pid; ++pid) {
       const storage::PropertyEntry* entry = old_base.FindEntry(pid);
       const PropertyDelta* d = view.Find(pid);
-      if (entry != nullptr) {
-        const storage::TableReplica& so = entry->table.so();
-        const storage::TableReplica* del =
-            d != nullptr ? &d->deletes.so() : nullptr;
-        so.ForEachRun([&](size_t, TermId s, std::span<const TermId> run) {
-          std::span<const TermId> del_run;
-          if (del != nullptr && !del->empty()) {
-            const size_t dpos = del->FindKey(s);
-            if (dpos != SIZE_MAX) del_run = del->Run(dpos);
-          }
-          for (const TermId o : run) {
-            if (!del_run.empty() &&
-                std::binary_search(del_run.begin(), del_run.end(), o)) {
-              continue;
-            }
-            triples.push_back(EncodedTriple{s, pid, o});
-          }
-        });
-      }
-      if (d != nullptr) {
-        const storage::TableReplica& ins = d->inserts.so();
-        for (size_t k = 0; k < ins.key_count(); ++k) {
-          const TermId s = ins.KeyAt(k);
-          for (const TermId o : ins.Run(k)) {
-            triples.push_back(EncodedTriple{s, pid, o});
-          }
-        }
-      }
+      if (entry != nullptr && d == nullptr) continue;
+      runs[pid - 1] = MergeRuns(entry != nullptr ? entry->table.so() : empty,
+                                d != nullptr ? d->deletes.so() : empty,
+                                d != nullptr ? d->inserts.so() : empty);
     }
 
-    Result<storage::Database> rebuilt = storage::Database::Build(
-        std::move(dict), std::move(triples), options_.database);
+    Result<storage::Database> rebuilt = storage::Database::FromSortedRuns(
+        std::move(dict), std::move(runs), options_.database, &old_base);
     if (!rebuilt.ok()) return rebuilt.status();
     storage::Database new_db = std::move(rebuilt).value();
     if (options_.calibrate_on_compact) {

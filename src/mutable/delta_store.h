@@ -28,8 +28,8 @@ struct Mutation {
 
 struct DeltaStoreOptions {
   /// Rebuild options for compaction (histograms, indexes, pair stats and
-  /// build_threads — set build_threads > 1 to rebuild through the
-  /// parallel build path).
+  /// build_threads — set build_threads > 1 to merge, transpose and
+  /// finish the touched predicates on a build pool).
   storage::DatabaseOptions database;
   /// Re-run Algorithm 2 on the compacted store (off by default: compaction
   /// should not spend calibration wall time behind the serving path; the
@@ -114,10 +114,12 @@ class MvccSnapshot {
 /// immutable base Database. Writers apply batches under a writer lock,
 /// each publish installing a fresh immutable DeltaView; readers pin the
 /// current Version with snapshot() and never take the writer lock.
-/// Compact() folds the delta into a rebuilt base (through the parallel
-/// Database::Build path), rebases writes that raced with the rebuild via
-/// the mutation log, and installs the new epoch; snapshots taken before
-/// the swap keep serving the old epoch untouched.
+/// Compact() folds the delta into a rebuilt base — each touched
+/// predicate's base S-O runs merged with its delete and insert runs, the
+/// untouched predicates copied as they are (Database::FromSortedRuns) —
+/// rebases writes that raced with the rebuild via the mutation log, and
+/// installs the new epoch; snapshots taken before the swap keep serving
+/// the old epoch untouched.
 ///
 /// Thread-safety: snapshot()/stats() are safe from any thread.
 /// Insert/Remove/Apply/Compact serialize on the writer lock; only one

@@ -183,37 +183,119 @@ Result<Database> Database::Build(dict::Dictionary dict,
   triples.shrink_to_fit();
   if (timings != nullptr) timings->group_millis = group_timer.ElapsedMillis();
 
-  // --- Per-predicate table builds ---------------------------------------
+  // --- Per-predicate tables: sort + dedup S-O, transpose to O-S -------
   Stopwatch tables_timer;
   db.entries_.resize(predicate_count);
   RunIndexed(pool, predicate_count, [&](size_t p) {
     db.entries_[p].table = PropertyTable::Build(std::move(grouped[p]));
   });
+  if (timings != nullptr) {
+    timings->tables_millis = tables_timer.ElapsedMillis();
+  }
+  db.Finish(pool, /*kept=*/{}, timings);
+  return db;
+}
+
+Result<Database> Database::FromSortedRuns(
+    dict::Dictionary dict, std::vector<std::optional<SortedRuns>> runs,
+    const DatabaseOptions& options, const Database* reuse,
+    BuildTimings* timings) {
+  Database db;
+  db.options_ = options;
+  db.dict_ = std::move(dict);
+  const size_t predicate_count = db.dict_.predicate_count();
+  const TermId max_id = db.dict_.resource_count();
+  if (runs.size() != predicate_count) {
+    return Status::InvalidArgument(
+        std::to_string(runs.size()) + " S-O tables for " +
+        std::to_string(predicate_count) + " predicates");
+  }
+  std::vector<bool> kept(predicate_count);
   for (size_t p = 0; p < predicate_count; ++p) {
-    db.total_triples_ += db.entries_[p].table.triple_count();
+    kept[p] = !runs[p].has_value();
+    PARJ_CHECK(!kept[p] || (reuse != nullptr && p < reuse->entries_.size()))
+        << "predicate " << p + 1 << " has no runs and nothing to reuse";
+  }
+
+  std::optional<server::ThreadPool> pool_storage;
+  if (options.build_threads > 1) pool_storage.emplace(options.build_threads);
+  server::ThreadPool* pool =
+      pool_storage.has_value() ? &*pool_storage : nullptr;
+
+  Stopwatch tables_timer;
+  db.entries_.resize(predicate_count);
+  std::vector<Status> errors(predicate_count);
+  RunIndexed(pool, predicate_count, [&](size_t p) {
+    PropertyEntry& entry = db.entries_[p];
+    if (kept[p]) {
+      const PropertyEntry& from = reuse->entries_[p];
+      entry.table = from.table.Clone();
+      for (const ReplicaKind kind : {ReplicaKind::kSO, ReplicaKind::kOS}) {
+        const ReplicaMeta& src = from.meta(kind);
+        ReplicaMeta& dst = entry.meta(kind);
+        dst.histogram = src.histogram;
+        dst.has_index = src.has_index;
+        if (src.has_index) {
+          dst.id_index =
+              src.id_index.universe() == max_id
+                  ? src.id_index.Clone()
+                  : index::IdPositionIndex::Build(
+                        entry.table.replica(kind).keys(), max_id);
+        }
+        dst.window_binary = src.window_binary;
+        dst.window_index = src.window_index;
+        dst.threshold_binary = src.threshold_binary;
+        dst.threshold_index = src.threshold_index;
+      }
+      return;
+    }
+    Result<PropertyTable> table =
+        PropertyTable::FromSortedRuns(std::move(*runs[p]), max_id);
+    runs[p].reset();
+    if (!table.ok()) {
+      errors[p] = table.status();
+      return;
+    }
+    entry.table = std::move(table).value();
+  });
+  for (size_t p = 0; p < predicate_count; ++p) {
+    if (!errors[p].ok()) {
+      return Status::InvalidArgument("predicate " + std::to_string(p + 1) +
+                                     ": " + errors[p].message());
+    }
   }
   if (timings != nullptr) {
     timings->tables_millis = tables_timer.ElapsedMillis();
   }
+  db.Finish(pool, kept, timings);
+  return db;
+}
+
+void Database::Finish(server::ThreadPool* pool, const std::vector<bool>& kept,
+                      BuildTimings* timings) {
+  for (const PropertyEntry& entry : entries_) {
+    total_triples_ += entry.table.triple_count();
+  }
 
   // --- Replica metadata (histogram, ID index, default thresholds) -------
   Stopwatch meta_timer;
-  RunIndexed(pool, predicate_count * 2, [&](size_t slot) {
-    PropertyEntry& entry = db.entries_[slot / 2];
+  const TermId max_id = dict_.resource_count();
+  RunIndexed(pool, entries_.size() * 2, [&](size_t slot) {
+    if (!kept.empty() && kept[slot / 2]) return;
+    PropertyEntry& entry = entries_[slot / 2];
     const ReplicaKind kind =
         (slot % 2 == 0) ? ReplicaKind::kSO : ReplicaKind::kOS;
-    InitReplicaMeta(entry.table.replica(kind), max_id, options,
+    InitReplicaMeta(entry.table.replica(kind), max_id, options_,
                     &entry.meta(kind));
   });
   if (timings != nullptr) timings->meta_millis = meta_timer.ElapsedMillis();
 
   // --- Derived statistics -----------------------------------------------
   Stopwatch pair_timer;
-  db.ComputePairStats(options.pairwise_max_columns, pool);
+  ComputePairStats(options_.pairwise_max_columns, pool);
   if (timings != nullptr) {
     timings->pair_stats_millis = pair_timer.ElapsedMillis();
   }
-  return db;
 }
 
 uint64_t Database::PairKey(PredicateId p1, Role role1, PredicateId p2,

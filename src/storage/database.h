@@ -115,7 +115,10 @@ struct DatabaseOptions {
 /// "build" and "index" phases of its per-phase load report.
 struct BuildTimings {
   double group_millis = 0.0;       ///< validate + count + scatter by predicate
-  double tables_millis = 0.0;      ///< PropertyTable::Build over predicates
+  /// Per-predicate tables: sort + dedup S-O and transpose it to O-S
+  /// (Build), or validate the given S-O runs and transpose them
+  /// (FromSortedRuns, which also copies reused predicates here).
+  double tables_millis = 0.0;
   double meta_millis = 0.0;        ///< histograms, ID indexes, thresholds
   double pair_stats_millis = 0.0;  ///< pairwise join statistics
 };
@@ -132,15 +135,31 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Builds from encoded triples. Duplicate triples are collapsed.
-  /// Predicate IDs in `triples` must be dense in [1, dict.predicate_count()].
-  /// With options.build_threads > 1 the grouping scatter and per-predicate
-  /// builds run on a private thread pool; the result is bit-identical to a
-  /// serial build. `timings` (optional) receives the phase breakdown.
+  /// Builds from encoded triples: groups them by predicate, sorts each
+  /// group into S-O once (PropertyTable::Build), then finishes. Duplicate
+  /// triples are collapsed. Predicate IDs in `triples` must be dense in
+  /// [1, dict.predicate_count()]. With options.build_threads > 1 the
+  /// grouping scatter, per-predicate tables and finishing run on a private
+  /// thread pool; the result is bit-identical to a serial build. `timings`
+  /// (optional) receives the phase breakdown.
   static Result<Database> Build(dict::Dictionary dict,
                                 std::vector<EncodedTriple> triples,
                                 const DatabaseOptions& options = {},
                                 BuildTimings* timings = nullptr);
+
+  /// Builds from each predicate's sorted S-O runs (index = predicate id -
+  /// 1; one entry per dictionary predicate), as snapshot load and
+  /// compaction hold them: each is validated and transposed by
+  /// PropertyTable::FromSortedRuns, then the store is finished as Build
+  /// finishes it. An invalid entry fails the build with InvalidArgument
+  /// naming the lowest such predicate. A nullopt entry copies that
+  /// predicate's table and replica metadata (calibrated windows included)
+  /// from `reuse`, rebuilding only its ID indexes when the resource count
+  /// differs; compaction passes its old base there.
+  static Result<Database> FromSortedRuns(
+      dict::Dictionary dict, std::vector<std::optional<SortedRuns>> runs,
+      const DatabaseOptions& options = {}, const Database* reuse = nullptr,
+      BuildTimings* timings = nullptr);
 
   /// Runs Algorithm 2 on every replica large enough to measure, replacing
   /// the default windows/thresholds. Call once after load, before queries
@@ -188,6 +207,11 @@ class Database {
   static uint64_t PairKey(PredicateId p1, Role role1, PredicateId p2,
                           Role role2);
   void ComputePairStats(size_t max_columns, server::ThreadPool* pool);
+  /// The finishing step both builders share: replica metadata for every
+  /// entry not marked in `kept` (empty: none kept), then pair stats, both
+  /// on `pool`.
+  void Finish(server::ThreadPool* pool, const std::vector<bool>& kept,
+              BuildTimings* timings);
 
   dict::Dictionary dict_;
   std::vector<PropertyEntry> entries_;  // index = predicate id - 1

@@ -50,6 +50,9 @@ class EquiDepthHistogram {
   /// key range [lo, hi] under the uniform assumption.
   double OverlapKeyFraction(TermId lo, TermId hi) const;
 
+  friend bool operator==(const EquiDepthHistogram&,
+                         const EquiDepthHistogram&) = default;
+
  private:
   // boundaries_[i]..boundaries_[i+1] delimit bucket i (key values,
   // inclusive lower, inclusive upper at the final boundary).

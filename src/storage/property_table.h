@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace parj::storage {
@@ -139,19 +140,43 @@ class TableReplica {
   }
 
  private:
+  friend class PropertyTable;
+
   std::vector<TermId> keys_;
   std::vector<uint64_t> offsets_;
   std::vector<TermId> values_;
 };
 
+/// One property's S-O replica as bare CSR arrays, in TableReplica's layout:
+/// the distinct subjects, keys.size()+1 run offsets, and the concatenated
+/// object runs. The input of PropertyTable::FromSortedRuns.
+struct SortedRuns {
+  std::vector<TermId> keys;
+  std::vector<uint64_t> offsets;
+  std::vector<TermId> values;
+};
+
 /// Both replicas of one property's two-column table plus its triple count.
+/// O-S is always derived from S-O by a counting transpose (paper §3: O-S
+/// is the transpose of S-O), never sorted on its own.
 class PropertyTable {
  public:
   PropertyTable() = default;
 
-  /// Builds both replicas from this property's (subject, object) pairs.
+  /// Builds both replicas from this property's (subject, object) pairs:
+  /// sorts and dedups them into S-O once, then transposes.
   static PropertyTable Build(
       std::vector<std::pair<TermId, TermId>> subject_object_pairs);
+
+  /// Takes over already-sorted S-O arrays and transposes them. Rejects
+  /// (InvalidArgument) keys that do not strictly increase, offsets that do
+  /// not start at 0, rise strictly and end at values.size() (so every run
+  /// is non-empty), runs that do not strictly increase, and any ID outside
+  /// [1, max_id]. Snapshot load and compaction both build through this.
+  static Result<PropertyTable> FromSortedRuns(SortedRuns so, TermId max_id);
+
+  /// A deep copy (compaction keeps untouched predicates this way).
+  PropertyTable Clone() const;
 
   PropertyTable(PropertyTable&&) = default;
   PropertyTable& operator=(PropertyTable&&) = default;
@@ -180,6 +205,10 @@ class PropertyTable {
   }
 
  private:
+  /// Derives os_ from so_ by a counting transpose. Scattering the pairs
+  /// in S-O order leaves each object's subjects ascending.
+  void TransposeSubjectObject();
+
   TableReplica so_;
   TableReplica os_;
 };

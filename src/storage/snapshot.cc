@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <vector>
 
@@ -232,10 +233,9 @@ Status ReadArray(SnapshotReader& reader, size_t count, std::vector<T>* out,
   return Status::OK();
 }
 
-/// Reads and structurally validates one packed column: every width must
-/// be <= 32 and every block's payload (plus the decoder's one-word
-/// overread allowance) must sit inside the word array, so a decoder can
-/// never read out of bounds even on data that defeats the CRC.
+/// Reads one packed column. Only an implausible word count fails here,
+/// since it would decide how many bytes to read; the decode-safety checks
+/// wait for CheckPackedColumn.
 Status ReadPackedColumn(SnapshotReader& reader, PackedColumn* col,
                         const char* what) {
   PARJ_ASSIGN_OR_RETURN(col->size, reader.ReadU32(what));
@@ -254,8 +254,16 @@ Status ReadPackedColumn(SnapshotReader& reader, PackedColumn* col,
                                &col->words, what));
   PARJ_RETURN_NOT_OK(ReadArray(reader, blocks, &col->block_word, what));
   PARJ_RETURN_NOT_OK(ReadArray(reader, blocks, &col->meta, what));
-  for (size_t b = 0; b < blocks; ++b) {
-    const unsigned width = col->meta[b] & kPackWidthMask;
+  return Status::OK();
+}
+
+/// Decode safety of one packed column: every width must be <= 32 and
+/// every block's payload (plus the decoder's one-word overread allowance)
+/// must sit inside the word array, so a decoder can never read out of
+/// bounds even on data that defeats the CRC.
+Status CheckPackedColumn(const PackedColumn& col, const char* what) {
+  for (size_t b = 0; b < col.block_count(); ++b) {
+    const unsigned width = col.meta[b] & kPackWidthMask;
     if (width > 32) {
       return Status::ParseError("snapshot packed column '" +
                                 std::string(what) + "' block " +
@@ -263,8 +271,9 @@ Status ReadPackedColumn(SnapshotReader& reader, PackedColumn* col,
                                 std::to_string(width));
     }
     const uint64_t needed =
-        (static_cast<uint64_t>(col->BlockLen(b)) * width + 63) / 64;
-    if (static_cast<uint64_t>(col->block_word[b]) + needed + 1 > word_count) {
+        (static_cast<uint64_t>(col.BlockLen(b)) * width + 63) / 64;
+    if (static_cast<uint64_t>(col.block_word[b]) + needed + 1 >
+        col.words.size()) {
       return Status::ParseError("snapshot packed column '" +
                                 std::string(what) + "' block " +
                                 std::to_string(b) +
@@ -296,20 +305,30 @@ void WritePackedReplica(SnapshotWriter& writer, const TableReplica& replica) {
   writer.WriteBytes(pv.minima.data(), pv.minima.size() * sizeof(TermId));
 }
 
-/// Reads one packed replica and (when `triples` is non-null) decodes it
-/// back into (key, pid, value) triples. Returns the replica's pair count.
+/// Reads one packed replica and returns its pair count. When `so` is
+/// non-null and the columns are safe to decode, decodes them into `*so`.
+/// A table that is not safe to decode sets `*structural` (the first such
+/// error is kept) and is skipped: structural errors are reported only
+/// after the tables CRC has passed, so a flipped bit reads as DataLoss.
+/// Decoded arrays are not trusted either: PropertyTable::FromSortedRuns
+/// validates them before any store is built.
 Result<uint64_t> ReadPackedReplica(SnapshotReader& reader, PredicateId pid,
-                                   std::vector<EncodedTriple>* triples) {
+                                   SortedRuns* so, Status* structural) {
+  const auto defer = [&](Status status) {
+    if (structural->ok()) *structural = std::move(status);
+  };
   PARJ_ASSIGN_OR_RETURN(uint32_t key_count, reader.ReadU32("table key count"));
   PARJ_ASSIGN_OR_RETURN(uint64_t pair_count,
                         reader.ReadU64("table pair count"));
   if (key_count == 0) {
     if (pair_count != 0) {
-      return Status::ParseError("snapshot table for predicate " +
-                                std::to_string(pid) +
-                                " has pairs but no keys");
+      defer(Status::ParseError("snapshot table for predicate " +
+                               std::to_string(pid) +
+                               " has pairs but no keys"));
+    } else if (so != nullptr) {
+      so->offsets.assign(1, 0);
     }
-    return uint64_t{0};
+    return pair_count;
   }
   // The key range (min, max) is redundant with the key column.
   char key_range[8];
@@ -318,71 +337,61 @@ Result<uint64_t> ReadPackedReplica(SnapshotReader& reader, PredicateId pid,
 
   PackedKeys pk;
   PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pk.col, "keys"));
-  if (pk.col.size != key_count) {
-    return Status::ParseError("snapshot key column size mismatch");
-  }
   const size_t key_blocks = pk.col.block_count();
   PARJ_RETURN_NOT_OK(ReadArray(reader, key_blocks, &pk.minima, "key minima"));
 
   PackedLengths pl;
   pl.total = pair_count;
   PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pl.col, "lengths"));
-  if (pl.col.size != key_count) {
-    return Status::ParseError("snapshot length column size mismatch");
-  }
-  PARJ_RETURN_NOT_OK(ReadArray(reader, key_blocks, &pl.base, "length bases"));
   PARJ_RETURN_NOT_OK(
-      ReadArray(reader, key_blocks, &pl.min_len, "length minima"));
+      ReadArray(reader, pl.col.block_count(), &pl.base, "length bases"));
+  PARJ_RETURN_NOT_OK(ReadArray(reader, pl.col.block_count(), &pl.min_len,
+                               "length minima"));
 
   PackedValues pv;
   PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pv.col, "values"));
-  if (pv.col.size != pair_count) {
-    return Status::ParseError("snapshot value column size mismatch");
-  }
   const size_t val_blocks = pv.col.block_count();
   PARJ_RETURN_NOT_OK(
       ReadArray(reader, val_blocks, &pv.minima, "value minima"));
-  if (triples == nullptr) return pair_count;
 
-  // Decode back to flat arrays. Database::Build revalidates and re-sorts
-  // the triples, so decode errors that survive the CRC can only yield a
-  // load failure or a well-formed store, never a malformed one.
-  std::vector<TermId> keys(key_count);
+  Status safe = Status::OK();
+  if (pk.col.size != key_count || pl.col.size != key_count ||
+      pv.col.size != pair_count) {
+    safe = Status::ParseError("snapshot table for predicate " +
+                              std::to_string(pid) +
+                              " has mismatched column sizes");
+  }
+  if (safe.ok()) safe = CheckPackedColumn(pk.col, "keys");
+  if (safe.ok()) safe = CheckPackedColumn(pl.col, "lengths");
+  if (safe.ok()) safe = CheckPackedColumn(pv.col, "values");
+  if (!safe.ok()) {
+    defer(std::move(safe));
+    return pair_count;
+  }
+  if (so == nullptr || !structural->ok()) return pair_count;
+
+  // Decode straight into the S-O arrays.
+  so->keys.resize(key_count);
   for (size_t b = 0; b < key_blocks; ++b) {
-    DecodeKeyBlock(pk, b, keys.data() + b * kPackBlock);
+    DecodeKeyBlock(pk, b, so->keys.data() + b * kPackBlock);
   }
-  std::vector<uint64_t> offsets(static_cast<size_t>(key_count) + 1);
-  uint64_t len_buf[kPackBlock + 1];
+  so->offsets.resize(static_cast<size_t>(key_count) + 1);
   for (size_t b = 0; b < key_blocks; ++b) {
-    DecodeLengthBlock(pl, b, len_buf);
-    const size_t len = pl.col.BlockLen(b);
-    for (size_t i = 0; i <= len; ++i) offsets[b * kPackBlock + i] = len_buf[i];
+    DecodeLengthBlock(pl, b, so->offsets.data() + b * kPackBlock);
   }
-  if (offsets.front() != 0 || offsets.back() != pair_count) {
-    return Status::ParseError("snapshot table offsets do not cover pairs");
-  }
-  for (size_t i = 0; i < key_count; ++i) {
-    if (offsets[i] > offsets[i + 1]) {
-      return Status::ParseError("snapshot table offsets not monotone");
-    }
-  }
-  std::vector<TermId> values(static_cast<size_t>(pair_count));
+  so->values.resize(static_cast<size_t>(pair_count));
   for (size_t b = 0; b < val_blocks; ++b) {
-    DecodeValueBlock(pv, b, values.data() + b * kPackBlock);
-  }
-  for (size_t k = 0; k < key_count; ++k) {
-    const TermId s = keys[k];
-    for (uint64_t i = offsets[k]; i < offsets[k + 1]; ++i) {
-      triples->push_back(EncodedTriple{s, pid, values[i]});
-    }
+    DecodeValueBlock(pv, b, so->values.data() + b * kPackBlock);
   }
   return pair_count;
 }
 
 /// Shared walker behind ReadSnapshot (build == true: populate dict +
-/// triples) and VerifySnapshot (build == false: decode and discard).
+/// decode each table into its S-O runs) and VerifySnapshot (build ==
+/// false: terms decoded and discarded, tables only read).
 Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
-                     std::vector<EncodedTriple>* triples, SnapshotInfo* info) {
+                     std::vector<std::optional<SortedRuns>>* runs,
+                     SnapshotInfo* info) {
   SnapshotReader reader(in);
   char magic[sizeof(kMagic)];
   PARJ_RETURN_NOT_OK(reader.ReadBytes(magic, sizeof(magic), "magic"));
@@ -466,17 +475,17 @@ Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
                             std::to_string(info->predicate_count) +
                             " predicates");
   }
-  if (build) {
-    // Do not trust the header for a giant up-front allocation; a corrupted
-    // count fails on the table totals (or the CRC) instead.
-    triples->reserve(std::min<uint64_t>(triple_count, uint64_t{1} << 24));
-  }
+  // table_count equals the predicate count, whose terms were all read.
+  if (build) runs->resize(table_count);
+  Status structural = Status::OK();
   uint64_t decoded = 0;
   for (uint32_t p = 0; p < table_count; ++p) {
+    SortedRuns* so = nullptr;
+    if (build) so = &(*runs)[p].emplace();
     PARJ_ASSIGN_OR_RETURN(
-        uint64_t pairs,
-        ReadPackedReplica(reader, static_cast<PredicateId>(p + 1),
-                          build ? triples : nullptr));
+        uint64_t pairs, ReadPackedReplica(reader, static_cast<PredicateId>(
+                                                      p + 1),
+                                          so, &structural));
     decoded += pairs;
   }
   if (decoded != triple_count) {
@@ -485,6 +494,7 @@ Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
                             std::to_string(triple_count));
   }
   PARJ_RETURN_NOT_OK(end_section("tables"));
+  PARJ_RETURN_NOT_OK(structural);
 
   // --- trailer ----------------------------------------------------------
   PARJ_FAILPOINT("snapshot.read.trailer");
@@ -604,17 +614,21 @@ Status SaveSnapshot(const Database& db, const std::string& path) {
 Result<Database> ReadSnapshot(std::istream& in, const DatabaseOptions& options,
                               SnapshotLoadStats* stats) {
   dict::Dictionary dict;
-  std::vector<EncodedTriple> triples;
+  std::vector<std::optional<SortedRuns>> runs;
   SnapshotInfo info;
   Stopwatch decode_timer;
-  PARJ_RETURN_NOT_OK(
-      ParseSnapshot(in, /*build=*/true, &dict, &triples, &info));
+  PARJ_RETURN_NOT_OK(ParseSnapshot(in, /*build=*/true, &dict, &runs, &info));
   if (stats != nullptr) stats->decode_millis = decode_timer.ElapsedMillis();
   GlobalSnapshotStats().snapshots_loaded.fetch_add(1,
                                                    std::memory_order_relaxed);
   Stopwatch build_timer;
-  auto built = Database::Build(std::move(dict), std::move(triples), options);
+  Result<Database> built =
+      Database::FromSortedRuns(std::move(dict), std::move(runs), options);
   if (stats != nullptr) stats->build_millis = build_timer.ElapsedMillis();
+  if (!built.ok()) {
+    // The CRCs passed, so the writer produced a malformed table.
+    return Status::ParseError("snapshot " + built.status().message());
+  }
   return built;
 }
 

@@ -14,9 +14,10 @@ namespace parj::storage {
 /// Binary snapshot persistence. The paper's prototype keeps its data in
 /// SQLite tables and rebuilds the in-memory structures at start-up; this
 /// module provides the equivalent native path: a snapshot stores the
-/// dictionary and the encoded triples in a compact binary format, and
-/// loading rebuilds the property tables, indexes and statistics (which is
-/// fast and keeps the format independent of layout details).
+/// dictionary and each predicate's S-O replica in a compact binary
+/// format, and loading decodes those straight back into S-O arrays,
+/// derives O-S by transpose and rebuilds indexes and statistics (which is
+/// fast and keeps O-S and the metadata out of the format).
 ///
 /// Format v3 (little-endian; the only version read or written):
 ///   magic "PARJSNAP"  u32 version=3  u32 flags
@@ -35,23 +36,30 @@ namespace parj::storage {
 ///
 /// The tables section is written through the deterministic block encoder
 /// (storage/compressed.h), so a store always produces the same bytes.
-/// Loading decodes the tables back into flat arrays and rebuilds the
-/// property tables, indexes and statistics under the caller's
-/// DatabaseOptions, including its build_threads.
+/// Loading decodes each table into its S-O arrays and hands them to
+/// Database::FromSortedRuns, which validates them (sorted, in range, offsets
+/// covering the values), derives O-S by a counting transpose and rebuilds
+/// indexes and statistics under the caller's DatabaseOptions, including
+/// its build_threads. Nothing is re-sorted.
 ///
 /// Every section payload is covered by a CRC-32C record; the reader
 /// verifies each section as it streams past and returns
 /// StatusCode::kDataLoss naming the failing section and byte offset on
 /// any mismatch, truncation inside a verified region, or trailing
-/// garbage. Any other version word is StatusCode::kUnsupported.
+/// garbage. A table that fails a structural check is reported as
+/// StatusCode::kParseError only after the tables CRC has passed, so
+/// corruption reads as kDataLoss. Any other version word is
+/// StatusCode::kUnsupported.
 
 /// The on-disk format version.
 inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// Per-phase wall-clock breakdown of one snapshot load.
 struct SnapshotLoadStats {
-  double decode_millis = 0.0;  ///< stream + CRC + term/table decode
-  double build_millis = 0.0;   ///< Database::Build on the decoded data
+  double decode_millis = 0.0;  ///< stream + CRC + term/table decode to S-O
+  /// Database::FromSortedRuns on the decoded S-O runs: validate and
+  /// transpose each table, then replica metadata and pair stats.
+  double build_millis = 0.0;
 };
 
 /// Summary of a verified snapshot (also returned by VerifySnapshot).
@@ -98,7 +106,7 @@ Result<Database> LoadSnapshot(const std::string& path,
                               SnapshotLoadStats* stats = nullptr);
 
 /// Walks and CRC-verifies a snapshot without building the database
-/// (terms and triples are decoded and discarded). Cheap enough to run
+/// (terms are decoded and discarded; tables are read, not decoded). Cheap enough to run
 /// against every snapshot an operator is about to trust.
 Result<SnapshotInfo> VerifySnapshot(std::istream& in);
 

@@ -5,6 +5,8 @@
 // ingest-pressure degradation).
 
 #include <atomic>
+#include <set>
+#include <tuple>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "engine/parj_engine.h"
 #include "join/executor.h"
 #include "mutable/compactor.h"
@@ -303,6 +306,172 @@ TEST(CompactionTest, DeltaOnlyPredicateServesAndCompacts) {
   EXPECT_EQ(DecodedRows(engine, q), before);
   EXPECT_EQ(DecodedRows(engine, q, threaded), before);
 }
+
+// ---- Compaction equivalence ------------------------------------------
+
+/// Asserts that `got` (a compacted base) and `want` (Database::Build over
+/// the same logical triples) hold identical replicas and derived metadata.
+void ExpectSameStore(const storage::Database& got,
+                     const storage::Database& want) {
+  ASSERT_EQ(got.predicate_count(), want.predicate_count());
+  ASSERT_EQ(got.max_resource_id(), want.max_resource_id());
+  EXPECT_EQ(got.total_triples(), want.total_triples());
+  const auto arrays = [](const storage::TableReplica& r) {
+    return std::make_tuple(
+        std::vector<TermId>(r.keys().begin(), r.keys().end()),
+        std::vector<uint64_t>(r.offsets().begin(), r.offsets().end()),
+        std::vector<TermId>(r.values().begin(), r.values().end()));
+  };
+  for (PredicateId pid = 1; pid <= got.predicate_count(); ++pid) {
+    for (const storage::ReplicaKind kind :
+         {storage::ReplicaKind::kSO, storage::ReplicaKind::kOS}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "predicate " << pid << " "
+                   << storage::ReplicaKindName(kind));
+      EXPECT_EQ(arrays(got.entry(pid).table.replica(kind)),
+                arrays(want.entry(pid).table.replica(kind)));
+      const storage::ReplicaMeta& a = got.entry(pid).meta(kind);
+      const storage::ReplicaMeta& b = want.entry(pid).meta(kind);
+      EXPECT_TRUE(a.histogram == b.histogram);
+      ASSERT_EQ(a.has_index, b.has_index);
+      if (a.has_index) {
+        EXPECT_EQ(a.id_index.universe(), b.id_index.universe());
+        EXPECT_EQ(a.id_index.key_count(), b.id_index.key_count());
+        EXPECT_EQ(a.id_index.MemoryUsage(), b.id_index.MemoryUsage());
+        for (TermId id = 0; id <= got.max_resource_id() + 1; ++id) {
+          ASSERT_EQ(a.id_index.Find(id), b.id_index.Find(id)) << "id " << id;
+        }
+      }
+      EXPECT_EQ(a.threshold_binary, b.threshold_binary);
+      EXPECT_EQ(a.threshold_index, b.threshold_index);
+    }
+  }
+  ASSERT_EQ(got.has_pair_stats(), want.has_pair_stats());
+  for (PredicateId p1 = 1; p1 <= got.predicate_count(); ++p1) {
+    for (PredicateId p2 = 1; p2 <= got.predicate_count(); ++p2) {
+      for (const storage::Role r1 :
+           {storage::Role::kSubject, storage::Role::kObject}) {
+        for (const storage::Role r2 :
+             {storage::Role::kSubject, storage::Role::kObject}) {
+          const auto a = got.GetPairStat(p1, r1, p2, r2);
+          const auto b = want.GetPairStat(p1, r1, p2, r2);
+          ASSERT_EQ(a.has_value(), b.has_value());
+          if (!a.has_value()) continue;
+          EXPECT_EQ(a->intersection, b->intersection);
+          EXPECT_EQ(a->pairs_left, b->pairs_left);
+          EXPECT_EQ(a->pairs_right, b->pairs_right);
+        }
+      }
+    }
+  }
+}
+
+class CompactionEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+// Random insert/remove batches — a brand-new predicate, a predicate whose
+// every triple goes, a subject whose run empties, fresh terms — then
+// compaction must leave exactly the store Database::Build makes from the
+// same logical triples.
+TEST_P(CompactionEquivalenceTest, CompactedBaseEqualsFreshBuild) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 1);
+  const auto name = [](const char* prefix, uint64_t i) {
+    return std::string(prefix) + std::to_string(i);
+  };
+  std::set<std::tuple<std::string, std::string, std::string>> logical;
+  Spec spec;
+  for (int i = 0; i < 400; ++i) {
+    logical.emplace(name("n", rng.Uniform(60)), name("p", rng.Uniform(4)),
+                    name("n", rng.Uniform(60)));
+  }
+  logical.emplace("lonely", "p0", "n1");
+  logical.emplace("lonely", "p0", "n2");
+  logical.emplace("lonely", "p1", "n3");
+  for (int i = 0; i < 5; ++i) logical.emplace(name("n", i), "doomed", "n9");
+  // Never touched: compaction copies it, and rebuilds its ID indexes once
+  // fresh terms widen the resource range.
+  for (int i = 0; i < 30; ++i) {
+    logical.emplace(name("n", i), "still", name("n", 59 - i));
+  }
+  spec.assign(logical.begin(), logical.end());
+
+  storage::DatabaseOptions db_options;
+  db_options.build_threads = GetParam();
+  DeltaStoreOptions store_options;
+  store_options.database = db_options;
+  DeltaStore store(test::MakeDatabase(spec, db_options), store_options);
+
+  const auto apply = [&](std::vector<Mutation> batch) {
+    ASSERT_TRUE(store.Apply(batch).ok());
+    for (const Mutation& m : batch) {
+      const auto key = std::make_tuple(m.triple.subject.lexical(),
+                                       m.triple.predicate.lexical(),
+                                       m.triple.object.lexical());
+      if (m.remove) {
+        logical.erase(key);
+      } else {
+        logical.insert(key);
+      }
+    }
+  };
+  const auto random_batch = [&](int round) {
+    std::vector<Mutation> batch;
+    for (int i = 0; i < 40; ++i) {
+      if (rng.Uniform(3) == 0 && !logical.empty()) {
+        auto it = logical.begin();
+        std::advance(it, rng.Uniform(logical.size()));
+        const auto [s, p, o] = *it;
+        if (p == "still") continue;
+        batch.push_back({T(s, p, o), /*remove=*/true});
+      } else {
+        const char* object = rng.Uniform(4) == 0 ? "fresh" : "n";
+        batch.push_back(
+            {T(name("n", rng.Uniform(70)), name("p", rng.Uniform(5)),
+               name(object, rng.Uniform(20) + 20 * round)),
+             /*remove=*/false});
+      }
+    }
+    return batch;
+  };
+  const auto expect_equivalent = [&] {
+    ASSERT_TRUE(store.Compact().ok());
+    const storage::Database& base = store.base();
+    dict::Dictionary dict = base.dictionary().Clone();
+    std::vector<EncodedTriple> triples;
+    for (const auto& [s, p, o] : logical) {
+      triples.push_back(
+          EncodedTriple{dict.LookupResource(rdf::Term::Iri(s)),
+                        dict.LookupPredicate(rdf::Term::Iri(p)),
+                        dict.LookupResource(rdf::Term::Iri(o))});
+    }
+    auto want = storage::Database::Build(std::move(dict), std::move(triples),
+                                         db_options);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ExpectSameStore(base, *want);
+  };
+
+  apply(random_batch(0));
+  std::vector<Mutation> targeted;
+  targeted.push_back({T("a", "brandnew", "n1"), false});
+  targeted.push_back({T("lonely", "brandnew", "fresh_x"), false});
+  targeted.push_back({T("lonely", "p0", "n1"), true});
+  targeted.push_back({T("lonely", "p0", "n2"), true});
+  for (int i = 0; i < 5; ++i) {
+    targeted.push_back({T(name("n", i), "doomed", "n9"), true});
+  }
+  apply(targeted);
+  apply(random_batch(1));
+  expect_equivalent();
+  // A second round on the compacted base; p4 and the fresh terms are part
+  // of it now.
+  apply(random_batch(2));
+  apply(random_batch(3));
+  expect_equivalent();
+  // An empty delta compacts to the same store.
+  expect_equivalent();
+}
+
+INSTANTIATE_TEST_SUITE_P(BuildThreads, CompactionEquivalenceTest,
+                         ::testing::Values(1, 3));
 
 // ---- Fault injection -------------------------------------------------
 

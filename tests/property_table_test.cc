@@ -173,5 +173,198 @@ TEST_P(RandomTableTest, FindKeyMatchesLinearScan) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTableTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
+// ---- O-S by counting transpose ------------------------------------------
+
+/// A replica's three arrays, compared as a whole.
+struct Csr {
+  std::vector<TermId> keys;
+  std::vector<uint64_t> offsets;
+  std::vector<TermId> values;
+  bool operator==(const Csr&) const = default;
+};
+
+Csr ArraysOf(const TableReplica& r) {
+  return Csr{{r.keys().begin(), r.keys().end()},
+             {r.offsets().begin(), r.offsets().end()},
+             {r.values().begin(), r.values().end()}};
+}
+
+/// The test's oracle for O-S, sharing nothing with the transpose: reverse
+/// every (subject, object) pair, sort, dedup and lay the result out as
+/// CSR.
+Csr SortedObjectSubject(const Pairs& so_pairs) {
+  Pairs reversed;
+  for (const auto& [s, o] : so_pairs) reversed.emplace_back(o, s);
+  std::sort(reversed.begin(), reversed.end());
+  reversed.erase(std::unique(reversed.begin(), reversed.end()),
+                 reversed.end());
+  Csr csr;
+  csr.offsets.push_back(0);
+  for (size_t i = 0; i < reversed.size(); ++i) {
+    if (i == 0 || reversed[i].first != reversed[i - 1].first) {
+      if (i > 0) csr.offsets.push_back(i);
+      csr.keys.push_back(reversed[i].first);
+    }
+    csr.values.push_back(reversed[i].second);
+  }
+  if (!reversed.empty()) csr.offsets.push_back(reversed.size());
+  return csr;
+}
+
+/// Build and FromSortedRuns must both derive exactly the oracle's O-S.
+void ExpectTransposeMatchesSort(const Pairs& pairs, TermId max_id) {
+  const Csr expected = SortedObjectSubject(pairs);
+  PropertyTable built = PropertyTable::Build(pairs);
+  EXPECT_EQ(ArraysOf(built.os()), expected);
+  EXPECT_EQ(built.os().offsets().size(), built.os().key_count() + 1);
+
+  Csr so = ArraysOf(built.so());
+  auto from_runs = PropertyTable::FromSortedRuns(
+      SortedRuns{so.keys, so.offsets, so.values}, max_id);
+  ASSERT_TRUE(from_runs.ok()) << from_runs.status().ToString();
+  EXPECT_EQ(ArraysOf(from_runs->so()), so);
+  EXPECT_EQ(ArraysOf(from_runs->os()), expected);
+  EXPECT_EQ(from_runs->MemoryUsage(), built.MemoryUsage());
+  EXPECT_EQ(from_runs->AllocatedBytes(), from_runs->MemoryUsage());
+}
+
+TEST(TransposeTest, Empty) {
+  ExpectTransposeMatchesSort({}, 10);
+  PropertyTable t = PropertyTable::Build({});
+  EXPECT_EQ(t.os().offsets().size(), 1u);
+}
+
+TEST(TransposeTest, SinglePair) { ExpectTransposeMatchesSort({{3, 7}}, 10); }
+
+TEST(TransposeTest, DuplicateInputPairs) {
+  ExpectTransposeMatchesSort({{2, 5}, {1, 5}, {2, 5}, {2, 5}, {1, 4}}, 10);
+}
+
+TEST(TransposeTest, SparseWideIdRange) {
+  const TermId max = 4'000'000'000u;
+  ExpectTransposeMatchesSort(
+      {{1, max}, {max, 1}, {7, 1}, {7, max}, {1'000'000, 65'537}, {9, 2}},
+      max);
+  // Enough pairs for the 16-bit radix digits, still sparse.
+  Rng rng(17);
+  Pairs pairs;
+  for (int i = 0; i < 70'000; ++i) {
+    pairs.emplace_back(static_cast<TermId>(1 + rng.Uniform(5'000)),
+                       static_cast<TermId>(1 + rng.Uniform(max)));
+  }
+  ExpectTransposeMatchesSort(pairs, max);
+}
+
+TEST(TransposeTest, OneRunHoldsMostPairs) {
+  Pairs pairs;
+  for (TermId o = 1; o <= 5'000; ++o) pairs.emplace_back(42, o);
+  for (TermId s = 1; s <= 20; ++s) pairs.emplace_back(s, 3 * s);
+  ExpectTransposeMatchesSort(pairs, 10'000);
+  // And the transposed shape: one object shared by most subjects.
+  Pairs reversed;
+  for (const auto& [s, o] : pairs) reversed.emplace_back(o, s);
+  ExpectTransposeMatchesSort(reversed, 10'000);
+}
+
+class RandomTransposeTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomTransposeTest, MatchesSortAcrossDensities) {
+  Rng rng(GetParam());
+  for (const TermId id_range : {8u, 300u, 20'000u, 3'000'000u}) {
+    Pairs pairs;
+    const size_t n = 1 + rng.Uniform(3'000);
+    for (size_t i = 0; i < n; ++i) {
+      pairs.emplace_back(static_cast<TermId>(1 + rng.Uniform(id_range)),
+                         static_cast<TermId>(1 + rng.Uniform(id_range)));
+    }
+    ExpectTransposeMatchesSort(pairs, id_range);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomTransposeTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---- FromSortedRuns validation -------------------------------------------
+
+/// Valid S-O runs {1: [2, 5], 4: [3]} over IDs [1, 9].
+SortedRuns ValidRuns() { return SortedRuns{{1, 4}, {0, 2, 3}, {2, 5, 3}}; }
+
+void ExpectRejected(const SortedRuns& so, TermId max_id = 9) {
+  auto table = PropertyTable::FromSortedRuns(so, max_id);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SortedRunsValidationTest, AcceptsValidRuns) {
+  auto table = PropertyTable::FromSortedRuns(ValidRuns(), 9);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->triple_count(), 3u);
+  EXPECT_TRUE(PropertyTable::FromSortedRuns(SortedRuns{{}, {0}, {}}, 9).ok());
+}
+
+TEST(SortedRunsValidationTest, RejectsUnsortedKeys) {
+  SortedRuns so = ValidRuns();
+  so.keys = {4, 1};
+  ExpectRejected(so);
+}
+
+TEST(SortedRunsValidationTest, RejectsDuplicateKey) {
+  SortedRuns so = ValidRuns();
+  so.keys = {4, 4};
+  ExpectRejected(so);
+}
+
+TEST(SortedRunsValidationTest, RejectsEmptyRun) {
+  ExpectRejected(SortedRuns{{1, 4, 6}, {0, 2, 2, 3}, {2, 5, 3}});
+}
+
+TEST(SortedRunsValidationTest, RejectsUnsortedRun) {
+  SortedRuns so = ValidRuns();
+  so.values = {5, 2, 3};
+  ExpectRejected(so);
+}
+
+TEST(SortedRunsValidationTest, RejectsDuplicateValueInRun) {
+  SortedRuns so = ValidRuns();
+  so.values = {5, 5, 3};
+  ExpectRejected(so);
+}
+
+TEST(SortedRunsValidationTest, RejectsIdZero) {
+  SortedRuns key = ValidRuns();
+  key.keys = {0, 4};
+  ExpectRejected(key);
+  SortedRuns value = ValidRuns();
+  value.values = {0, 5, 3};
+  ExpectRejected(value);
+}
+
+TEST(SortedRunsValidationTest, RejectsIdAboveMax) {
+  ExpectRejected(ValidRuns(), /*max_id=*/4);
+  SortedRuns key = ValidRuns();
+  key.keys = {1, 10};
+  ExpectRejected(key);
+}
+
+TEST(SortedRunsValidationTest, RejectsOffsetsNotCoveringValues) {
+  SortedRuns short_end = ValidRuns();
+  short_end.offsets = {0, 2, 2};
+  ExpectRejected(short_end);
+  SortedRuns past_end = ValidRuns();
+  past_end.offsets = {0, 2, 4};
+  ExpectRejected(past_end);
+  SortedRuns late_start = ValidRuns();
+  late_start.offsets = {1, 2, 3};
+  ExpectRejected(late_start);
+  SortedRuns missing_sentinel = ValidRuns();
+  missing_sentinel.offsets = {0, 2};
+  ExpectRejected(missing_sentinel);
+  // A middle offset past the values must not be read through.
+  SortedRuns overshoot = ValidRuns();
+  overshoot.offsets = {0, 100, 3};
+  ExpectRejected(overshoot);
+  ExpectRejected(SortedRuns{{}, {}, {}});
+}
+
 }  // namespace
 }  // namespace parj::storage

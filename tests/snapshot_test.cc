@@ -13,6 +13,7 @@
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "engine/parj_engine.h"
+#include "storage/compressed.h"
 #include "test_util.h"
 #include "workload/lubm.h"
 
@@ -437,6 +438,121 @@ TEST(SnapshotTest, CorruptColumnSizeDoesNotAllocateUpFront) {
   std::stringstream verify_in(bytes);
   EXPECT_FALSE(VerifySnapshot(verify_in).ok());
   EXPECT_LT(PeakRssKib() - before, 64 * 1024);
+}
+
+/// Appends `n` raw bytes, as the snapshot writer lays them down.
+void AppendBytes(std::string* out, const void* data, size_t n) {
+  out->append(static_cast<const char*>(data), n);
+}
+template <typename T>
+void AppendValue(std::string* out, T v) {
+  AppendBytes(out, &v, sizeof(v));
+}
+template <typename T>
+void AppendVector(std::string* out, const std::vector<T>& v) {
+  AppendBytes(out, v.data(), v.size() * sizeof(T));
+}
+void AppendColumn(std::string* out, const PackedColumn& col) {
+  AppendValue(out, col.size);
+  AppendValue<uint64_t>(out, col.words.size());
+  AppendVector(out, col.words);
+  AppendVector(out, col.block_word);
+  AppendVector(out, col.meta);
+}
+
+/// `bytes` with its tables section replaced by `tables` (one S-O replica
+/// per predicate, packed by the snapshot's own block encoder, which
+/// round-trips unsorted arrays too) and every CRC recomputed, so only the
+/// table contents can be wrong.
+std::string WithTables(const std::string& bytes,
+                       const std::vector<SortedRuns>& tables) {
+  const size_t first_table = FirstTableOffset(bytes);
+  const size_t dict_crc_at = first_table - 4 - 8 - 4 - 4;
+  const size_t payload_at = first_table - 8 - 4;
+  std::string payload;
+  uint64_t triples = 0;
+  for (const SortedRuns& so : tables) triples += so.values.size();
+  AppendValue(&payload, triples);
+  AppendValue(&payload, static_cast<uint32_t>(tables.size()));
+  for (const SortedRuns& so : tables) {
+    AppendValue(&payload, static_cast<uint32_t>(so.keys.size()));
+    AppendValue<uint64_t>(&payload, so.values.size());
+    if (so.keys.empty()) continue;
+    AppendValue(&payload, so.keys.front());
+    AppendValue(&payload, so.keys.back());
+    const PackedKeys pk = PackKeys(so.keys);
+    AppendColumn(&payload, pk.col);
+    AppendVector(&payload, pk.minima);
+    const PackedLengths pl = PackLengths(so.offsets);
+    AppendColumn(&payload, pl.col);
+    AppendVector(&payload, pl.base);
+    AppendVector(&payload, pl.min_len);
+    const PackedValues pv = PackValues(so.values);
+    AppendColumn(&payload, pv.col);
+    AppendVector(&payload, pv.minima);
+  }
+  const uint32_t section_crcs[2] = {ReadU32At(bytes, dict_crc_at),
+                                    Crc32c(payload.data(), payload.size())};
+  std::string out = bytes.substr(0, payload_at) + payload;
+  AppendValue(&out, section_crcs[1]);
+  AppendValue<uint32_t>(&out, 0x524C5254u);  // trailer id "TRLR"
+  AppendValue<uint64_t>(&out, 2);
+  AppendValue(&out, Crc32c(section_crcs, sizeof(section_crcs)));
+  return out;
+}
+
+SortedRuns SubjectObjectRuns(const TableReplica& so) {
+  return SortedRuns{{so.keys().begin(), so.keys().end()},
+                    {so.offsets().begin(), so.offsets().end()},
+                    {so.values().begin(), so.values().end()}};
+}
+
+// Every CRC matches, yet the tables break the S-O contract: the load must
+// fail with a Status and never hand out a store. (VerifySnapshot checks
+// integrity only and does not decode tables.)
+TEST(SnapshotTest, CrcValidMalformedTableFailsToLoad) {
+  const Database original = MakeDatabase(kData);
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
+  const std::string bytes = buffer.str();
+  std::vector<SortedRuns> tables;
+  for (PredicateId pid = 1; pid <= original.predicate_count(); ++pid) {
+    tables.push_back(SubjectObjectRuns(original.entry(pid).table.so()));
+  }
+  // The re-encoder reproduces the writer byte for byte.
+  ASSERT_EQ(WithTables(bytes, tables), bytes);
+  const TermId resources = original.dictionary().resource_count();
+
+  std::vector<std::pair<std::string, std::vector<SortedRuns>>> cases;
+  {
+    std::vector<SortedRuns> unsorted_run = tables;
+    unsorted_run[0] = SortedRuns{{1}, {0, 2}, {5, 2}};
+    cases.emplace_back("unsorted run", std::move(unsorted_run));
+  }
+  {
+    std::vector<SortedRuns> key_past_dictionary = tables;
+    key_past_dictionary[1].keys.back() = resources + 1;
+    cases.emplace_back("key past dictionary", std::move(key_past_dictionary));
+  }
+  {
+    std::vector<SortedRuns> unsorted_keys = tables;
+    unsorted_keys[0] = SortedRuns{{4, 1}, {0, 1, 2}, {2, 5}};
+    cases.emplace_back("unsorted keys", std::move(unsorted_keys));
+  }
+  for (const auto& [name, malformed] : cases) {
+    const std::string rewritten = WithTables(bytes, malformed);
+    std::stringstream verify_in(rewritten);
+    ASSERT_TRUE(VerifySnapshot(verify_in).ok()) << name;
+    std::stringstream in(rewritten);
+    Result<Database> loaded = ReadSnapshot(in);
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << name << ": " << loaded.status().ToString();
+    DatabaseOptions parallel;
+    parallel.build_threads = 3;
+    std::stringstream parallel_in(rewritten);
+    EXPECT_FALSE(ReadSnapshot(parallel_in, parallel).ok()) << name;
+  }
 }
 
 /// A graph with enough keys per predicate to span several packed blocks.
