@@ -6,8 +6,11 @@
 //   binary      branchy binary search  vs  branchless gallop+cmov kernel
 //   sequential  scalar stepping scan   vs  SIMD block scan (active level)
 //   index       legacy sample walk     vs  popcount-block rank lookup
+//   run_member  cursor-less binary     vs  RunContains from a cursor
 // Every pair computes identical results; only the time may differ. The
-// acceptance bar for the vectorized kernels is >= 1.3x on >= 1M-key arrays.
+// acceptance bar for the vectorized kernels is >= 1.3x on >= 1M-key arrays;
+// run_member is recorded only (it measures what uncorrelated probes lose
+// by starting from the previous probe's position).
 //
 // Part 2 — google-benchmark stride benches: sequential vs binary vs
 // ID-to-Position lookup as a function of the probe stride (the position
@@ -127,7 +130,8 @@ struct MatrixResult {
 template <typename BaseFn, typename NewFn>
 void MatrixCell(const char* family, const char* pattern, size_t size,
                 double hit_rate, size_t probes, int repeats,
-                BaseFn&& base_fn, NewFn&& new_fn, MatrixResult* out) {
+                BaseFn&& base_fn, NewFn&& new_fn, MatrixResult* out,
+                bool gated = true) {
   base_fn();
   new_fn();
   double base_ns = 1e300;
@@ -156,7 +160,9 @@ void MatrixCell(const char* family, const char* pattern, size_t size,
                 family, pattern, size, hit_rate, base_ns, new_ns, speedup);
   if (!out->json.empty()) out->json += ",\n";
   out->json += buf;
-  if (size >= (1u << 20)) out->large_speedups[family].push_back(speedup);
+  if (gated && size >= (1u << 20)) {
+    out->large_speedups[family].push_back(speedup);
+  }
 }
 
 void RunKernelMatrix() {
@@ -259,6 +265,35 @@ void RunKernelMatrix() {
             }
           },
           &out);
+    }
+  }
+
+  // Membership in one long sorted run, as the executor's bound-value check
+  // does it: a cursor-less binary search per probe vs RunContains
+  // galloping from the previous probe's position. "ascgap" probes ascend
+  // with random gaps (a check after a key scan); "random" ones are
+  // uncorrelated.
+  for (size_t size : {size_t{256}, size_t{1} << 12, size_t{1} << 16,
+                      size_t{1} << 20, size_t{1} << 22}) {
+    const std::vector<TermId> run = MakeKeys(size);
+    std::vector<TermId> values =
+        MakeProbes(run, probes, /*correlated=*/false, 0.5, 13);
+    for (const char* pattern : {"random", "ascgap"}) {
+      if (std::strcmp(pattern, "ascgap") == 0) {
+        std::sort(values.begin(), values.end());
+      }
+      MatrixCell(
+          "run_member", pattern, size, 0.5, probes, repeats,
+          [&] {
+            for (TermId v : values) {
+              sink += std::binary_search(run.begin(), run.end(), v);
+            }
+          },
+          [&] {
+            size_t cursor = 0;
+            for (TermId v : values) sink += RunContains(run, v, &cursor);
+          },
+          &out, /*gated=*/false);
     }
   }
 

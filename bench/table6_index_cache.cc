@@ -88,6 +88,13 @@ int Run() {
         cache);
     PARJ_CHECK(binary.ok());
     PARJ_CHECK(indexed.ok());
+    // The trace holds exactly the searches the live run performed, so a
+    // replay must perform as many; anything else means a search went
+    // untraced or a trace entry was never searched.
+    PARJ_CHECK(binary->counters.total_searches() ==
+               run->counters.total_searches())
+        << q.name << ": replayed " << binary->counters.total_searches()
+        << " searches, live run " << run->counters.total_searches();
 
     table.AddRow({q.name, Abbrev(run->counters.binary_searches),
                   Abbrev(run->counters.sequential_searches),

@@ -40,6 +40,11 @@ struct StepInfo {
   bool key_bound = false;
   bool value_bound = false;
   bool value_is_key_var = false;
+  /// The key cannot change inside the enclosing value loop (step d−1's):
+  /// it is a constant, or a variable that loop does not bind. The step
+  /// then searches only when its key value changes (ShardContext::
+  /// ProbeKey).
+  bool key_reuse = false;
   /// Pending-write replicas for this step's predicate (same ReplicaKind as
   /// `replica`), from the execution's mut::DeltaView; null/empty on a
   /// clean step. Invariants (see mut::PropertyDelta): ins ∩ base = ∅ and
@@ -84,16 +89,6 @@ void MergeDeltaRun(std::span<const TermId> base_run,
   while (ii < ins_run.size()) out->push_back(ins_run[ii++]);
 }
 
-/// Delete-aware membership in (base_run ∖ del_run) ∪ ins_run.
-bool MergedRunContains(std::span<const TermId> base_run,
-                       std::span<const TermId> ins_run,
-                       std::span<const TermId> del_run, TermId value) {
-  if (RunContains(base_run, value)) {
-    return del_run.empty() || !RunContains(del_run, value);
-  }
-  return !ins_run.empty() && RunContains(ins_run, value);
-}
-
 /// Floor (in rows) for the first materialization buffer reservation, so
 /// result-heavy shards skip the pathological small-capacity doublings.
 constexpr size_t kRowsReserveFloor = 256;
@@ -125,6 +120,19 @@ struct alignas(64) ShardContext {
 
   std::vector<TermId> bindings;
   std::vector<size_t> cursors;
+  /// Per-depth last (key, position) of a key_reuse step's search; no
+  /// stored or bound ID is kInvalidTermId, so it marks an empty memo.
+  struct KeyMemo {
+    TermId key = kInvalidTermId;
+    size_t pos = kNotFound;
+  };
+  std::vector<KeyMemo> key_memo;
+  /// Per-depth membership cursor into the base value run last checked.
+  struct RunCursor {
+    const TermId* run = nullptr;
+    size_t pos = 0;
+  };
+  std::vector<RunCursor> run_cursors;
   /// Per-depth scratch for materialized merged runs (dirty steps only).
   /// Safe without further care: recursion depth is strictly increasing,
   /// so at most one live frame uses merged_runs[d].
@@ -190,12 +198,49 @@ struct alignas(64) ShardContext {
     return filter.op == query::FilterOp::kEq ? lhs == rhs : lhs != rhs;
   }
 
-  /// Probes step `depth`'s key set for `value`.
-  size_t StepSearch(size_t depth, const StepInfo& step, TermId value,
-                    SearchStrategy strategy) {
-    return AdaptiveSearch(step.replica->keys(), value, &cursors[depth],
-                          step.threshold, strategy, step.index, &counters,
-                          step.gallop_cap);
+  /// Forgets every cursor and memo, so a shard's searches and counters
+  /// depend only on its own content, never on which worker ran the
+  /// previous morsel.
+  void ResetCursors() {
+    std::fill(cursors.begin(), cursors.end(), 0);
+    std::fill(key_memo.begin(), key_memo.end(), KeyMemo());
+    std::fill(run_cursors.begin(), run_cursors.end(), RunCursor());
+  }
+
+  /// Position of `key` in step `depth`'s (non-empty) key array, or
+  /// kNotFound. A key_reuse step repeats its last answer while the key
+  /// value stays the same; only searches actually run are counted and
+  /// traced, so ReplaySearchTrace replays exactly this stream.
+  size_t ProbeKey(size_t depth, const StepInfo& step, TermId key,
+                  SearchStrategy strategy) {
+    KeyMemo& memo = key_memo[depth];
+    if (step.key_reuse && memo.key == key) return memo.pos;
+    Trace(depth, key);
+    const size_t pos =
+        AdaptiveSearch(step.replica->keys(), key, &cursors[depth],
+                       step.threshold, strategy, step.index, &counters,
+                       step.gallop_cap);
+    if (step.key_reuse) memo = {key, pos};
+    return pos;
+  }
+
+  /// Membership of `value` in a base value run at `depth`. A long run is
+  /// searched from the cursor its previous check left, so probes that
+  /// arrive in order gallop instead of starting over.
+  bool RunHas(size_t depth, std::span<const TermId> run, TermId value) {
+    RunCursor& cursor = run_cursors[depth];
+    if (cursor.run != run.data()) cursor = {run.data(), 0};
+    return RunContains(run, value, &cursor.pos);
+  }
+
+  /// Delete-aware membership in (base_run ∖ del_run) ∪ ins_run.
+  bool MergedRunHas(size_t depth, std::span<const TermId> base_run,
+                    std::span<const TermId> ins_run,
+                    std::span<const TermId> del_run, TermId value) {
+    if (RunHas(depth, base_run, value)) {
+      return del_run.empty() || !RunContains(del_run, value);
+    }
+    return !ins_run.empty() && RunContains(ins_run, value);
   }
 
   /// True when another shard has saturated the LIMIT gate — this shard's
@@ -246,11 +291,9 @@ struct alignas(64) ShardContext {
     const TermId key_value = step.key.is_constant()
                                  ? step.key.constant
                                  : bindings[step.key.var];
-    Trace(depth, key_value);
-    size_t pos = kNotFound;
-    if (!replica.empty()) {
-      pos = StepSearch(depth, step, key_value, strategy);
-    }
+    const size_t pos = replica.empty()
+                           ? kNotFound
+                           : ProbeKey(depth, step, key_value, strategy);
     if (!step.dirty) {
       if (pos == kNotFound) return;
       if (step.key.is_variable()) bindings[step.key.var] = key_value;
@@ -283,7 +326,7 @@ struct alignas(64) ShardContext {
                            : step.value_is_key_var ? bindings[step.key.var]
                                                    : bindings[step.value.var];
       ++counters.run_probes;
-      if (MergedRunContains(base_run, ins_run, del_run, value)) {
+      if (MergedRunHas(depth, base_run, ins_run, del_run, value)) {
         Descend(depth + 1, strategy);
       }
       return;
@@ -346,7 +389,7 @@ struct alignas(64) ShardContext {
                            : step.value_is_key_var ? bindings[step.key.var]
                                                    : bindings[step.value.var];
       ++counters.run_probes;
-      if (RunContains(run, value)) Descend(depth + 1, strategy);
+      if (RunHas(depth, run, value)) Descend(depth + 1, strategy);
       return;
     }
     RunValues(depth, run, strategy);
@@ -432,8 +475,7 @@ struct alignas(64) ShardContext {
         }
         if (!pass) continue;
         ++step_rows[next_depth - 1];
-        Trace(next_depth, v);
-        const size_t pos = StepSearch(next_depth, next, v, strategy);
+        const size_t pos = ProbeKey(next_depth, next, v, strategy);
         if (pos == kNotFound) continue;
         hit_vals[hits] = v;
         hit_pos[hits] = pos;
@@ -597,11 +639,12 @@ void RunMergedKeyRange(const StepInfo& first, const WorkSource& src,
 void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
               size_t begin, size_t end, SearchStrategy strategy,
               ShardContext* ctx) {
-  // Reset the per-depth search cursors so adaptive sequential-vs-binary
-  // decisions depend only on this shard's content, never on which worker
-  // ran the previous morsel — SearchCounters stay deterministic under
-  // work stealing (the equivalence gates compare them across runs).
-  std::fill(ctx->cursors.begin(), ctx->cursors.end(), 0);
+  // Reset the per-depth search cursors and key memos so adaptive
+  // sequential-vs-binary decisions and skipped searches depend only on
+  // this shard's content, never on which worker ran the previous morsel —
+  // SearchCounters stay deterministic under work stealing (the
+  // equivalence gates compare them across runs).
+  ctx->ResetCursors();
   const StepInfo& first = steps[0];
   const TableReplica& replica = *first.replica;
   switch (src.kind) {
@@ -622,13 +665,13 @@ void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
             base_run.empty() ? std::span<const TermId>()
                              : LookupRun(first.del, first.key.constant);
         ++ctx->counters.run_probes;
-        if (MergedRunContains(base_run, ins_run, del_run, value)) {
+        if (ctx->MergedRunHas(0, base_run, ins_run, del_run, value)) {
           ctx->Descend(1, strategy);
         }
         return;
       }
       ++ctx->counters.run_probes;
-      if (RunContains(replica.Run(src.key_pos), value)) {
+      if (ctx->RunHas(0, replica.Run(src.key_pos), value)) {
         if (first.key.is_variable()) {
           ctx->bindings[first.key.var] = replica.KeyAt(src.key_pos);
         }
@@ -653,7 +696,7 @@ void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
         if (first.value_is_key_var) {
           // ?x p ?x: key scan with reflexive membership check.
           ++ctx->counters.run_probes;
-          if (!RunContains(replica.Run(pos), key)) continue;
+          if (!ctx->RunHas(0, replica.Run(pos), key)) continue;
           ctx->bindings[first.key.var] = key;
           ctx->Descend(1, strategy);
           continue;
@@ -661,7 +704,7 @@ void RunShard(const std::vector<StepInfo>& steps, const WorkSource& src,
         ctx->bindings[first.key.var] = key;
         if (first.value.is_constant()) {
           ++ctx->counters.run_probes;
-          if (RunContains(replica.Run(pos), first.value.constant)) {
+          if (ctx->RunHas(0, replica.Run(pos), first.value.constant)) {
             ctx->Descend(1, strategy);
           }
           continue;
@@ -784,6 +827,16 @@ Status ResolvePlan(const storage::Database& db, const mut::DeltaView* delta,
     info.value_bound = ps.value_bound;
     info.value_is_key_var = ps.value.is_variable() && ps.key.is_variable() &&
                             ps.value.var == ps.key.var;
+    if (!steps.empty() && info.key_bound) {
+      // Descend(d) runs once per tuple of step d−1's value loop; only a
+      // key that loop binds can differ between consecutive calls.
+      const StepInfo& prev = steps.back();
+      const bool prev_loop_binds_key =
+          info.key.is_variable() && prev.value.is_variable() &&
+          !prev.value_bound && !prev.value_is_key_var &&
+          prev.value.var == info.key.var;
+      info.key_reuse = !prev_loop_binds_key;
+    }
     steps.push_back(info);
   }
   PARJ_CHECK(!steps[0].key_bound || steps[0].key.is_constant())
@@ -859,6 +912,8 @@ void InitShardContext(ShardContext* ctx, size_t shard,
   ctx->bindings.assign(std::max(1, plan.variable_count), kInvalidTermId);
   ctx->emit_row.assign(plan.projection.size(), 0);
   ctx->cursors.assign(resolved.steps.size(), 0);
+  ctx->key_memo.assign(resolved.steps.size(), {});
+  ctx->run_cursors.assign(resolved.steps.size(), {});
   ctx->merged_runs.resize(resolved.steps.size());
   ctx->step_rows.assign(resolved.steps.size(), 0);
   ctx->tracing = options.collect_probe_trace;

@@ -145,9 +145,10 @@ inline constexpr int kCancelCheckInterval = 2048;
 /// cache when stage C descends into them.
 inline constexpr size_t kProbeBatchSize = 16;
 
-/// Probe values observed per plan step, in shard order. Step 0 records the
-/// first step's constant-key lookup (if any); probe steps record one entry
-/// per search into the step's key array.
+/// Probe values per plan step, in shard order: one entry per search
+/// actually performed into the step's key array. The first step is never
+/// searched, and a step whose key did not change since its last search
+/// reuses that position and records nothing (DESIGN.md §11).
 struct ProbeTrace {
   std::vector<std::vector<TermId>> step_values;
 };

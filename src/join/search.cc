@@ -1,7 +1,5 @@
 #include "join/search.h"
 
-#include <algorithm>
-
 namespace parj::join {
 
 const char* SearchStrategyName(SearchStrategy strategy) {
@@ -78,15 +76,11 @@ size_t AdaptiveSearch(std::span<const TermId> array, TermId value,
                             counters, mem, gallop_cap);
 }
 
-bool RunContains(std::span<const TermId> run, TermId value) {
-  // Value runs are usually a handful of elements; a vectorized equality
-  // sweep beats a branchy binary search up to several cache lines. Both
-  // arms return the same boolean on the sorted input.
-  constexpr size_t kLinearLimit = 64;
-  if (run.size() <= kLinearLimit) {
+bool RunContains(std::span<const TermId> run, TermId value, size_t* cursor) {
+  if (run.size() <= kRunSweepLimit) {
     return simd::ContainsU32(run.data(), run.size(), value);
   }
-  return std::binary_search(run.begin(), run.end(), value);
+  return BinarySearch(run, value, cursor) != kNotFound;
 }
 
 }  // namespace parj::join

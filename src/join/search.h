@@ -419,10 +419,24 @@ size_t AdaptiveSearch(std::span<const TermId> array, TermId value,
                       SearchCounters* counters,
                       size_t gallop_cap = kDefaultGallopCap);
 
-/// Plain membership check inside a (typically short) sorted value run; no
-/// cursor. Short runs use a vectorized equality scan, long runs a binary
-/// search — the boolean is identical either way.
-bool RunContains(std::span<const TermId> run, TermId value);
+/// Runs up to this many elements are checked by a vectorized equality
+/// sweep: it beats any search up to several cache lines and needs no
+/// cursor.
+inline constexpr size_t kRunSweepLimit = 64;
+
+/// Membership check inside a sorted value run. Runs of at most
+/// kRunSweepLimit elements use the equality sweep and leave `*cursor`
+/// alone; longer runs use the two-phase BinarySearch kernel from `*cursor`
+/// and leave it on the probed position, so probes that arrive in order
+/// gallop from the previous one. The boolean is the same either way, for
+/// any incoming cursor.
+bool RunContains(std::span<const TermId> run, TermId value, size_t* cursor);
+
+/// One-off membership check: RunContains from a cursor at the run's start.
+inline bool RunContains(std::span<const TermId> run, TermId value) {
+  size_t cursor = 0;
+  return RunContains(run, value, &cursor);
+}
 
 }  // namespace parj::join
 

@@ -308,9 +308,11 @@ TEST(ExecutorTest, ProbeTraceRecordsSearchedValues) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->trace.step_values.size(), 2u);
   EXPECT_TRUE(r->trace.step_values[0].empty());  // first step is a scan
-  // One probe per (professor, course) tuple of the first table: ProfessorA
-  // teaches two courses, B and C one each -> 4 probes into worksFor.
-  ASSERT_EQ(r->trace.step_values[1].size(), 4u);
+  // One search per professor: ProfessorA teaches two courses, but the
+  // second tuple keeps the same ?x and reuses the first search's position
+  // -> 3 searches into worksFor (A, B, C), not one per tuple.
+  ASSERT_EQ(r->trace.step_values[1].size(), 3u);
+  EXPECT_EQ(r->counters.total_searches(), 3u);
 }
 
 TEST(ExecutorTest, EmptyPlanRejected) {

@@ -1,17 +1,31 @@
-// Equivalence gates for batched prefetched probing (ExecOptions::
-// batch_probes, DESIGN.md §11): with batching on, every observable output
-// — rows, row counts, per-step cardinalities, SearchCounters, probe
-// traces — must be identical to the strictly serial probe loop, because
-// batching only reorders WHEN run descents happen relative to sibling
-// searches, never the per-step search order itself.
+// Equivalence gates for the executor's probe paths (DESIGN.md §11):
+//  - batched prefetched probing (ExecOptions::batch_probes): with batching
+//    on, every observable output — rows, row counts, per-step
+//    cardinalities, SearchCounters, probe traces — must be identical to
+//    the strictly serial probe loop, because batching only reorders WHEN
+//    run descents happen relative to sibling searches, never the per-step
+//    search order itself;
+//  - key reuse: a step whose key cannot change inside the enclosing value
+//    loop searches once per key value, and counters and traces count only
+//    the searches performed;
+//  - cursor membership: bound-value checks on long runs gallop from the
+//    previous probe and must give NaiveEngine's rows for any probe order,
+//    on clean and delta-merged stores.
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "baseline/naive_engine.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "join/executor.h"
+#include "mutable/delta_store.h"
 #include "query/optimizer.h"
 #include "test_util.h"
 
@@ -203,6 +217,415 @@ TEST(ProbeBatchTest, CancellationHonoredInsideBatches) {
   Executor exec(&db);
   auto result = exec.Execute(*plan, opts);
   EXPECT_FALSE(result.ok());
+}
+
+// ---- Key reuse -------------------------------------------------------
+
+constexpr SearchStrategy kAllStrategies[] = {
+    SearchStrategy::kBinary, SearchStrategy::kAdaptiveBinary,
+    SearchStrategy::kIndex, SearchStrategy::kAdaptiveIndex};
+
+/// Plans `sparql` with its patterns in `order` and moves plan step i onto
+/// replica `replicas[i]`, so each test pins the exact step shape it means
+/// to exercise (which slot is the searched key, which the checked value).
+query::Plan PlanWith(const storage::Database& db, const std::string& sparql,
+                     std::vector<int> order,
+                     const std::vector<storage::ReplicaKind>& replicas,
+                     const mut::DeltaView* delta = nullptr) {
+  query::OptimizerOptions oopts;
+  oopts.forced_order = std::move(order);
+  auto plan = query::Optimize(Encode(sparql, db), db, oopts, delta);
+  PARJ_CHECK(plan.ok()) << plan.status().ToString();
+  PARJ_CHECK(plan->steps.size() == replicas.size());
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    query::PlanStep& step = plan->steps[i];
+    if (step.replica == replicas[i]) continue;
+    step.replica = replicas[i];
+    std::swap(step.key, step.value);
+    std::swap(step.key_bound, step.value_bound);
+  }
+  return std::move(plan).value();
+}
+
+std::vector<std::vector<TermId>> NaiveRows(const storage::Database& db,
+                                           const std::string& sparql) {
+  baseline::NaiveEngine naive(&db);
+  auto r = naive.Execute(Encode(sparql, db));
+  PARJ_CHECK(r.ok()) << r.status().ToString();
+  return ToSortedRows(r->rows, r->column_count);
+}
+
+/// Work units (static shards or morsels) a run executed.
+uint64_t UnitsRun(const ExecResult& r, size_t shards) {
+  if (r.morsel_workers.empty()) return shards;
+  uint64_t units = 0;
+  for (const MorselWorkerStats& w : r.morsel_workers) units += w.morsels;
+  return units;
+}
+
+/// Runs `plan` under every strategy, 1 and 4 threads and both schedules,
+/// with batching on and off. Each run must return NaiveEngine's rows and
+/// trace exactly the searches its counters count; the batched run must
+/// match the serial one in step_rows, counters and (when its shards merge
+/// in a fixed order) traces. Step `step` must search once per distinct key
+/// value per work unit: `distinct_keys` times with one unit, between that
+/// and `distinct_keys` per unit otherwise.
+void ExpectOneSearchPerKey(const storage::Database& db,
+                           const std::string& sparql, const query::Plan& plan,
+                           size_t step, size_t distinct_keys) {
+  const auto expected = NaiveRows(db, sparql);
+  ASSERT_FALSE(expected.empty());
+  Executor exec(&db);
+  for (SearchStrategy strategy : kAllStrategies) {
+    for (int threads : {1, 4}) {
+      for (Scheduling scheduling : {Scheduling::kStatic, Scheduling::kMorsel}) {
+        SCOPED_TRACE(std::string(SearchStrategyName(strategy)) + " x" +
+                     std::to_string(threads) + " " +
+                     SchedulingName(scheduling));
+        ExecOptions opts;
+        opts.strategy = strategy;
+        opts.num_threads = threads;
+        opts.scheduling = scheduling;
+        opts.emulate_parallel = true;
+        opts.collect_probe_trace = true;
+        std::vector<ExecResult> runs;
+        for (bool batch : {true, false}) {
+          opts.batch_probes = batch;
+          auto r = exec.Execute(plan, opts);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          EXPECT_EQ(ToSortedRows(r->rows, r->column_count), expected);
+          uint64_t traced = 0;
+          for (const auto& values : r->trace.step_values) {
+            traced += values.size();
+          }
+          EXPECT_EQ(traced, r->counters.total_searches());
+          const size_t searches = r->trace.step_values[step].size();
+          const uint64_t units = UnitsRun(*r, r->shard_millis.size());
+          if (units == 1) {
+            EXPECT_EQ(searches, distinct_keys);
+          } else {
+            EXPECT_GE(searches, distinct_keys);
+            EXPECT_LE(searches, distinct_keys * units);
+          }
+          runs.push_back(std::move(r).value());
+        }
+        EXPECT_EQ(runs[0].step_rows, runs[1].step_rows);
+        ExpectCountersEqual(runs[0].counters, runs[1].counters);
+        if (threads == 1 || scheduling == Scheduling::kStatic) {
+          EXPECT_EQ(runs[0].trace.step_values, runs[1].trace.step_values);
+        }
+      }
+    }
+  }
+}
+
+TEST(KeyReuseTest, ConstantKeyCheckSearchesOncePerShard) {
+  // LUBM5's shape after a batched chain step: a type check on a bound
+  // subject, planned on O-S so the searched key is the constant class and
+  // ?x is checked in its run (130+ members, so the check also takes the
+  // cursor kernel). Three tuples per ?x reach the check.
+  Spec spec;
+  for (int i = 0; i < 200; ++i) {
+    const std::string x = "x" + std::to_string(i);
+    for (int j = 0; j < 3; ++j) {
+      spec.push_back({x, "takes", "c" + std::to_string((i + j) % 40)});
+    }
+    spec.push_back({x, "type", i % 3 == 0 ? "Other" : "Student"});
+  }
+  for (int c = 0; c < 40; ++c) {
+    spec.push_back({"c" + std::to_string(c), "taughtBy",
+                    "t" + std::to_string(c % 5)});
+  }
+  auto db = MakeDatabase(spec);
+  const std::string q =
+      "SELECT ?x ?c ?t WHERE { ?x <takes> ?c . ?c <taughtBy> ?t . "
+      "?x <type> <Student> }";
+  const query::Plan plan =
+      PlanWith(db, q, {0, 1, 2},
+               {storage::ReplicaKind::kSO, storage::ReplicaKind::kSO,
+                storage::ReplicaKind::kOS});
+  ASSERT_TRUE(plan.steps[2].key.is_constant());
+  ASSERT_TRUE(plan.steps[2].value_bound);
+  ExpectOneSearchPerKey(db, q, plan, 2, 1);
+}
+
+TEST(KeyReuseTest, KeyBoundTwoStepsEarlierSearchesOncePerValue) {
+  // LUBM9's shape: ?p is bound by step 0 and searched at step 2, inside
+  // step 1's loop over ?c. Ten consecutive students share each advisor,
+  // so the 200 tuples entering step 2 need one search per advisor.
+  Spec spec;
+  for (int i = 0; i < 200; ++i) {
+    const std::string s = "s" + std::to_string(i);
+    spec.push_back({s, "advisor", "p" + std::to_string(i / 10)});
+  }
+  for (int i = 0; i < 200; ++i) {
+    spec.push_back({"s" + std::to_string(i), "takes",
+                    "c" + std::to_string((i * 7) % 300)});
+  }
+  for (int p = 0; p < 20; ++p) {
+    for (int c = 0; c < 90; ++c) {
+      spec.push_back({"p" + std::to_string(p), "teaches",
+                      "c" + std::to_string((p * 13 + c) % 300)});
+    }
+  }
+  auto db = MakeDatabase(spec);
+  const std::string q =
+      "SELECT ?s ?p ?c WHERE { ?s <advisor> ?p . ?s <takes> ?c . "
+      "?p <teaches> ?c }";
+  const query::Plan plan =
+      PlanWith(db, q, {0, 1, 2},
+               {storage::ReplicaKind::kSO, storage::ReplicaKind::kSO,
+                storage::ReplicaKind::kSO});
+  ASSERT_TRUE(plan.steps[2].key.is_variable());
+  ASSERT_TRUE(plan.steps[2].value_bound);
+  ExpectOneSearchPerKey(db, q, plan, 2, 20);
+}
+
+TEST(KeyReuseTest, StarReusesSubjectUnderMultiValuedFirstStep) {
+  // Steps 1 and 2 search ?x, which step 0's key scan binds; step 0's
+  // three values and step 1's two per ?x would repeat each search 3 and 6
+  // times without reuse.
+  Spec spec;
+  for (int i = 0; i < 150; ++i) {
+    const std::string x = "x" + std::to_string(i);
+    for (int j = 0; j < 3; ++j) {
+      spec.push_back({x, "p0", "a" + std::to_string((i + j) % 50)});
+    }
+    for (int j = 0; j < 2; ++j) {
+      spec.push_back({x, "p1", "b" + std::to_string((i * 3 + j) % 70)});
+      spec.push_back({x, "p2", "c" + std::to_string((i * 5 + j) % 90)});
+    }
+  }
+  auto db = MakeDatabase(spec);
+  const std::string q =
+      "SELECT ?x ?a ?b ?c WHERE { ?x <p0> ?a . ?x <p1> ?b . ?x <p2> ?c }";
+  const query::Plan plan =
+      PlanWith(db, q, {0, 1, 2},
+               {storage::ReplicaKind::kSO, storage::ReplicaKind::kSO,
+                storage::ReplicaKind::kSO});
+  ExpectOneSearchPerKey(db, q, plan, 1, 150);
+  ExpectOneSearchPerKey(db, q, plan, 2, 150);
+}
+
+TEST(KeyReuseTest, MemoResetsWithEveryMorsel) {
+  // 40,000 first-step triples cut into many more morsels than workers:
+  // the constant key is searched once per morsel, whichever worker runs
+  // it, so real and emulated runs count the same searches.
+  Spec spec;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string x = "x" + std::to_string(i);
+    for (int j = 0; j < 4; ++j) {
+      spec.push_back({x, "takes", "c" + std::to_string((i + j) % 97)});
+    }
+    spec.push_back({x, "type", i % 4 == 0 ? "Other" : "Student"});
+  }
+  auto db = MakeDatabase(spec);
+  const query::Plan plan = PlanWith(
+      db, "SELECT ?x ?c WHERE { ?x <takes> ?c . ?x <type> <Student> }",
+      {0, 1}, {storage::ReplicaKind::kSO, storage::ReplicaKind::kOS});
+  ASSERT_TRUE(plan.steps[1].key.is_constant());
+  Executor exec(&db);
+  ExecOptions opts;
+  opts.mode = ResultMode::kCount;
+  opts.num_threads = 2;
+  opts.scheduling = Scheduling::kMorsel;
+  opts.emulate_parallel = true;
+  opts.collect_probe_trace = true;
+  auto emulated = exec.Execute(plan, opts);
+  ASSERT_TRUE(emulated.ok()) << emulated.status().ToString();
+  EXPECT_EQ(emulated->row_count, 30000u);
+  const uint64_t morsels = UnitsRun(*emulated, 2);
+  ASSERT_GT(morsels, 2u);
+  EXPECT_EQ(emulated->trace.step_values[1].size(), morsels);
+  EXPECT_EQ(emulated->counters.total_searches(), morsels);
+
+  opts.emulate_parallel = false;
+  opts.collect_probe_trace = false;
+  for (int run = 0; run < 5; ++run) {
+    auto real = exec.Execute(plan, opts);
+    ASSERT_TRUE(real.ok()) << real.status().ToString();
+    EXPECT_EQ(real->row_count, emulated->row_count);
+    ExpectCountersEqual(real->counters, emulated->counters);
+  }
+}
+
+// ---- Cursor membership ------------------------------------------------
+
+/// Checked runs on both sides of the sweep/cursor boundary and one long
+/// run, probed by four streams of bound values: ascending, descending,
+/// repeated and random. Node IDs follow their index (the first triples
+/// introduce n0, n1, ... in order), so the stream orders are ID orders.
+struct MembershipData {
+  Spec spec;
+  std::vector<std::string> classes;  // the checked runs' keys
+  std::vector<std::string> orders;   // the probe-stream predicates
+};
+
+MembershipData MakeMembershipData() {
+  constexpr int kNodes = 12000;
+  constexpr int kProbes = 150;
+  MembershipData data;
+  Rng rng(20261018);
+  for (int i = 0; i < kNodes; ++i) {
+    data.spec.push_back({"n" + std::to_string(i), "node", "hub"});
+  }
+  std::vector<int> members;  // nested: T63 ⊂ T64 ⊂ T65
+  for (int i = 0; i < 65; ++i) {
+    members.push_back(static_cast<int>(rng.Uniform(kNodes)));
+  }
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  while (members.size() < 65) {
+    const int extra = static_cast<int>(rng.Uniform(kNodes));
+    if (std::find(members.begin(), members.end(), extra) == members.end()) {
+      members.push_back(extra);
+    }
+  }
+  for (int size : {63, 64, 65}) {
+    const std::string cls = "T" + std::to_string(size);
+    data.classes.push_back(cls);
+    for (int k = 0; k < size; ++k) {
+      data.spec.push_back({"n" + std::to_string(members[k]), "type", cls});
+    }
+  }
+  data.classes.push_back("T10k");
+  for (int i = 0; i < kNodes; ++i) {
+    if (rng.Uniform(6) != 0) {
+      data.spec.push_back({"n" + std::to_string(i), "type", "T10k"});
+    }
+  }
+  // A third of the probes are small-run members, so every run gets hits.
+  std::vector<int> probes;
+  for (int j = 0; j < kProbes; ++j) {
+    probes.push_back(rng.Uniform(3) == 0
+                         ? members[rng.Uniform(members.size())]
+                         : static_cast<int>(rng.Uniform(kNodes)));
+  }
+  std::vector<int> ascending = probes;
+  std::sort(ascending.begin(), ascending.end());
+  std::vector<int> descending(ascending.rbegin(), ascending.rend());
+  std::vector<int> repeated;
+  for (int j = 0; j < kProbes / 3; ++j) {
+    for (int k = 0; k < 3; ++k) repeated.push_back(probes[j]);
+  }
+  const std::pair<const char*, const std::vector<int>*> streams[] = {
+      {"asc", &ascending},
+      {"desc", &descending},
+      {"rep", &repeated},
+      {"rnd", &probes}};
+  for (const auto& [name, stream] : streams) {
+    data.orders.push_back(name);
+    for (size_t j = 0; j < stream->size(); ++j) {
+      data.spec.push_back({"k" + std::to_string(j), name,
+                           "n" + std::to_string((*stream)[j])});
+    }
+  }
+  return data;
+}
+
+rdf::Triple Iris(const std::string& s, const std::string& p,
+                 const std::string& o) {
+  return rdf::Triple{rdf::Term::Iri(s), rdf::Term::Iri(p), rdf::Term::Iri(o)};
+}
+
+/// The same store rebuilt from `spec` with `base`'s dictionary, so TermIds
+/// match a delta-merged view of `base` holding the same triples.
+storage::Database Rebuild(const storage::Database& base, const Spec& spec) {
+  dict::Dictionary dict = base.dictionary().Clone();
+  std::vector<EncodedTriple> triples;
+  for (const auto& [s, p, o] : spec) {
+    triples.push_back({dict.LookupResource(rdf::Term::Iri(s)),
+                       dict.LookupPredicate(rdf::Term::Iri(p)),
+                       dict.LookupResource(rdf::Term::Iri(o))});
+  }
+  auto db = storage::Database::Build(std::move(dict), std::move(triples));
+  PARJ_CHECK(db.ok()) << db.status().ToString();
+  return std::move(db).value();
+}
+
+TEST(RunMemberTest, CursorMembershipMatchesNaiveOnEveryProbeOrder) {
+  const MembershipData data = MakeMembershipData();
+  auto base = MakeDatabase(data.spec);
+  {
+    // The streams must really arrive in the orders they are named for.
+    auto plan = PlanWith(base, "SELECT ?k ?x WHERE { ?k <asc> ?x }", {0},
+                         {storage::ReplicaKind::kSO});
+    Executor exec(&base);
+    auto r = exec.Execute(plan, {});
+    ASSERT_TRUE(r.ok());
+    std::vector<TermId> xs;
+    for (size_t i = 1; i < r->rows.size(); i += 2) xs.push_back(r->rows[i]);
+    ASSERT_TRUE(std::is_sorted(xs.begin(), xs.end()));
+  }
+
+  for (const std::string& cls : data.classes) {
+    // A non-member to insert into the checked run, and a member to
+    // delete from it.
+    std::set<std::string> in_class;
+    for (const auto& [s, p, o] : data.spec) {
+      if (p == "type" && o == cls) in_class.insert(s);
+    }
+    std::string outsider;
+    for (int i = 0; outsider.empty(); ++i) {
+      const std::string n = "n" + std::to_string(i);
+      if (in_class.count(n) == 0) outsider = n;
+    }
+    const std::string member = *in_class.rbegin();
+
+    for (int state = 0; state < 3; ++state) {
+      const char* state_name[] = {"clean", "pending insert", "pending delete"};
+      Spec logical = data.spec;
+      mut::DeltaStore store(MakeDatabase(data.spec));
+      if (state == 1) {
+        logical.push_back({outsider, "type", cls});
+        ASSERT_TRUE(store.Insert(Iris(outsider, "type", cls)).ok());
+      } else if (state == 2) {
+        logical.erase(std::find(logical.begin(), logical.end(),
+                                std::make_tuple(member, std::string("type"),
+                                                cls)));
+        ASSERT_TRUE(store.Remove(Iris(member, "type", cls)).ok());
+      }
+      const mut::MvccSnapshot snap = store.snapshot();
+      const storage::Database reference = Rebuild(snap.base(), logical);
+      Executor exec(&snap.base(), &snap.delta());
+
+      for (const std::string& order : data.orders) {
+        const std::string q = "SELECT ?k ?x WHERE { ?k <" + order +
+                              "> ?x . ?x <type> <" + cls + "> }";
+        SCOPED_TRACE(q + " on a " + state_name[state] + " store");
+        const auto expected = NaiveRows(reference, q);
+        const query::Plan plan =
+            PlanWith(snap.base(), q, {0, 1},
+                     {storage::ReplicaKind::kSO, storage::ReplicaKind::kOS},
+                     &snap.delta());
+        ASSERT_TRUE(plan.steps[1].key.is_constant());
+        uint64_t run_probes = UINT64_MAX;
+        for (SearchStrategy strategy : kAllStrategies) {
+          for (int threads : {1, 4}) {
+            for (Scheduling scheduling :
+                 {Scheduling::kStatic, Scheduling::kMorsel}) {
+              for (bool batch : {true, false}) {
+                ExecOptions opts;
+                opts.strategy = strategy;
+                opts.num_threads = threads;
+                opts.scheduling = scheduling;
+                opts.batch_probes = batch;
+                auto r = exec.Execute(plan, opts);
+                ASSERT_TRUE(r.ok()) << r.status().ToString();
+                EXPECT_EQ(ToSortedRows(r->rows, r->column_count), expected)
+                    << SearchStrategyName(strategy) << " x" << threads << " "
+                    << SchedulingName(scheduling) << " batch " << batch;
+                if (run_probes == UINT64_MAX) {
+                  run_probes = r->counters.run_probes;
+                }
+                EXPECT_EQ(r->counters.run_probes, run_probes);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
