@@ -146,6 +146,13 @@ struct IndexCacheRow {
   const char* index_l3;
 };
 
+/// §5.2.2's claims about Table 6, as thresholds the bench judges its own
+/// rows against. Sequential searches "heavily" outnumber binary ones (the
+/// paper's LUBM totals differ ~200x; we ask for 10x), and the index cuts
+/// lookup cycles by more than 30% on fallback-heavy queries.
+inline constexpr double kTable6MinSequentialPerBinary = 10.0;
+inline constexpr double kTable6MinCycleReduction = 0.30;
+
 inline const std::vector<IndexCacheRow>& Table6IndexCache() {
   static const std::vector<IndexCacheRow> kRows = {
       {"LUBM1", "1", "107525748", "2236", "130", "49", "9", "3135", "102",

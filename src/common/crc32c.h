@@ -8,8 +8,9 @@ namespace parj {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) —
 /// the checksum used by the snapshot format's per-section integrity
-/// records. Table-driven software implementation; the tables are built at
-/// compile time, so the first call pays nothing.
+/// records. Runs on the SSE4.2 `crc32` instruction when common/simd's
+/// dispatch allows it (simd::HardwareCrc32c), else on slicing-by-4 tables
+/// built at compile time; both give the same checksum.
 ///
 /// `Crc32cExtend` continues a running checksum, letting the snapshot
 /// reader/writer fold bytes in as they stream past instead of buffering

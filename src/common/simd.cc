@@ -594,4 +594,13 @@ void UnpackDeltaU32(const uint64_t* words, unsigned width, size_t count,
   }
 }
 
+bool HardwareCrc32c() {
+#if PARJ_SIMD_CRC32C
+  static const bool cpu = __builtin_cpu_supports("sse4.2");
+  return cpu && ActiveLevel() >= Level::kSse2;
+#else
+  return false;
+#endif
+}
+
 }  // namespace parj::simd

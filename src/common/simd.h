@@ -37,6 +37,10 @@
 #include <emmintrin.h>
 // AVX2 bodies live in simd.cc behind __attribute__((target("avx2"))).
 #define PARJ_SIMD_AVX2 1
+#if defined(__x86_64__)
+// CRC-32C on SSE4.2's crc32 instruction (common/crc32c.cc).
+#define PARJ_SIMD_CRC32C 1
+#endif
 #endif
 #endif
 
@@ -227,6 +231,13 @@ void UnpackForU32(const uint64_t* words, unsigned width, size_t count,
 /// field[i]. Encoders emit field[0] = 0 so out[0] == base.
 void UnpackDeltaU32(const uint64_t* words, unsigned width, size_t count,
                     uint32_t base, uint32_t* out);
+
+// ---- CRC-32C (common/crc32c) ----
+
+/// True when CRC-32C runs on the SSE4.2 `crc32` instruction: compiled in
+/// (x86-64, SIMD enabled), reported by the CPU, and the active level above
+/// scalar. Forcing the scalar level selects the table-driven path.
+bool HardwareCrc32c();
 
 }  // namespace parj::simd
 

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -42,6 +43,10 @@ class Dictionary {
   Dictionary(const Dictionary&) = delete;
   Dictionary& operator=(const Dictionary&) = delete;
 
+  /// A dictionary over two built term tables (a snapshot load).
+  Dictionary(TermTable resources, TermTable predicates)
+      : resources_(std::move(resources)), predicates_(std::move(predicates)) {}
+
   /// Explicit deep copy preserving all ID assignments.
   Dictionary Clone() const;
 
@@ -50,6 +55,13 @@ class Dictionary {
   void Reserve(size_t resources, size_t predicates,
                size_t resource_key_bytes = 0,
                size_t predicate_key_bytes = 0);
+
+  /// Gives back large spare capacity in both term tables
+  /// (TermTable::TrimSlack).
+  void TrimSlack() {
+    resources_.TrimSlack();
+    predicates_.TrimSlack();
+  }
 
   /// Returns the ID for `term`, inserting it if absent.
   TermId EncodeResource(const rdf::Term& term);
@@ -112,6 +124,10 @@ class Dictionary {
   /// Total bytes of all resource / predicate keys.
   size_t resource_key_bytes() const { return resources_.key_bytes(); }
   size_t predicate_key_bytes() const { return predicates_.key_bytes(); }
+
+  /// The two ID spaces, for serialization.
+  const TermTable& resources() const { return resources_; }
+  const TermTable& predicates() const { return predicates_; }
 
   /// Heap bytes held by both term tables (allocated capacity).
   size_t MemoryUsage() const {

@@ -143,6 +143,11 @@ Result<std::vector<EncodedTriple>> MergeEncodedChunks(
     chunk.delta_predicates = TermTable();
     total_triples += chunk.triples.size();
   }
+  // The reserve counted a term once per chunk that introduced it. Chunks
+  // that share most of their terms (text ordered by predicate repeats
+  // nearly every subject in every chunk) over-reserve several times over;
+  // give that back.
+  base->TrimSlack();
   if (base->resource_count() >= kDeltaTag ||
       base->predicate_count() >= kDeltaTag) {
     return Status::Internal(

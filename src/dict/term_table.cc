@@ -43,7 +43,7 @@ KeyParts SplitKey(std::string_view key) {
       return parts;
     case '_':
       parts.kind = rdf::TermKind::kBlank;
-      parts.lexical = key.substr(2);
+      parts.lexical = key.substr(std::min<size_t>(2, key.size()));
       return parts;
     default: {
       parts.kind = rdf::TermKind::kLiteral;
@@ -59,6 +59,30 @@ KeyParts SplitKey(std::string_view key) {
       return parts;
     }
   }
+}
+
+bool IsCanonicalKey(std::string_view key) {
+  if (key.starts_with('<')) return key.size() >= 2 && key.ends_with('>');
+  if (key.starts_with("_:")) return true;
+  if (!key.starts_with('"')) return false;
+  // The value is EscapeLiteral's output: its five escapes only, and no raw
+  // newline, CR or tab before the closing quote.
+  size_t i = 1;
+  for (; i < key.size() && key[i] != '"'; ++i) {
+    if (key[i] == '\\') {
+      if (++i == key.size() ||
+          std::string_view("\\\"nrt").find(key[i]) == std::string_view::npos) {
+        return false;
+      }
+    } else if (key[i] == '\n' || key[i] == '\r' || key[i] == '\t') {
+      return false;
+    }
+  }
+  if (i == key.size()) return false;  // no closing quote
+  const std::string_view suffix = key.substr(i + 1);
+  return suffix.empty() || (suffix[0] == '@' && suffix.size() >= 2) ||
+         (suffix.size() >= 5 && suffix.starts_with("^^<") &&
+          suffix.ends_with('>'));
 }
 
 std::string_view UnescapedLexical(const KeyParts& parts,
@@ -101,6 +125,36 @@ TermTable TermTable::Clone() const {
   copy.offsets_ = offsets_;
   copy.slots_ = slots_;
   return copy;
+}
+
+Result<TermTable> TermTable::FromImage(std::string bytes,
+                                       std::vector<uint64_t> offsets) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != bytes.size() || offsets.size() - 1 > UINT32_MAX ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    return Status::ParseError("term table offsets do not rise from 0 to its " +
+                              std::to_string(bytes.size()) + " key bytes");
+  }
+  TermTable table;
+  table.bytes_ = std::move(bytes);
+  table.offsets_ = std::move(offsets);
+  table.slots_.assign(SlotsFor(table.size()), Slot{0, 0});
+  for (uint32_t id = 1; id <= table.size(); ++id) {
+    const std::string_view key = table.Key(id);
+    if (!IsCanonicalKey(key)) {
+      return Status::ParseError("term " + std::to_string(id) +
+                                " has a malformed key");
+    }
+    const uint32_t tag = Tag(key);
+    const size_t i = table.Probe(key, tag);
+    if (table.slots_[i].id != 0) {
+      return Status::ParseError("term " + std::to_string(id) +
+                                " repeats term " +
+                                std::to_string(table.slots_[i].id));
+    }
+    table.slots_[i] = Slot{id, tag};
+  }
+  return table;
 }
 
 uint32_t TermTable::Tag(std::string_view key) {
@@ -153,6 +207,17 @@ void TermTable::Reserve(size_t terms, size_t key_bytes) {
   offsets_.reserve(terms + 1);
   const size_t slot_count = SlotsFor(terms);
   if (slot_count > slots_.size()) Rehash(slot_count);
+}
+
+void TermTable::TrimSlack() {
+  const auto large = [](size_t capacity, size_t size) {
+    return capacity - size > size / 4;
+  };
+  if (large(bytes_.capacity(), bytes_.size())) bytes_.shrink_to_fit();
+  if (large(offsets_.capacity(), offsets_.size())) offsets_.shrink_to_fit();
+  if (!slots_.empty() && slots_.size() > SlotsFor(size())) {
+    Rehash(SlotsFor(size()));
+  }
 }
 
 size_t TermTable::MemoryUsage() const {

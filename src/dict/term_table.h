@@ -2,10 +2,12 @@
 #define PARJ_DICT_TERM_TABLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "rdf/term.h"
 
 namespace parj::dict {
@@ -26,6 +28,13 @@ struct KeyParts {
 
 /// Splits a canonical key. `key` must be a key some Term produced.
 KeyParts SplitKey(std::string_view key);
+
+/// True when `key` is canonical: the key TermFromKey(key) writes back. An
+/// IRI is `<...>`, a blank node `_:...`, and a literal a `"`-quoted value
+/// holding only EscapeLiteral's five escapes (and no raw `"`, newline, CR
+/// or tab), then nothing, a non-empty `@lang` or a non-empty `^^<dt>`.
+/// Only canonical keys are safe to decode.
+bool IsCanonicalKey(std::string_view key);
 
 /// The lexical form with literal escapes undone: `parts.lexical` itself
 /// unless it is escaped, else its unescaped copy, held in `*scratch`.
@@ -57,6 +66,13 @@ class TermTable {
 
   TermTable Clone() const;
 
+  /// Adopts a serialized table: `bytes` holds the keys back to back and
+  /// `offsets` its size()+1 delimiters. Builds the slot array once, at its
+  /// final size. ParseError unless the offsets start at 0, never fall and
+  /// end at bytes.size(), and every key is canonical and distinct.
+  static Result<TermTable> FromImage(std::string bytes,
+                                     std::vector<uint64_t> offsets);
+
   /// Returns the ID of `key`, appending it if absent.
   uint32_t FindOrInsert(std::string_view key);
 
@@ -80,9 +96,22 @@ class TermTable {
   /// Total bytes of every key.
   size_t key_bytes() const { return offsets_.empty() ? 0 : offsets_.back(); }
 
+  /// The serialized form FromImage adopts: every key back to back, and the
+  /// size()+1 offsets delimiting them.
+  std::string_view arena() const {
+    return std::string_view(bytes_.data(), key_bytes());
+  }
+  std::span<const uint64_t> offsets() const { return offsets_; }
+
   /// Sizes the buffers for `terms` terms of `key_bytes` key bytes in all,
   /// so inserting up to that many neither regrows nor rehashes.
   void Reserve(size_t terms, size_t key_bytes);
+
+  /// Gives back spare capacity once it is large: the arena and offsets
+  /// shrink when more than a quarter of either is unused, and the slot
+  /// array when it is larger than this many terms need. A table sized
+  /// close to its contents is left as it is.
+  void TrimSlack();
 
   /// Heap bytes held: the capacity of the arena, offsets and slots.
   size_t MemoryUsage() const;

@@ -56,7 +56,7 @@ class Term {
   }
 
   /// Rebuilds a term from its binary record {u8 kind, lexical, datatype,
-  /// lang}, the layout snapshots and the WAL share. A kind byte outside
+  /// lang}, the layout WAL records use. A kind byte outside
   /// TermKind, a literal with both a datatype and a language tag, or a
   /// datatype / language tag on an IRI or blank node is ParseError: no
   /// writer emits one, so seeing it means the record is corrupt.

@@ -1,7 +1,7 @@
 #ifndef PARJ_STORAGE_COMPRESSED_H_
 #define PARJ_STORAGE_COMPRESSED_H_
 
-// Blocked FOR/delta bit-packed columns: the snapshot v3 table encoding
+// Blocked FOR/delta bit-packed columns: the snapshot table encoding
 // (DESIGN.md §13).
 //
 // A replica's three arrays are each cut into fixed 128-id blocks and

@@ -26,7 +26,6 @@ SnapshotStats& GlobalSnapshotStats() {
 namespace {
 
 constexpr char kMagic[8] = {'P', 'A', 'R', 'J', 'S', 'N', 'A', 'P'};
-constexpr size_t kMaxStringLength = 1u << 24;  // 16 MB per term, sanity cap
 
 // Section ids. The trailer id spells "TRLR" so a hex dump of a healthy
 // snapshot ends recognizably.
@@ -46,7 +45,6 @@ class SnapshotWriter {
                static_cast<std::streamsize>(n));
     if (crc_active_) crc_ = Crc32cExtend(crc_, data, n);
   }
-  void WriteU8(uint8_t v) { WriteBytes(&v, 1); }
   void WriteU32(uint32_t v) {
     char buf[4];
     std::memcpy(buf, &v, 4);
@@ -57,21 +55,6 @@ class SnapshotWriter {
     std::memcpy(buf, &v, 8);
     WriteBytes(buf, 8);
   }
-  void WriteString(std::string_view s) {
-    WriteU32(static_cast<uint32_t>(s.size()));
-    WriteBytes(s.data(), s.size());
-  }
-  /// Writes the term record {u8 kind, lexical, datatype, lang} straight
-  /// from a dictionary key's parts; only an escaped literal value is
-  /// copied, to unescape it.
-  void WriteTermKey(std::string_view key) {
-    const dict::KeyParts parts = dict::SplitKey(key);
-    WriteU8(static_cast<uint8_t>(parts.kind));
-    WriteString(dict::UnescapedLexical(parts, &scratch_));
-    WriteString(parts.datatype);
-    WriteString(parts.lang);
-  }
-
   void BeginSection(uint32_t id) {
     WriteU32(id);  // header, not covered by the section CRC
     crc_ = 0;
@@ -96,14 +79,25 @@ class SnapshotWriter {
   uint32_t crc_ = 0;
   bool crc_active_ = false;
   std::vector<uint32_t> section_crcs_;
-  std::string scratch_;  // an unescaped literal value
 };
+
+/// Bytes from the read position to the end of `in`, or 0 when the stream
+/// cannot seek.
+uint64_t StreamBytesLeft(std::istream& in) {
+  const std::streamoff here = in.tellg();
+  if (here < 0) return 0;
+  const std::streamoff end = in.seekg(0, std::ios::end).tellg();
+  in.clear();
+  in.seekg(here);
+  return end < here ? 0 : static_cast<uint64_t>(end - here);
+}
 
 /// Streaming reader mirror: tracks the byte offset (for error messages)
 /// and folds bytes read while a section is open into a running CRC.
 class SnapshotReader {
  public:
-  explicit SnapshotReader(std::istream& in) : in_(in) {}
+  explicit SnapshotReader(std::istream& in)
+      : in_(in), size_(StreamBytesLeft(in)) {}
 
   Status ReadBytes(void* buf, size_t n, const char* what) {
     if (n > 0 &&
@@ -114,11 +108,6 @@ class SnapshotReader {
     offset_ += n;
     if (crc_active_) crc_ = Crc32cExtend(crc_, buf, n);
     return Status::OK();
-  }
-  Result<uint8_t> ReadU8(const char* what) {
-    uint8_t v;
-    PARJ_RETURN_NOT_OK(ReadBytes(&v, 1, what));
-    return v;
   }
   Result<uint32_t> ReadU32(const char* what) {
     char buf[4];
@@ -133,30 +122,6 @@ class SnapshotReader {
     uint64_t v;
     std::memcpy(&v, buf, 8);
     return v;
-  }
-  Result<std::string> ReadString() {
-    PARJ_ASSIGN_OR_RETURN(uint32_t length, ReadU32("string length"));
-    if (length > kMaxStringLength) {
-      return Status::ParseError(
-          "snapshot string length exceeds sanity cap at offset " +
-          std::to_string(offset_ - 4));
-    }
-    std::string s(length, '\0');
-    PARJ_RETURN_NOT_OK(ReadBytes(s.data(), length, "string"));
-    return s;
-  }
-  Result<rdf::Term> ReadTerm() {
-    PARJ_ASSIGN_OR_RETURN(uint8_t kind, ReadU8("term"));
-    PARJ_ASSIGN_OR_RETURN(std::string lexical, ReadString());
-    PARJ_ASSIGN_OR_RETURN(std::string datatype, ReadString());
-    PARJ_ASSIGN_OR_RETURN(std::string lang, ReadString());
-    Result<rdf::Term> term = rdf::Term::FromParts(
-        kind, std::move(lexical), std::move(datatype), std::move(lang));
-    if (!term.ok()) {
-      return Status::ParseError("snapshot " + term.status().message() +
-                                " at offset " + std::to_string(offset_));
-    }
-    return term;
   }
 
   void BeginCrc() {
@@ -192,15 +157,28 @@ class SnapshotReader {
     return in_.peek() == std::istream::traits_type::eof();
   }
   uint64_t offset() const { return offset_; }
+  /// Bytes the stream is known to hold past the read position; 0 when it
+  /// cannot seek.
+  uint64_t bytes_left() const { return size_ > offset_ ? size_ - offset_ : 0; }
 
  private:
   std::istream& in_;
+  const uint64_t size_;  // stream bytes from where reading began
   uint64_t offset_ = 0;
   uint32_t crc_ = 0;
   bool crc_active_ = false;
 };
 
-// --- v3 packed-table payload helpers ---------------------------------------
+// --- payload helpers ------------------------------------------------------
+
+/// Writes one term table as its image: term count, the count + 1 key
+/// offsets, then the key bytes (TermTable::FromImage's input).
+void WriteTermImage(SnapshotWriter& writer, const dict::TermTable& table) {
+  writer.WriteU32(table.size());
+  writer.WriteBytes(table.offsets().data(), table.offsets().size_bytes());
+  writer.WriteU64(table.key_bytes());
+  writer.WriteBytes(table.arena().data(), table.arena().size());
+}
 
 /// Serializes one bit-packed column: logical size, payload word count,
 /// payload words, then the per-block word offsets and meta bytes (their
@@ -214,18 +192,22 @@ void WritePackedColumn(SnapshotWriter& writer, const PackedColumn& col) {
   writer.WriteBytes(col.meta.data(), col.meta.size());
 }
 
-/// Reads `count` elements into `*out`, growing it one bounded chunk at a
-/// time. Section CRCs are checked only at section end, so a count from a
-/// corrupt or truncated file must not size an allocation up front: memory
-/// follows the bytes actually present.
-template <typename T>
-Status ReadArray(SnapshotReader& reader, size_t count, std::vector<T>* out,
+/// Reads `count` elements into `*out` (a vector or string), growing it one
+/// bounded chunk at a time. Section CRCs are checked only at section end,
+/// so a count from a corrupt or truncated file must not size an
+/// allocation up front: memory follows the bytes actually present. When
+/// the stream is known to hold them all, the array is sized exactly once.
+template <typename Array>
+Status ReadArray(SnapshotReader& reader, uint64_t count, Array* out,
                  const char* what) {
+  using T = typename Array::value_type;
   constexpr size_t kChunk = (size_t{1} << 20) / sizeof(T);  // 1 MiB
   out->clear();
+  if (count <= reader.bytes_left() / sizeof(T)) out->reserve(count);
   while (out->size() < count) {
     const size_t begin = out->size();
-    const size_t n = std::min(kChunk, count - begin);
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(kChunk, count - begin));
     out->resize(begin + n);
     PARJ_RETURN_NOT_OK(
         reader.ReadBytes(out->data() + begin, n * sizeof(T), what));
@@ -305,90 +287,129 @@ void WritePackedReplica(SnapshotWriter& writer, const TableReplica& replica) {
   writer.WriteBytes(pv.minima.data(), pv.minima.size() * sizeof(TermId));
 }
 
-/// Reads one packed replica and returns its pair count. When `so` is
-/// non-null and the columns are safe to decode, decodes them into `*so`.
-/// A table that is not safe to decode sets `*structural` (the first such
-/// error is kept) and is skipped: structural errors are reported only
-/// after the tables CRC has passed, so a flipped bit reads as DataLoss.
-/// Decoded arrays are not trusted either: PropertyTable::FromSortedRuns
-/// validates them before any store is built.
-Result<uint64_t> ReadPackedReplica(SnapshotReader& reader, PredicateId pid,
-                                   SortedRuns* so, Status* structural) {
-  const auto defer = [&](Status status) {
-    if (structural->ok()) *structural = std::move(status);
-  };
-  PARJ_ASSIGN_OR_RETURN(uint32_t key_count, reader.ReadU32("table key count"));
-  PARJ_ASSIGN_OR_RETURN(uint64_t pair_count,
-                        reader.ReadU64("table pair count"));
-  if (key_count == 0) {
-    if (pair_count != 0) {
-      defer(Status::ParseError("snapshot table for predicate " +
-                               std::to_string(pid) +
-                               " has pairs but no keys"));
-    } else if (so != nullptr) {
-      so->offsets.assign(1, 0);
-    }
-    return pair_count;
-  }
+/// One replica as the tables section stores it.
+struct PackedReplica {
+  uint32_t key_count = 0;
+  uint64_t pair_count = 0;
+  PackedKeys keys;
+  PackedLengths lengths;
+  PackedValues values;
+};
+
+/// Reads one packed replica. Only what decides how many bytes to read is
+/// checked here; CheckPackedReplica does the rest.
+Status ReadPackedReplica(SnapshotReader& reader, PackedReplica* r) {
+  PARJ_ASSIGN_OR_RETURN(r->key_count, reader.ReadU32("table key count"));
+  PARJ_ASSIGN_OR_RETURN(r->pair_count, reader.ReadU64("table pair count"));
+  if (r->key_count == 0) return Status::OK();
   // The key range (min, max) is redundant with the key column.
   char key_range[8];
   PARJ_RETURN_NOT_OK(
       reader.ReadBytes(key_range, sizeof(key_range), "table key range"));
 
-  PackedKeys pk;
+  PackedKeys& pk = r->keys;
   PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pk.col, "keys"));
-  const size_t key_blocks = pk.col.block_count();
-  PARJ_RETURN_NOT_OK(ReadArray(reader, key_blocks, &pk.minima, "key minima"));
+  PARJ_RETURN_NOT_OK(
+      ReadArray(reader, pk.col.block_count(), &pk.minima, "key minima"));
 
-  PackedLengths pl;
-  pl.total = pair_count;
+  PackedLengths& pl = r->lengths;
+  pl.total = r->pair_count;
   PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pl.col, "lengths"));
   PARJ_RETURN_NOT_OK(
       ReadArray(reader, pl.col.block_count(), &pl.base, "length bases"));
   PARJ_RETURN_NOT_OK(ReadArray(reader, pl.col.block_count(), &pl.min_len,
                                "length minima"));
 
-  PackedValues pv;
+  PackedValues& pv = r->values;
   PARJ_RETURN_NOT_OK(ReadPackedColumn(reader, &pv.col, "values"));
-  const size_t val_blocks = pv.col.block_count();
   PARJ_RETURN_NOT_OK(
-      ReadArray(reader, val_blocks, &pv.minima, "value minima"));
-
-  Status safe = Status::OK();
-  if (pk.col.size != key_count || pl.col.size != key_count ||
-      pv.col.size != pair_count) {
-    safe = Status::ParseError("snapshot table for predicate " +
-                              std::to_string(pid) +
-                              " has mismatched column sizes");
-  }
-  if (safe.ok()) safe = CheckPackedColumn(pk.col, "keys");
-  if (safe.ok()) safe = CheckPackedColumn(pl.col, "lengths");
-  if (safe.ok()) safe = CheckPackedColumn(pv.col, "values");
-  if (!safe.ok()) {
-    defer(std::move(safe));
-    return pair_count;
-  }
-  if (so == nullptr || !structural->ok()) return pair_count;
-
-  // Decode straight into the S-O arrays.
-  so->keys.resize(key_count);
-  for (size_t b = 0; b < key_blocks; ++b) {
-    DecodeKeyBlock(pk, b, so->keys.data() + b * kPackBlock);
-  }
-  so->offsets.resize(static_cast<size_t>(key_count) + 1);
-  for (size_t b = 0; b < key_blocks; ++b) {
-    DecodeLengthBlock(pl, b, so->offsets.data() + b * kPackBlock);
-  }
-  so->values.resize(static_cast<size_t>(pair_count));
-  for (size_t b = 0; b < val_blocks; ++b) {
-    DecodeValueBlock(pv, b, so->values.data() + b * kPackBlock);
-  }
-  return pair_count;
+      ReadArray(reader, pv.col.block_count(), &pv.minima, "value minima"));
+  return Status::OK();
 }
 
-/// Shared walker behind ReadSnapshot (build == true: populate dict +
-/// decode each table into its S-O runs) and VerifySnapshot (build ==
-/// false: terms decoded and discarded, tables only read).
+/// Decode safety of one replica. Keys strictly increase, so every key
+/// gap is at least 1 and only a one-key block packs at width 0: rejecting
+/// wider width-0 key blocks keeps a few file bytes from decoding to an
+/// arbitrarily large key array. The decoded arrays are not trusted
+/// either: PropertyTable::FromSortedRuns validates them.
+Status CheckPackedReplica(const PackedReplica& r, PredicateId pid) {
+  const std::string table = "snapshot table for predicate " +
+                            std::to_string(pid);
+  if (r.key_count == 0) {
+    if (r.pair_count == 0) return Status::OK();
+    return Status::ParseError(table + " has pairs but no keys");
+  }
+  if (r.keys.col.size != r.key_count || r.lengths.col.size != r.key_count ||
+      r.values.col.size != r.pair_count) {
+    return Status::ParseError(table + " has mismatched column sizes");
+  }
+  PARJ_RETURN_NOT_OK(CheckPackedColumn(r.keys.col, "keys"));
+  PARJ_RETURN_NOT_OK(CheckPackedColumn(r.lengths.col, "lengths"));
+  PARJ_RETURN_NOT_OK(CheckPackedColumn(r.values.col, "values"));
+  for (size_t b = 0; b < r.keys.col.block_count(); ++b) {
+    if ((r.keys.col.meta[b] & kPackWidthMask) == 0 &&
+        r.keys.col.BlockLen(b) > 1) {
+      return Status::ParseError(table + " key block " + std::to_string(b) +
+                                " packs " +
+                                std::to_string(r.keys.col.BlockLen(b)) +
+                                " keys at width 0");
+    }
+  }
+  return Status::OK();
+}
+
+/// Decodes a checked replica straight into its S-O arrays.
+SortedRuns DecodeReplica(const PackedReplica& r) {
+  SortedRuns so;
+  so.offsets.assign(1, 0);
+  if (r.key_count == 0) return so;
+  const size_t key_blocks = r.keys.col.block_count();
+  so.keys.resize(r.key_count);
+  for (size_t b = 0; b < key_blocks; ++b) {
+    DecodeKeyBlock(r.keys, b, so.keys.data() + b * kPackBlock);
+  }
+  so.offsets.resize(static_cast<size_t>(r.key_count) + 1);
+  for (size_t b = 0; b < key_blocks; ++b) {
+    DecodeLengthBlock(r.lengths, b, so.offsets.data() + b * kPackBlock);
+  }
+  so.values.resize(static_cast<size_t>(r.pair_count));
+  for (size_t b = 0; b < r.values.col.block_count(); ++b) {
+    DecodeValueBlock(r.values, b, so.values.data() + b * kPackBlock);
+  }
+  return so;
+}
+
+/// One term table's image as the dictionary section stores it.
+struct TermImage {
+  std::vector<uint64_t> offsets;
+  std::string bytes;
+};
+
+/// Reads one term table image; `*count` receives its term count.
+Status ReadTermImage(SnapshotReader& reader, TermImage* image,
+                     uint32_t* count) {
+  PARJ_ASSIGN_OR_RETURN(*count, reader.ReadU32("term count"));
+  PARJ_RETURN_NOT_OK(ReadArray(reader, uint64_t{*count} + 1, &image->offsets,
+                               "term offsets"));
+  PARJ_ASSIGN_OR_RETURN(uint64_t key_bytes, reader.ReadU64("key bytes"));
+  return ReadArray(reader, key_bytes, &image->bytes, "term keys");
+}
+
+/// The term table of a CRC-checked image (TermTable::FromImage's checks).
+Result<dict::TermTable> BuildTermTable(TermImage image, const char* what) {
+  Result<dict::TermTable> table = dict::TermTable::FromImage(
+      std::move(image.bytes), std::move(image.offsets));
+  if (!table.ok()) {
+    return Status::ParseError("snapshot " + std::string(what) + " " +
+                              table.status().message());
+  }
+  return table;
+}
+
+/// Shared walker behind ReadSnapshot (build == true: keep the dictionary
+/// and decode each table into its S-O runs) and VerifySnapshot (build ==
+/// false: the dictionary is checked the same way and dropped; tables are
+/// read and checked, not decoded).
 Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
                      std::vector<std::optional<SortedRuns>>* runs,
                      SnapshotInfo* info) {
@@ -436,32 +457,23 @@ Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
   // --- dictionary section -----------------------------------------------
   PARJ_FAILPOINT("snapshot.read.dictionary");
   PARJ_RETURN_NOT_OK(begin_section(kSectionDictionary, "dictionary"));
-  PARJ_ASSIGN_OR_RETURN(uint32_t resource_count,
-                        reader.ReadU32("resource count"));
-  info->resource_count = resource_count;
-  for (uint32_t i = 0; i < resource_count; ++i) {
-    PARJ_ASSIGN_OR_RETURN(rdf::Term term, reader.ReadTerm());
-    if (build) {
-      TermId id = dict->EncodeResource(term);
-      if (id != i + 1) {
-        return Status::ParseError("snapshot contains duplicate resource terms");
-      }
-    }
-  }
-  PARJ_ASSIGN_OR_RETURN(uint32_t predicate_count,
-                        reader.ReadU32("predicate count"));
-  info->predicate_count = predicate_count;
-  for (uint32_t i = 0; i < predicate_count; ++i) {
-    PARJ_ASSIGN_OR_RETURN(rdf::Term term, reader.ReadTerm());
-    if (build) {
-      PredicateId id = dict->EncodePredicate(term);
-      if (id != i + 1) {
-        return Status::ParseError(
-            "snapshot contains duplicate predicate terms");
-      }
-    }
-  }
+  TermImage resources;
+  TermImage predicates;
+  PARJ_RETURN_NOT_OK(
+      ReadTermImage(reader, &resources, &info->resource_count));
+  PARJ_RETURN_NOT_OK(
+      ReadTermImage(reader, &predicates, &info->predicate_count));
   PARJ_RETURN_NOT_OK(end_section("dictionary"));
+  {
+    PARJ_ASSIGN_OR_RETURN(dict::TermTable resource_table,
+                          BuildTermTable(std::move(resources), "resource"));
+    PARJ_ASSIGN_OR_RETURN(dict::TermTable predicate_table,
+                          BuildTermTable(std::move(predicates), "predicate"));
+    if (build) {
+      *dict = dict::Dictionary(std::move(resource_table),
+                               std::move(predicate_table));
+    }
+  }
 
   // --- tables section ---------------------------------------------------
   PARJ_FAILPOINT("snapshot.read.triples");
@@ -475,26 +487,36 @@ Status ParseSnapshot(std::istream& in, bool build, dict::Dictionary* dict,
                             std::to_string(info->predicate_count) +
                             " predicates");
   }
-  // table_count equals the predicate count, whose terms were all read.
-  if (build) runs->resize(table_count);
+  // Tables decode only once the section CRC has passed: a corrupt column
+  // size never sizes a decoded array. A structural error is kept (the
+  // first one) and reported after the CRC, so a flipped bit reads as
+  // DataLoss.
+  std::vector<PackedReplica> packed(table_count);
   Status structural = Status::OK();
-  uint64_t decoded = 0;
+  uint64_t pairs = 0;
   for (uint32_t p = 0; p < table_count; ++p) {
-    SortedRuns* so = nullptr;
-    if (build) so = &(*runs)[p].emplace();
-    PARJ_ASSIGN_OR_RETURN(
-        uint64_t pairs, ReadPackedReplica(reader, static_cast<PredicateId>(
-                                                      p + 1),
-                                          so, &structural));
-    decoded += pairs;
+    PackedReplica& replica = packed[p];
+    PARJ_RETURN_NOT_OK(ReadPackedReplica(reader, &replica));
+    pairs += replica.pair_count;
+    if (structural.ok()) {
+      structural =
+          CheckPackedReplica(replica, static_cast<PredicateId>(p + 1));
+    }
   }
-  if (decoded != triple_count) {
-    return Status::DataLoss("snapshot tables hold " + std::to_string(decoded) +
+  if (pairs != triple_count) {
+    return Status::DataLoss("snapshot tables hold " + std::to_string(pairs) +
                             " triples, header says " +
                             std::to_string(triple_count));
   }
   PARJ_RETURN_NOT_OK(end_section("tables"));
   PARJ_RETURN_NOT_OK(structural);
+  if (build) {
+    runs->resize(table_count);
+    for (uint32_t p = 0; p < table_count; ++p) {
+      (*runs)[p] = DecodeReplica(packed[p]);
+      packed[p] = PackedReplica();
+    }
+  }
 
   // --- trailer ----------------------------------------------------------
   PARJ_FAILPOINT("snapshot.read.trailer");
@@ -538,16 +560,9 @@ Status WriteSnapshot(const Database& db, std::ostream& out) {
   writer.WriteU32(kSnapshotVersion);
   writer.WriteU32(0);  // flags, reserved
 
-  const dict::Dictionary& dict = db.dictionary();
   writer.BeginSection(kSectionDictionary);
-  writer.WriteU32(dict.resource_count());
-  for (TermId id = 1; id <= dict.resource_count(); ++id) {
-    writer.WriteTermKey(dict.ResourceKey(id));
-  }
-  writer.WriteU32(dict.predicate_count());
-  for (PredicateId id = 1; id <= dict.predicate_count(); ++id) {
-    writer.WriteTermKey(dict.PredicateKey(id));
-  }
+  WriteTermImage(writer, db.dictionary().resources());
+  WriteTermImage(writer, db.dictionary().predicates());
   writer.EndSection();
 
   PARJ_FAILPOINT("snapshot.write.triples");

@@ -19,11 +19,14 @@ namespace parj::storage {
 /// derives O-S by transpose and rebuilds indexes and statistics (which is
 /// fast and keeps O-S and the metadata out of the format).
 ///
-/// Format v3 (little-endian; the only version read or written):
-///   magic "PARJSNAP"  u32 version=3  u32 flags
+/// Format v4 (little-endian; the only version read or written):
+///   magic "PARJSNAP"  u32 version=4  u32 flags
 ///   section { u32 section_id, payload..., u32 crc32c(payload) }:
-///     id 1 "dictionary": u32 resource_count, terms...,
-///                        u32 predicate_count, terms...
+///     id 1 "dictionary": the resource, then the predicate dict::TermTable,
+///                        each as its image: u32 term_count,
+///                        u64 offsets[term_count + 1], u64 key_bytes,
+///                        the keys back to back (each term's canonical
+///                        key, i.e. its N-Triples form)
 ///     id 3 "tables":     u64 triple_count, u32 table_count, then one
 ///                        packed SO replica per predicate (DESIGN.md §13
 ///                        block codec: key/length/value columns with
@@ -31,8 +34,11 @@ namespace parj::storage {
 ///   trailer: u32 id 0x524C5254 ("TRLR" in a little-endian dump),
 ///            u64 section_count,
 ///            u32 crc32c(per-section CRC words), then EOF
-/// Terms are { u8 kind, varlen lexical, varlen datatype, varlen lang }
-/// (decoded by rdf::Term::FromParts); strings are u32 length + bytes.
+///
+/// Loading a term table is two bulk reads and one pass
+/// (dict::TermTable::FromImage) that checks the offsets and that every
+/// key is canonical and distinct, and builds the slot array at its final
+/// size; no term is re-interned.
 ///
 /// The tables section is written through the deterministic block encoder
 /// (storage/compressed.h), so a store always produces the same bytes.
@@ -45,18 +51,19 @@ namespace parj::storage {
 /// Every section payload is covered by a CRC-32C record; the reader
 /// verifies each section as it streams past and returns
 /// StatusCode::kDataLoss naming the failing section and byte offset on
-/// any mismatch, truncation inside a verified region, or trailing
-/// garbage. A table that fails a structural check is reported as
-/// StatusCode::kParseError only after the tables CRC has passed, so
-/// corruption reads as kDataLoss. Any other version word is
-/// StatusCode::kUnsupported.
+/// any mismatch, or trailing garbage. A dictionary or table that fails a
+/// structural check is reported as StatusCode::kParseError only after its
+/// section CRC has passed, so corruption reads as kDataLoss; tables are
+/// decoded only then. Arrays are read in bounded chunks, so a corrupt
+/// count allocates no more than the bytes present. Any other version word
+/// (v3 included) is StatusCode::kUnsupported.
 
 /// The on-disk format version.
-inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 /// Per-phase wall-clock breakdown of one snapshot load.
 struct SnapshotLoadStats {
-  double decode_millis = 0.0;  ///< stream + CRC + term/table decode to S-O
+  double decode_millis = 0.0;  ///< stream + CRC + dictionary + table decode
   /// Database::FromSortedRuns on the decoded S-O runs: validate and
   /// transpose each table, then replica metadata and pair stats.
   double build_millis = 0.0;
@@ -105,9 +112,10 @@ Result<Database> LoadSnapshot(const std::string& path,
                               const DatabaseOptions& options = {},
                               SnapshotLoadStats* stats = nullptr);
 
-/// Walks and CRC-verifies a snapshot without building the database
-/// (terms are decoded and discarded; tables are read, not decoded). Cheap enough to run
-/// against every snapshot an operator is about to trust.
+/// Walks and CRC-verifies a snapshot without building the database (the
+/// dictionary gets the load's checks and is dropped; tables are read and
+/// checked, not decoded). Cheap enough to run against every snapshot an
+/// operator is about to trust.
 Result<SnapshotInfo> VerifySnapshot(std::istream& in);
 
 /// Convenience file wrapper (the CLI's `verify-snapshot` command).

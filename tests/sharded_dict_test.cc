@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include "dict/sharded_encoder.h"
+#include "engine/parj_engine.h"
 #include "rdf/ntriples.h"
 #include "server/thread_pool.h"
+#include "storage/export.h"
+#include "workload/lubm.h"
 
 namespace parj::dict {
 namespace {
@@ -288,6 +291,37 @@ TEST(ShardedDictTest, EmptyChunksMergeToNothing) {
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(merged->empty());
   EXPECT_EQ(base.resource_count(), 1u);
+}
+
+// The merge reserves the dictionary for the sum of the chunk deltas, so a
+// term that recurs across chunks is reserved once per chunk. A load cut
+// into many chunks on four threads must still hold about the dictionary a
+// one-chunk load holds.
+TEST(ShardedDictTest, ManyChunkLoadHoldsAboutTheOneChunkDictionary) {
+  workload::GeneratedData data =
+      workload::GenerateLubm({.universities = 1, .seed = 42});
+  auto seed = engine::ParjEngine::FromEncoded(std::move(data.dict),
+                                              std::move(data.triples));
+  ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+  std::ostringstream text;
+  ASSERT_TRUE(storage::ExportNTriples(seed->database(), text).ok());
+
+  const auto dictionary_bytes = [&](int threads, size_t chunk_bytes) {
+    engine::EngineOptions options;
+    options.load.threads = threads;
+    options.load.chunk_bytes = chunk_bytes;
+    auto loaded = engine::ParjEngine::FromNTriplesText(text.str(), options);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return loaded.ok() ? loaded->database().DictionaryMemoryUsage() : 0;
+  };
+  const double one_chunk =
+      static_cast<double>(dictionary_bytes(1, text.str().size() + 1));
+  const size_t chunk = size_t{64} << 10;
+  ASSERT_GT(text.str().size() / chunk, 100u);
+  const double many_chunks = static_cast<double>(dictionary_bytes(4, chunk));
+  EXPECT_GT(one_chunk, 0.0);
+  EXPECT_LE(many_chunks, 1.10 * one_chunk);
+  EXPECT_GE(many_chunks, 0.90 * one_chunk);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 
 namespace parj::simd {
@@ -182,6 +183,42 @@ TEST(SimdContainsTest, MatchesLinearReferenceAtEveryLevel) {
       const bool ref = std::find(a.begin(), a.end(), v) != a.end();
       ASSERT_EQ(ContainsU32(a.data(), n, v), ref)
           << LevelName(level) << " n=" << n << " v=" << v;
+    }
+  }
+}
+
+TEST(SimdCrc32cTest, StandardVectorAtEveryLevel) {
+  for (Level level : AvailableLevels()) {
+    ScopedLevel scoped(level);
+    EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u) << LevelName(level);
+  }
+  ScopedLevel scalar(Level::kScalar);
+  EXPECT_FALSE(HardwareCrc32c());
+}
+
+// The hardware tier folds whole 8-byte words, then the tail byte by byte:
+// every length and start alignment must match the table-driven tier,
+// from a zero and a running CRC.
+TEST(SimdCrc32cTest, EveryTierMatchesScalarAtEveryLengthAndAlignment) {
+  Rng rng(32);
+  std::vector<uint8_t> data(64 + 8);
+  for (uint8_t& byte : data) byte = static_cast<uint8_t>(rng.Uniform(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t length = 0; length <= 64; ++length) {
+      for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+        uint32_t expected;
+        {
+          ScopedLevel scalar(Level::kScalar);
+          expected = Crc32cExtend(seed, data.data() + start, length);
+        }
+        for (Level level : AvailableLevels()) {
+          ScopedLevel scoped(level);
+          EXPECT_EQ(Crc32cExtend(seed, data.data() + start, length),
+                    expected)
+              << LevelName(level) << " start " << start << " length "
+              << length;
+        }
+      }
     }
   }
 }

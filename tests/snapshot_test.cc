@@ -29,6 +29,104 @@ const Spec kData = {
     {"ProfessorB", "teaches", "Chemistry"},
 };
 
+uint32_t ReadU32At(const std::string& bytes, size_t at) {
+  uint32_t v;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+/// Appends `n` raw bytes, as the snapshot writer lays them down.
+void AppendBytes(std::string* out, const void* data, size_t n) {
+  out->append(static_cast<const char*>(data), n);
+}
+template <typename T>
+void AppendValue(std::string* out, T v) {
+  AppendBytes(out, &v, sizeof(v));
+}
+template <typename T>
+void AppendVector(std::string* out, const std::vector<T>& v) {
+  AppendBytes(out, v.data(), v.size() * sizeof(T));
+}
+
+/// A term table image as the dictionary section stores it.
+struct TermImage {
+  std::vector<uint64_t> offsets;
+  std::string keys;
+};
+
+TermImage ImageOf(const std::vector<std::string>& keys) {
+  TermImage image;
+  image.offsets.push_back(0);
+  for (const std::string& key : keys) {
+    image.keys += key;
+    image.offsets.push_back(image.keys.size());
+  }
+  return image;
+}
+
+std::vector<std::string> KeysOf(const TermImage& image) {
+  std::vector<std::string> keys;
+  for (size_t i = 1; i < image.offsets.size(); ++i) {
+    keys.push_back(image.keys.substr(
+        image.offsets[i - 1], image.offsets[i] - image.offsets[i - 1]));
+  }
+  return keys;
+}
+
+/// magic(8) version(4) flags(4) section id(4), then the dictionary payload.
+constexpr size_t kDictionaryPayload = 20;
+
+/// A snapshot's two term table images, and the offset of the dictionary
+/// CRC word that follows them.
+struct DictionarySection {
+  TermImage resources;
+  TermImage predicates;
+  size_t crc_at = 0;
+};
+
+DictionarySection ParseDictionary(const std::string& bytes) {
+  DictionarySection section;
+  size_t pos = kDictionaryPayload;
+  for (TermImage* image : {&section.resources, &section.predicates}) {
+    const uint32_t count = ReadU32At(bytes, pos);
+    pos += 4;
+    image->offsets.resize(size_t{count} + 1);
+    std::memcpy(image->offsets.data(), bytes.data() + pos,
+                image->offsets.size() * sizeof(uint64_t));
+    pos += image->offsets.size() * sizeof(uint64_t);
+    uint64_t key_bytes;
+    std::memcpy(&key_bytes, bytes.data() + pos, sizeof(key_bytes));
+    pos += sizeof(key_bytes);
+    image->keys = bytes.substr(pos, key_bytes);
+    pos += key_bytes;
+  }
+  section.crc_at = pos;
+  return section;
+}
+
+/// `bytes` with its dictionary section replaced by the two images and
+/// every CRC recomputed, so only the images can be wrong. The term count
+/// written is offsets.size() - 1 and the key byte count keys.size().
+std::string WithDictionary(const std::string& bytes,
+                           const TermImage& resources,
+                           const TermImage& predicates) {
+  std::string payload;
+  for (const TermImage* image : {&resources, &predicates}) {
+    AppendValue(&payload, static_cast<uint32_t>(image->offsets.size() - 1));
+    AppendVector(&payload, image->offsets);
+    AppendValue<uint64_t>(&payload, image->keys.size());
+    payload += image->keys;
+  }
+  const size_t old_crc_at = ParseDictionary(bytes).crc_at;
+  const uint32_t section_crcs[2] = {Crc32c(payload.data(), payload.size()),
+                                    ReadU32At(bytes, bytes.size() - 16 - 4)};
+  std::string out = bytes.substr(0, kDictionaryPayload) + payload;
+  AppendValue(&out, section_crcs[0]);
+  out += bytes.substr(old_crc_at + 4, bytes.size() - 4 - (old_crc_at + 4));
+  AppendValue(&out, Crc32c(section_crcs, sizeof(section_crcs)));
+  return out;
+}
+
 TEST(SnapshotTest, RoundTripPreservesEverything) {
   Database original = MakeDatabase(kData);
   std::stringstream buffer;
@@ -213,56 +311,103 @@ TEST(SnapshotTest, CorruptDataSectionNamedInDataLoss) {
       << status.ToString();
 }
 
-// A term record no writer emits — here an IRI carrying a datatype — is
-// rejected even when every CRC matches, exactly as the WAL rejects it.
+// A key no writer emits — here a literal with an empty datatype — is
+// rejected even when every CRC matches.
 TEST(SnapshotTest, CrcValidMalformedTermIsParseError) {
   Database original = MakeDatabase(kData);
   std::stringstream buffer;
   ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
-  std::string bytes = buffer.str();
-  const auto u32_at = [&](size_t pos) {
-    uint32_t v;
-    std::memcpy(&v, bytes.data() + pos, 4);
-    return v;
-  };
-  // magic(8) version(4) flags(4) section id(4), then the dictionary
-  // payload: resource count(4) and the first term record.
-  constexpr size_t kPayload = 20;
-  constexpr size_t kFirstTerm = kPayload + 4;
-  ASSERT_EQ(bytes[kFirstTerm], static_cast<char>(rdf::TermKind::kIri));
-  const size_t datatype_pos = kFirstTerm + 1 + 4 + u32_at(kFirstTerm + 1);
-  ASSERT_EQ(u32_at(datatype_pos), 0u);
-  const std::string datatype = "http://dt";
-  const uint32_t datatype_len = static_cast<uint32_t>(datatype.size());
-  std::memcpy(bytes.data() + datatype_pos, &datatype_len, 4);
-  bytes.insert(datatype_pos + 4, datatype);
+  const std::string bytes = buffer.str();
+  const DictionarySection dict = ParseDictionary(bytes);
+  // The re-encoder reproduces the writer byte for byte.
+  ASSERT_EQ(WithDictionary(bytes, dict.resources, dict.predicates), bytes);
 
-  // Walk the dictionary payload to its end, where its CRC word sits.
-  size_t pos = kPayload;
-  const auto skip_terms = [&] {
-    const uint32_t count = u32_at(pos);
-    pos += 4;
-    for (uint32_t i = 0; i < count; ++i) {
-      pos += 1;
-      for (int field = 0; field < 3; ++field) pos += 4 + u32_at(pos);
-    }
-  };
-  skip_terms();  // resources
-  skip_terms();  // predicates
-  uint32_t section_crcs[2] = {Crc32c(bytes.data() + kPayload, pos - kPayload),
-                              u32_at(bytes.size() - 16 - 4)};
-  std::memcpy(bytes.data() + pos, &section_crcs[0], 4);
-  const uint32_t trailer_crc = Crc32c(section_crcs, sizeof(section_crcs));
-  std::memcpy(bytes.data() + bytes.size() - 4, &trailer_crc, 4);
+  std::vector<std::string> keys = KeysOf(dict.resources);
+  ASSERT_EQ(keys.size(), original.dictionary().resource_count());
+  keys[0] = "\"v\"^^<>";
+  const std::string forged =
+      WithDictionary(bytes, ImageOf(keys), dict.predicates);
 
-  std::stringstream in(bytes);
+  std::stringstream in(forged);
   Status status = ReadSnapshot(in).status();
   ASSERT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
-  EXPECT_NE(status.message().find("datatype"), std::string::npos)
+  EXPECT_NE(status.message().find("malformed key"), std::string::npos)
       << status.ToString();
-  std::stringstream verify_in(bytes);
+  std::stringstream verify_in(forged);
   EXPECT_EQ(VerifySnapshot(verify_in).status().code(),
             StatusCode::kParseError);
+}
+
+// Every CRC matches, yet a term table image is not one a writer emits:
+// both the load and the verifier fail with ParseError, never an abort.
+TEST(SnapshotTest, CrcValidBadDictionaryImagesAreParseErrors) {
+  Database original = MakeDatabase(kData);
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
+  const std::string bytes = buffer.str();
+  const DictionarySection dict = ParseDictionary(bytes);
+  const std::vector<std::string> keys = KeysOf(dict.resources);
+  ASSERT_GE(keys.size(), 3u);
+
+  struct Case {
+    std::string name;
+    TermImage resources;
+    TermImage predicates;
+  };
+  std::vector<Case> cases;
+  const auto with_first_key = [&](const std::string& name,
+                                  const std::string& key) {
+    std::vector<std::string> bad = keys;
+    bad[0] = key;
+    cases.push_back({name, ImageOf(bad), dict.predicates});
+  };
+  with_first_key("empty key", "");
+  with_first_key("IRI without a closing >", "<a");
+  with_first_key("dangling backslash", "\"a\\");
+  with_first_key("unknown escape", "\"a\\x\"");
+  with_first_key("raw quote in a literal value", "\"a\"b\"");
+  with_first_key("raw newline in a literal value", "\"a\nb\"");
+  with_first_key("raw tab in a literal value", "\"a\tb\"");
+  with_first_key("empty language tag", "\"v\"@");
+  with_first_key("empty datatype", "\"v\"^^<>");
+  with_first_key("blank node without a colon", "_b");
+  with_first_key("unquoted literal", "v");
+  with_first_key("duplicate key", keys[1]);
+  {
+    TermImage image = dict.resources;
+    image.offsets[0] = 1;
+    cases.push_back({"offsets not from 0", image, dict.predicates});
+  }
+  {
+    TermImage image = dict.resources;
+    std::swap(image.offsets[1], image.offsets[2]);
+    cases.push_back({"falling offsets", image, dict.predicates});
+  }
+  {
+    TermImage image = dict.resources;
+    image.offsets.back() -= 1;
+    cases.push_back({"last offset short of the keys", image,
+                     dict.predicates});
+  }
+  {
+    std::vector<std::string> predicates = KeysOf(dict.predicates);
+    predicates[0] = "<a";
+    cases.push_back({"malformed predicate", dict.resources,
+                     ImageOf(predicates)});
+  }
+
+  for (const Case& c : cases) {
+    const std::string forged =
+        WithDictionary(bytes, c.resources, c.predicates);
+    std::stringstream in(forged);
+    const Status read = ReadSnapshot(in).status();
+    EXPECT_EQ(read.code(), StatusCode::kParseError)
+        << c.name << ": " << read.ToString();
+    std::stringstream verify_in(forged);
+    const Status verify = VerifySnapshot(verify_in).status();
+    EXPECT_EQ(verify.code(), StatusCode::kParseError)
+        << c.name << ": " << verify.ToString();
+  }
 }
 
 TEST(SnapshotTest, TrailingGarbageRejected) {
@@ -380,27 +525,10 @@ long PeakRssKib() {
   return usage.ru_maxrss;
 }
 
-uint32_t ReadU32At(const std::string& bytes, size_t at) {
-  uint32_t v;
-  std::memcpy(&v, bytes.data() + at, sizeof(v));
-  return v;
-}
-
-/// Byte offset of the first table's key count in a v3 snapshot: walks the
-/// dictionary section's term records (u8 kind + three u32-length strings)
-/// and skips the tables-section header.
+/// Byte offset of the first table's key count: past the dictionary
+/// section's CRC, the tables id, triple count and table count.
 size_t FirstTableOffset(const std::string& bytes) {
-  size_t pos = 8 + 4 + 4 + 4;  // magic, version, flags, dictionary id
-  for (int list = 0; list < 2; ++list) {  // resources, then predicates
-    const uint32_t count = ReadU32At(bytes, pos);
-    pos += 4;
-    for (uint32_t i = 0; i < count; ++i) {
-      pos += 1;
-      for (int part = 0; part < 3; ++part) pos += 4 + ReadU32At(bytes, pos);
-    }
-  }
-  // Dictionary CRC, tables id, triple count, table count.
-  return pos + 4 + 4 + 8 + 4;
+  return ParseDictionary(bytes).crc_at + 4 + 4 + 8 + 4;
 }
 
 // Section CRCs are checked only at section end, so a corrupt column
@@ -440,18 +568,6 @@ TEST(SnapshotTest, CorruptColumnSizeDoesNotAllocateUpFront) {
   EXPECT_LT(PeakRssKib() - before, 64 * 1024);
 }
 
-/// Appends `n` raw bytes, as the snapshot writer lays them down.
-void AppendBytes(std::string* out, const void* data, size_t n) {
-  out->append(static_cast<const char*>(data), n);
-}
-template <typename T>
-void AppendValue(std::string* out, T v) {
-  AppendBytes(out, &v, sizeof(v));
-}
-template <typename T>
-void AppendVector(std::string* out, const std::vector<T>& v) {
-  AppendBytes(out, v.data(), v.size() * sizeof(T));
-}
 void AppendColumn(std::string* out, const PackedColumn& col) {
   AppendValue(out, col.size);
   AppendValue<uint64_t>(out, col.words.size());
@@ -460,37 +576,36 @@ void AppendColumn(std::string* out, const PackedColumn& col) {
   AppendVector(out, col.meta);
 }
 
-/// `bytes` with its tables section replaced by `tables` (one S-O replica
-/// per predicate, packed by the snapshot's own block encoder, which
-/// round-trips unsorted arrays too) and every CRC recomputed, so only the
-/// table contents can be wrong.
-std::string WithTables(const std::string& bytes,
-                       const std::vector<SortedRuns>& tables) {
+/// Appends one packed replica as the writer lays it down.
+void AppendReplica(std::string* out, uint64_t pairs, TermId min_key,
+                   TermId max_key, const PackedKeys& pk,
+                   const PackedLengths& pl, const PackedValues& pv) {
+  AppendValue(out, pk.col.size);
+  AppendValue(out, pairs);
+  AppendValue(out, min_key);
+  AppendValue(out, max_key);
+  AppendColumn(out, pk.col);
+  AppendVector(out, pk.minima);
+  AppendColumn(out, pl.col);
+  AppendVector(out, pl.base);
+  AppendVector(out, pl.min_len);
+  AppendColumn(out, pv.col);
+  AppendVector(out, pv.minima);
+}
+
+/// `bytes` with its tables section replaced by `table_count` replicas
+/// (`replicas`, back to back) holding `triples` pairs, and every CRC
+/// recomputed.
+std::string WithTablesPayload(const std::string& bytes, uint64_t triples,
+                              uint32_t table_count,
+                              const std::string& replicas) {
   const size_t first_table = FirstTableOffset(bytes);
   const size_t dict_crc_at = first_table - 4 - 8 - 4 - 4;
   const size_t payload_at = first_table - 8 - 4;
   std::string payload;
-  uint64_t triples = 0;
-  for (const SortedRuns& so : tables) triples += so.values.size();
   AppendValue(&payload, triples);
-  AppendValue(&payload, static_cast<uint32_t>(tables.size()));
-  for (const SortedRuns& so : tables) {
-    AppendValue(&payload, static_cast<uint32_t>(so.keys.size()));
-    AppendValue<uint64_t>(&payload, so.values.size());
-    if (so.keys.empty()) continue;
-    AppendValue(&payload, so.keys.front());
-    AppendValue(&payload, so.keys.back());
-    const PackedKeys pk = PackKeys(so.keys);
-    AppendColumn(&payload, pk.col);
-    AppendVector(&payload, pk.minima);
-    const PackedLengths pl = PackLengths(so.offsets);
-    AppendColumn(&payload, pl.col);
-    AppendVector(&payload, pl.base);
-    AppendVector(&payload, pl.min_len);
-    const PackedValues pv = PackValues(so.values);
-    AppendColumn(&payload, pv.col);
-    AppendVector(&payload, pv.minima);
-  }
+  AppendValue(&payload, table_count);
+  payload += replicas;
   const uint32_t section_crcs[2] = {ReadU32At(bytes, dict_crc_at),
                                     Crc32c(payload.data(), payload.size())};
   std::string out = bytes.substr(0, payload_at) + payload;
@@ -499,6 +614,34 @@ std::string WithTables(const std::string& bytes,
   AppendValue<uint64_t>(&out, 2);
   AppendValue(&out, Crc32c(section_crcs, sizeof(section_crcs)));
   return out;
+}
+
+/// Appends `so` packed by the snapshot's own block encoder, which
+/// round-trips unsorted arrays too.
+void AppendRuns(std::string* out, const SortedRuns& so) {
+  if (so.keys.empty()) {
+    AppendValue(out, uint32_t{0});
+    AppendValue<uint64_t>(out, so.values.size());
+    return;
+  }
+  AppendReplica(out, so.values.size(), so.keys.front(), so.keys.back(),
+                PackKeys(so.keys), PackLengths(so.offsets),
+                PackValues(so.values));
+}
+
+/// `bytes` with its tables section replaced by `tables` (one S-O replica
+/// per predicate) and every CRC recomputed, so only the table contents
+/// can be wrong.
+std::string WithTables(const std::string& bytes,
+                       const std::vector<SortedRuns>& tables) {
+  std::string replicas;
+  uint64_t triples = 0;
+  for (const SortedRuns& so : tables) {
+    AppendRuns(&replicas, so);
+    triples += so.values.size();
+  }
+  return WithTablesPayload(bytes, triples,
+                           static_cast<uint32_t>(tables.size()), replicas);
 }
 
 SortedRuns SubjectObjectRuns(const TableReplica& so) {
@@ -553,6 +696,59 @@ TEST(SnapshotTest, CrcValidMalformedTableFailsToLoad) {
     std::stringstream parallel_in(rewritten);
     EXPECT_FALSE(ReadSnapshot(parallel_in, parallel).ok()) << name;
   }
+}
+
+// Keys strictly increase, so only a one-key block packs at width 0; a
+// width-0 block of 128 keys costs 9 file bytes but decodes to 512 (and
+// 1 KiB of offsets). A forged column of them is rejected before any
+// decode, whether its CRC matches (ParseError) or not (DataLoss).
+TEST(SnapshotTest, WidthZeroKeyColumnDoesNotDecode) {
+  const Database original = MakeDatabase(kData);
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteSnapshot(original, buffer).ok());
+  const std::string bytes = buffer.str();
+
+  // 2^24 keys: 64 MiB of keys and 128 MiB of offsets if decoded, from
+  // about 3.4 MB of width-0 blocks (every run empty, so no values).
+  const uint32_t key_count = uint32_t{1} << 24;
+  const size_t blocks = key_count / kPackBlock;
+  PackedKeys pk;
+  pk.col.size = key_count;
+  pk.col.words.assign(1, 0);  // the guard word
+  pk.col.block_word.assign(blocks, 0);
+  pk.col.meta.assign(blocks, kPackDeltaFlag);  // width 0
+  pk.minima.assign(blocks, 1);
+  PackedLengths pl;
+  pl.col = pk.col;
+  pl.col.meta.assign(blocks, 0);
+  pl.base.assign(blocks, 0);
+  pl.min_len.assign(blocks, 0);
+  std::string replicas;
+  AppendReplica(&replicas, 0, 1, 1, pk, pl, PackValues({}));
+  for (PredicateId pid = 2; pid <= original.predicate_count(); ++pid) {
+    AppendRuns(&replicas, SubjectObjectRuns(original.entry(pid).table.so()));
+  }
+  uint64_t triples = 0;
+  for (PredicateId pid = 2; pid <= original.predicate_count(); ++pid) {
+    triples += original.entry(pid).table.so().pair_count();
+  }
+  const std::string forged = WithTablesPayload(
+      bytes, triples, original.predicate_count(), replicas);
+  std::string stale = forged;
+  stale[stale.size() - 16 - 4] ^= 0x01;  // the tables CRC word
+
+  const long before = PeakRssKib();
+  std::stringstream read_in(forged);
+  const Status read = ReadSnapshot(read_in).status();
+  EXPECT_EQ(read.code(), StatusCode::kParseError) << read.ToString();
+  EXPECT_NE(read.message().find("width 0"), std::string::npos)
+      << read.ToString();
+  std::stringstream verify_in(forged);
+  EXPECT_EQ(VerifySnapshot(verify_in).status().code(),
+            StatusCode::kParseError);
+  std::stringstream stale_in(stale);
+  EXPECT_EQ(ReadSnapshot(stale_in).status().code(), StatusCode::kDataLoss);
+  EXPECT_LT(PeakRssKib() - before, 64 * 1024);
 }
 
 /// A graph with enough keys per predicate to span several packed blocks.

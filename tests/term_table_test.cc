@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace parj::dict {
 namespace {
@@ -148,6 +149,92 @@ TEST(TermTableTest, RandomTermsGetDistinctIds) {
   }
 }
 
+/// What IsCanonicalKey must decide: the key decodes (its escapes are
+/// valid, so TermFromKey cannot abort) and its term writes it back.
+bool RoundTrips(std::string_view key) {
+  const KeyParts parts = SplitKey(key);
+  if (parts.escaped && !rdf::UnescapeLiteral(parts.lexical).ok()) {
+    return false;
+  }
+  return KeyOf(TermFromKey(key)) == key;
+}
+
+TEST(TermTableTest, CanonicalKeysAreExactlyTheOnesThatRoundTrip) {
+  std::vector<std::string> keys;
+  for (const Term& term : test::EveryKindObjects()) keys.push_back(KeyOf(term));
+  for (const Term& term : TrickyTerms()) keys.push_back(KeyOf(term));
+  // Every prefix of a real key: unterminated values, cut suffixes.
+  const size_t real = keys.size();
+  for (size_t k = 0; k < real; ++k) {
+    for (size_t n = 0; n < keys[k].size(); ++n) {
+      keys.push_back(keys[k].substr(0, n));
+    }
+  }
+  // Random byte strings, half of them opened like a key of some kind.
+  static constexpr char kAlphabet[] = "ab\"\\\n\r\tnrtx<>@^_:\xc3";
+  static constexpr const char* kOpeners[] = {"", "<", "_:", "\"", "_"};
+  Rng rng(20261019);
+  for (int i = 0; i < 20000; ++i) {
+    std::string key = kOpeners[rng.Uniform(5)];
+    const size_t length = rng.Uniform(10);
+    for (size_t j = 0; j < length; ++j) {
+      key.push_back(kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]);
+    }
+    keys.push_back(key);
+  }
+  size_t accepted = 0;
+  for (const std::string& key : keys) {
+    const bool canonical = IsCanonicalKey(key);
+    EXPECT_EQ(canonical, RoundTrips(key)) << rdf::EscapeLiteral(key);
+    accepted += canonical;
+  }
+  for (size_t k = 0; k < real; ++k) EXPECT_TRUE(IsCanonicalKey(keys[k]));
+  EXPECT_GT(accepted, real);
+  EXPECT_LT(accepted, keys.size());
+}
+
+TEST(TermTableTest, FromImageRebuildsTheTable) {
+  TermTable table;
+  for (const Term& term : TrickyTerms()) table.FindOrInsert(KeyOf(term));
+  Result<TermTable> image = TermTable::FromImage(
+      std::string(table.arena()),
+      std::vector<uint64_t>(table.offsets().begin(), table.offsets().end()));
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  ASSERT_EQ(image->size(), table.size());
+  for (uint32_t id = 1; id <= table.size(); ++id) {
+    EXPECT_EQ(image->Key(id), table.Key(id));
+    EXPECT_EQ(image->Find(table.Key(id)), id);
+  }
+  EXPECT_EQ(image->Find("<absent>"), 0u);
+  // Holds exactly its keys and offsets, plus the slot array.
+  EXPECT_LT(image->MemoryUsage(), table.MemoryUsage());
+  EXPECT_EQ(image->FindOrInsert("<new>"), table.size() + 1);
+
+  Result<TermTable> empty = TermTable::FromImage("", {0});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->size(), 0u);
+}
+
+TEST(TermTableTest, FromImageRejectsBadImages) {
+  const std::string keys = "<a><b>\"c\"";
+  const std::vector<std::pair<std::string, std::vector<uint64_t>>> bad = {
+      {"no offsets", {}},
+      {"offsets not from 0", {1, 3, 6, 9}},
+      {"falling offsets", {0, 6, 3, 9}},
+      {"last offset short of the keys", {0, 3, 6, 8}},
+      {"last offset past the keys", {0, 3, 6, 10}},
+      {"malformed key", {0, 2, 6, 9}},
+  };
+  for (const auto& [name, offsets] : bad) {
+    EXPECT_EQ(TermTable::FromImage(keys, offsets).status().code(),
+              StatusCode::kParseError)
+        << name;
+  }
+  EXPECT_EQ(TermTable::FromImage("<a><a>", {0, 3, 6}).status().code(),
+            StatusCode::kParseError);
+  EXPECT_TRUE(TermTable::FromImage(keys, {0, 3, 6, 9}).ok());
+}
+
 TEST(TermTableTest, GrowsAcrossRehashes) {
   TermTable table;
   const size_t initial = table.MemoryUsage();
@@ -175,6 +262,25 @@ TEST(TermTableTest, ReserveKeepsIdsAndCapacity) {
   EXPECT_EQ(table.MemoryUsage(), reserved);  // no regrowth, no rehash
   EXPECT_EQ(table.Find("<first>"), 1u);
   EXPECT_EQ(table.size(), 1000u);
+}
+
+TEST(TermTableTest, TrimSlackGivesBackOnlyLargeSpareCapacity) {
+  TermTable table;
+  table.Reserve(10000, 10000 * 16);
+  for (int i = 0; i < 100; ++i) {
+    table.FindOrInsert("<k" + std::to_string(1000 + i) + ">");
+  }
+  const size_t reserved = table.MemoryUsage();
+  table.TrimSlack();
+  EXPECT_LT(table.MemoryUsage(), reserved / 10);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(table.Find("<k" + std::to_string(1000 + i) + ">"),
+              static_cast<uint32_t>(i + 1));
+  }
+  // A table sized to its contents keeps its buffers.
+  const size_t trimmed = table.MemoryUsage();
+  table.TrimSlack();
+  EXPECT_EQ(table.MemoryUsage(), trimmed);
 }
 
 TEST(TermTableTest, CloneIsIndependent) {

@@ -15,6 +15,19 @@
 
 namespace parj::test {
 
+/// Objects of every term kind, with every literal escape.
+inline std::vector<rdf::Term> EveryKindObjects() {
+  return {
+      rdf::Term::Iri("http://ex/caf\xc3\xa9#frag"),
+      rdf::Term::Blank("b1"),
+      rdf::Term::Literal(""),
+      rdf::Term::Literal("esc \" \\ \n \r \t end"),
+      rdf::Term::Literal("caf\xc3\xa9"),
+      rdf::Term::LangLiteral("hello", "en-GB"),
+      rdf::Term::TypedLiteral("7", "http://ex/dt#int"),
+  };
+}
+
 /// Simple triple spec: three bare names, all treated as IRIs.
 using Spec = std::vector<std::tuple<std::string, std::string, std::string>>;
 
