@@ -206,20 +206,33 @@ class Writer {
 };
 
 /// Compactions timed one by one, each folding a single fresh link of the
-/// writer's chain into the base: the fixed cost of a rebuild.
+/// writer's chain into the base: the fixed cost of a rebuild, and the
+/// share of it spent on pairwise join statistics.
 constexpr int kOneTripleCompactions = 5;
 
-std::vector<double> TimeOneTripleCompactions(engine::ParjEngine& engine) {
+struct OneTripleCompactions {
   std::vector<double> millis;
+  std::vector<double> pair_stats_millis;
+};
+
+OneTripleCompactions TimeOneTripleCompactions(engine::ParjEngine& engine) {
+  OneTripleCompactions out;
   for (int i = 0; i < kOneTripleCompactions; ++i) {
     const Status inserted = engine.Insert(ChainLink(1'000'000'000 + 2 * i));
     PARJ_CHECK(inserted.ok()) << inserted.ToString();
+    const uint64_t pair_micros =
+        engine.mutation_stats().compaction_pair_stats_micros;
     Stopwatch timer;
     const Status compacted = engine.Compact();
-    millis.push_back(timer.ElapsedMillis());
+    out.millis.push_back(timer.ElapsedMillis());
     PARJ_CHECK(compacted.ok()) << compacted.ToString();
+    out.pair_stats_millis.push_back(
+        static_cast<double>(
+            engine.mutation_stats().compaction_pair_stats_micros -
+            pair_micros) /
+        1e3);
   }
-  return millis;
+  return out;
 }
 
 // ---- Crash-durability section (DESIGN.md §14) ------------------------
@@ -492,7 +505,9 @@ int Main() {
         << compactor.last_status().ToString();
   }
   GateRowEquivalence(engine, mix, threads, "ingest+compact");
-  const Spread one_triple = Summarize(TimeOneTripleCompactions(engine));
+  const OneTripleCompactions compactions = TimeOneTripleCompactions(engine);
+  const Spread one_triple = Summarize(compactions.millis);
+  const Spread one_triple_pairs = Summarize(compactions.pair_stats_millis);
 
   const mut::MutationStats stats = engine.mutation_stats();
 
@@ -526,9 +541,9 @@ int Main() {
               static_cast<unsigned long long>(stats.compactions),
               static_cast<double>(stats.compaction_micros) / 1e3);
   std::printf("one-triple compaction (LUBM %d): median %.1f ms over %d "
-              "(min %.1f, max %.1f)\n",
+              "(min %.1f, max %.1f); pair stats median %.2f ms\n",
               universities, one_triple.median, kOneTripleCompactions,
-              one_triple.min, one_triple.max);
+              one_triple.min, one_triple.max, one_triple_pairs.median);
   std::printf("p99 under ingest+compact / baseline p99: %.2fx\n", p99_ratio);
 
   std::string json = "{\n  \"bench\": \"ingest\",\n";
@@ -558,7 +573,9 @@ int Main() {
   json += "  \"one_triple_compactions\": " +
           std::to_string(kOneTripleCompactions) +
           ",\n  \"compaction_median_millis\": " +
-          Fixed(one_triple.median, 3) + "\n";
+          Fixed(one_triple.median, 3) +
+          ",\n  \"compaction_pair_stats_median_millis\": " +
+          Fixed(one_triple_pairs.median, 3) + "\n";
   json += "}\n";
   WriteBenchJson("BENCH_ingest.json", json);
 

@@ -831,11 +831,8 @@ Status ResolvePlan(const storage::Database& db, const mut::DeltaView* delta,
       // Descend(d) runs once per tuple of step d−1's value loop; only a
       // key that loop binds can differ between consecutive calls.
       const StepInfo& prev = steps.back();
-      const bool prev_loop_binds_key =
-          info.key.is_variable() && prev.value.is_variable() &&
-          !prev.value_bound && !prev.value_is_key_var &&
-          prev.value.var == info.key.var;
-      info.key_reuse = !prev_loop_binds_key;
+      info.key_reuse = query::KeyOutlivesLoop(
+          info.key, query::LoopVariable(prev.key, prev.value, prev.value_bound));
     }
     steps.push_back(info);
   }

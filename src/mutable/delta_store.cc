@@ -341,9 +341,14 @@ Status DeltaStore::Compact() {
                                 d != nullptr ? d->inserts.so() : empty);
     }
 
+    storage::BuildTimings timings;
     Result<storage::Database> rebuilt = storage::Database::FromSortedRuns(
-        std::move(dict), std::move(runs), options_.database, &old_base);
+        std::move(dict), std::move(runs), options_.database, &old_base,
+        &timings);
     if (!rebuilt.ok()) return rebuilt.status();
+    compaction_pair_stats_micros_.fetch_add(
+        static_cast<uint64_t>(timings.pair_stats_millis * 1e3),
+        std::memory_order_relaxed);
     storage::Database new_db = std::move(rebuilt).value();
     if (options_.calibrate_on_compact) {
       new_db.Calibrate(options_.calibration);
@@ -441,6 +446,8 @@ MutationStats DeltaStore::stats() const {
   out.plan_generation = plan_generation_.load(std::memory_order_relaxed);
   out.compactions = compactions_.load(std::memory_order_relaxed);
   out.compaction_micros = compaction_micros_.load(std::memory_order_relaxed);
+  out.compaction_pair_stats_micros =
+      compaction_pair_stats_micros_.load(std::memory_order_relaxed);
   const int64_t live = live_versions_->load(std::memory_order_relaxed);
   out.active_epochs = live < 0 ? 0 : static_cast<uint64_t>(live);
   return out;

@@ -49,6 +49,9 @@ struct MutationStats {
   uint64_t delta_bytes = 0;
   uint64_t compactions = 0;         ///< completed compactions
   uint64_t compaction_micros = 0;   ///< cumulative compaction wall time
+  /// Of compaction_micros, the rebuilds' pairwise join statistics
+  /// (storage::BuildTimings::pair_stats_millis).
+  uint64_t compaction_pair_stats_micros = 0;
   uint64_t active_epochs = 0;       ///< live Version objects (pinned views)
   uint64_t epoch = 0;               ///< current epoch (bumped per compaction)
   uint64_t sequence = 0;            ///< write batches applied
@@ -254,6 +257,7 @@ class DeltaStore {
   std::atomic<bool> compacting_{false};
   std::atomic<uint64_t> compactions_{0};
   std::atomic<uint64_t> compaction_micros_{0};
+  std::atomic<uint64_t> compaction_pair_stats_micros_{0};
   std::atomic<uint64_t> plan_generation_{0};
 };
 

@@ -1,10 +1,13 @@
 #include "query/optimizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "common/logging.h"
 #include "mutable/delta_view.h"
@@ -45,6 +48,16 @@ struct VarEstimate {
   /// order (the first step's key variable, or the value variable of a
   /// constant-key first step) — probes keyed on it behave like merge scans.
   bool globally_sorted = false;
+  /// Set when a step with a constant key or value bound the variable: the
+  /// replica and key position of the run that holds exactly its values.
+  /// Joins on the variable are then estimated by probing samples of that
+  /// run (EstimateJoin) instead of through the whole column's pair stat.
+  const TableReplica* run_replica = nullptr;
+  size_t run_pos = 0;
+  /// How many times the pipeline binds the variable: the tuples of the
+  /// step that binds it. A probe keyed on it that reuses its search
+  /// (KeyOutlivesLoop) searches at most this often.
+  double rebinds = 1.0;
 };
 // Every DP extension copies a PlanState; a trivially copyable VarEstimate
 // keeps that to one allocation per state.
@@ -57,6 +70,9 @@ struct PlanState {
   uint64_t bound_vars = 0;
   std::vector<VarEstimate> vars;
   std::vector<std::pair<int, ReplicaKind>> order;
+  /// The last step's LoopVariable: a following probe keyed on any other
+  /// variable reuses its search while the key stays the same.
+  int loop_var = -1;
 
   bool IsVarBound(int v) const { return (bound_vars >> v) & 1; }
 };
@@ -115,6 +131,7 @@ class PlannerContext {
         value.is_variable() && key.is_variable() && value.var == key.var;
     const bool value_bound_var = value.is_variable() && !value_is_key_var &&
                                  state.IsVarBound(value.var);
+    next.loop_var = LoopVariable(key, value, value_const || value_bound_var);
 
     if (replica.empty()) {
       out.feasible = true;
@@ -150,13 +167,17 @@ class PlannerContext {
       step_cost = Log2Clamped(num_keys) + card * (1.0 + per_tuple_matches);
       card *= per_tuple_matches;
       MarkBound(&next, value, value_distinct, pat.predicate, ValueRole(kind),
-                /*sorted=*/first);
+                /*sorted=*/first, pos != SIZE_MAX ? &replica : nullptr, pos);
     } else if (key_bound_var) {
       const VarEstimate& kv = state.vars[key.var];
       double hit_fraction;
       double avg_run_hit;
-      EstimateJoin(kv, pat.predicate, KeyRole(kind), replica, &hit_fraction,
-                   &avg_run_hit);
+      const index::IdPositionIndex* key_index =
+          entry != nullptr && entry->meta(kind).has_index
+              ? &entry->meta(kind).id_index
+              : nullptr;
+      EstimateJoin(kv, pat.predicate, KeyRole(kind), replica, key_index,
+                   &hit_fraction, &avg_run_hit);
       double per_probe_matches;
       double value_distinct = 1.0;
       if (value_const) {
@@ -173,10 +194,15 @@ class PlannerContext {
         value_distinct = std::min(std::max(1.0, card * per_probe_matches),
                                   std::max(1.0, num_values));
       }
-      const double probe_cost = kv.globally_sorted
-                                    ? card + num_keys
-                                    : card * Log2Clamped(num_keys);
-      step_cost = probe_cost + card * per_probe_matches;
+      // A key that outlives the previous step's value loop is searched
+      // once per value it takes (the executor's key_reuse); each tuple
+      // still pays its memo hit and run check.
+      const bool reuse = !first && KeyOutlivesLoop(key, state.loop_var);
+      const double searches = reuse ? std::min(card, kv.rebinds) : card;
+      const double search_cost = kv.globally_sorted
+                                     ? searches + num_keys
+                                     : searches * Log2Clamped(num_keys);
+      step_cost = search_cost + (reuse ? card : 0.0) + card * per_probe_matches;
       card *= per_probe_matches;
       // The key variable's surviving distinct values shrink by the hit
       // fraction.
@@ -187,6 +213,7 @@ class PlannerContext {
     } else {
       // Unbound key: full key scan. For a non-first step this is a
       // cartesian continuation unless the value side is bound.
+      std::pair<const TableReplica*, size_t> key_run{nullptr, 0};
       double scan_matches;
       double key_distinct = num_keys;
       double value_distinct = 1.0;
@@ -197,6 +224,7 @@ class PlannerContext {
                              : static_cast<double>(other.RunLength(vpos));
         scan_matches = vrun;
         key_distinct = std::max(1.0, vrun);
+        if (vpos != SIZE_MAX) key_run = {&other, vpos};
       } else if (value_is_key_var) {
         scan_matches = num_pairs / std::max(1.0, num_values);  // ?x p ?x
       } else if (value_bound_var) {
@@ -214,9 +242,20 @@ class PlannerContext {
       if (!first && !connected) step_cost *= kCartesianPenalty;
       card *= scan_matches;
       MarkBound(&next, key, key_distinct, pat.predicate, KeyRole(kind),
-                /*sorted=*/first);
+                /*sorted=*/first, key_run.first, key_run.second);
       MarkBound(&next, value, value_distinct, pat.predicate, ValueRole(kind),
                 /*sorted=*/false);
+    }
+
+    // A variable this step binds takes a new value once per tuple it
+    // emits; a first step's key variable once per key it visits.
+    for (uint64_t fresh = next.bound_vars & ~state.bound_vars; fresh != 0;
+         fresh &= fresh - 1) {
+      next.vars[std::countr_zero(fresh)].rebinds = std::max(1.0, card);
+    }
+    if (first && key.is_variable()) {
+      VarEstimate& kv = next.vars[key.var];
+      kv.rebinds = std::min(kv.rebinds, std::max(1.0, kv.distinct));
     }
 
     out.feasible = true;
@@ -280,8 +319,12 @@ class PlannerContext {
   }
 
  private:
+  /// Records a newly bound variable. `run_replica` (optional) names the
+  /// constant run, at `run_pos`, that holds exactly its values.
   void MarkBound(PlanState* state, const PatternTerm& term, double distinct,
-                 PredicateId pred, Role role, bool sorted) const {
+                 PredicateId pred, Role role, bool sorted,
+                 const TableReplica* run_replica = nullptr,
+                 size_t run_pos = 0) const {
     if (!term.is_variable()) return;
     if (state->IsVarBound(term.var)) return;
     state->bound_vars |= uint64_t{1} << term.var;
@@ -290,17 +333,75 @@ class PlannerContext {
     v.prov_pred = pred;
     v.prov_role = role;
     v.globally_sorted = sorted;
+    v.run_replica = run_replica;
+    v.run_pos = run_pos;
+  }
+
+  /// How a run's values meet a target key array: the fraction found, and
+  /// the average run length of those found.
+  struct RunSample {
+    double hit_fraction = 0.0;
+    double avg_run_hit = 0.0;
+  };
+
+  /// Probes up to 64 evenly spaced values of the run at `run_pos` in
+  /// `run_replica` against the key array of `target`, through its ID
+  /// index when it has one (`target_index`, else null). A run no longer
+  /// than the sample is measured exactly. Memoized per (run, target) for
+  /// the planner's lifetime, i.e. one Optimize call.
+  RunSample SampleRun(const TableReplica& run_replica, size_t run_pos,
+                      const TableReplica& target,
+                      const index::IdPositionIndex* target_index) const {
+    for (const RunSampleMemo& m : run_samples_) {
+      if (m.run_replica == &run_replica && m.run_pos == run_pos &&
+          m.target == &target) {
+        return m.sample;
+      }
+    }
+    constexpr size_t kRunSamples = 64;
+    const std::span<const TermId> run = run_replica.Run(run_pos);
+    const size_t samples = std::min(run.size(), kRunSamples);
+    size_t hits = 0;
+    double hit_pairs = 0.0;
+    for (size_t i = 0; i < samples; ++i) {
+      const TermId value = run[i * run.size() / samples];
+      const size_t pos = target_index != nullptr ? target_index->Find(value)
+                                                 : target.FindKey(value);
+      if (pos == SIZE_MAX) continue;
+      ++hits;
+      hit_pairs += static_cast<double>(target.RunLength(pos));
+    }
+    RunSample sample;
+    if (hits > 0) {
+      sample.hit_fraction = static_cast<double>(hits) / samples;
+      sample.avg_run_hit = hit_pairs / hits;
+    } else if (samples < run.size()) {
+      // No sampled value hit, but unsampled ones may: assume half a hit.
+      sample.hit_fraction = 0.5 / samples;
+      sample.avg_run_hit = target.AverageRunLength();
+    }
+    run_samples_.push_back({&run_replica, run_pos, &target, sample});
+    return sample;
   }
 
   /// Estimates, for probing `replica` (the `role`-keyed replica of
   /// `pred`) with values of a variable described by `kv`:
   ///   hit_fraction  P(probe value occurs in the key array)
   ///   avg_run_hit   average run length over hits
+  /// `key_index` is the replica's ID index, or null when it has none.
   void EstimateJoin(const VarEstimate& kv, PredicateId pred, Role role,
-                    const TableReplica& replica, double* hit_fraction,
-                    double* avg_run_hit) const {
+                    const TableReplica& replica,
+                    const index::IdPositionIndex* key_index,
+                    double* hit_fraction, double* avg_run_hit) const {
     const double num_keys = static_cast<double>(replica.key_count());
     const double avg_run = replica.AverageRunLength();
+    if (kv.run_replica != nullptr) {
+      const RunSample sample =
+          SampleRun(*kv.run_replica, kv.run_pos, replica, key_index);
+      *hit_fraction = sample.hit_fraction;
+      *avg_run_hit = sample.avg_run_hit;
+      return;
+    }
     if (kv.prov_pred != kInvalidPredicateId) {
       auto stat = db_.GetPairStat(kv.prov_pred, kv.prov_role, pred, role);
       if (stat.has_value() && stat->intersection > 0) {
@@ -331,6 +432,13 @@ class PlannerContext {
   const EncodedQuery& query_;
   const Database& db_;
   const mut::DeltaView* delta_;
+  struct RunSampleMemo {
+    const TableReplica* run_replica;
+    size_t run_pos;
+    const TableReplica* target;
+    RunSample sample;
+  };
+  mutable std::vector<RunSampleMemo> run_samples_;
 };
 
 Result<Plan> OptimizeForced(const PlannerContext& ctx,

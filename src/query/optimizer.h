@@ -29,7 +29,10 @@ struct OptimizerOptions {
 /// deliberately ignored — the paper assumes a fixed speedup factor for
 /// every order), per-step replica selection, selectivity from equi-depth
 /// histograms plus pairwise join cardinalities (used whenever
-/// `db.has_pair_stats()`).
+/// `db.has_pair_stats()`). A join on a variable bound to one constant run
+/// is estimated from samples of that run instead; a probe whose key
+/// outlives the previous step's value loop is charged a search per key
+/// value, not per tuple, as the executor runs it (KeyOutlivesLoop).
 ///
 /// `delta` (optional) is the pending-write view the executor will merge
 /// with `db`: predicates absent from the base but present in the delta

@@ -20,6 +20,17 @@ std::string TermToString(const PatternTerm& term,
 
 }  // namespace
 
+int LoopVariable(const PatternTerm& key, const PatternTerm& value,
+                 bool value_bound) {
+  if (!value.is_variable() || value_bound) return -1;
+  if (key.is_variable() && key.var == value.var) return -1;
+  return value.var;
+}
+
+bool KeyOutlivesLoop(const PatternTerm& key, int prev_loop_var) {
+  return !key.is_variable() || key.var != prev_loop_var;
+}
+
 std::string Plan::ToString() const {
   std::ostringstream out;
   if (known_empty) {

@@ -34,6 +34,19 @@ struct PlanStep {
   double estimated_cost = 0.0;
 };
 
+/// The variable whose values a step's value loop enumerates: the value
+/// variable, unless it is bound before the step (`value_bound`) or is the
+/// key variable itself, when the step only checks membership. -1 when the
+/// step has no value loop.
+int LoopVariable(const PatternTerm& key, const PatternTerm& value,
+                 bool value_bound);
+
+/// Whether a probe step's bound `key` stays fixed while the step before it
+/// runs its value loop over `prev_loop_var` (that step's LoopVariable).
+/// The executor then searches the key once per key value, not once per
+/// tuple (key_reuse), and the optimizer costs the step the same way.
+bool KeyOutlivesLoop(const PatternTerm& key, int prev_loop_var);
+
 /// A complete left-deep plan: the executor runs steps in order, sharding
 /// the first step's key range (or value run) across threads.
 struct Plan {

@@ -192,7 +192,7 @@ Result<Database> Database::Build(dict::Dictionary dict,
   if (timings != nullptr) {
     timings->tables_millis = tables_timer.ElapsedMillis();
   }
-  db.Finish(pool, /*kept=*/{}, timings);
+  db.Finish(pool, /*kept=*/{}, /*reuse=*/nullptr, timings);
   return db;
 }
 
@@ -267,12 +267,12 @@ Result<Database> Database::FromSortedRuns(
   if (timings != nullptr) {
     timings->tables_millis = tables_timer.ElapsedMillis();
   }
-  db.Finish(pool, kept, timings);
+  db.Finish(pool, kept, reuse, timings);
   return db;
 }
 
 void Database::Finish(server::ThreadPool* pool, const std::vector<bool>& kept,
-                      BuildTimings* timings) {
+                      const Database* reuse, BuildTimings* timings) {
   for (const PropertyEntry& entry : entries_) {
     total_triples_ += entry.table.triple_count();
   }
@@ -292,7 +292,7 @@ void Database::Finish(server::ThreadPool* pool, const std::vector<bool>& kept,
 
   // --- Derived statistics -----------------------------------------------
   Stopwatch pair_timer;
-  ComputePairStats(options_.pairwise_max_columns, pool);
+  ComputePairStats(options_.pairwise_max_columns, pool, kept, reuse);
   if (timings != nullptr) {
     timings->pair_stats_millis = pair_timer.ElapsedMillis();
   }
@@ -306,7 +306,9 @@ uint64_t Database::PairKey(PredicateId p1, Role role1, PredicateId p2,
   return (a << 32) | b;
 }
 
-void Database::ComputePairStats(size_t max_columns, server::ThreadPool* pool) {
+void Database::ComputePairStats(size_t max_columns, server::ThreadPool* pool,
+                                const std::vector<bool>& kept,
+                                const Database* reuse) {
   const size_t columns = entries_.size() * 2;
   if (columns > max_columns) {
     PARJ_LOG(Info) << "skipping pairwise stats: " << columns
@@ -320,11 +322,30 @@ void Database::ComputePairStats(size_t max_columns, server::ThreadPool* pool) {
     uint32_t col1;
     uint32_t col2;
   };
+  auto key_of = [](const ColumnPair& pair) {
+    return PairKey(static_cast<PredicateId>((pair.col1 >> 1) + 1),
+                   static_cast<Role>(pair.col1 & 1),
+                   static_cast<PredicateId>((pair.col2 >> 1) + 1),
+                   static_cast<Role>(pair.col2 & 1));
+  };
+  // A pair whose two predicates were both kept from `reuse` holds the
+  // same triples there, so its stat is copied, not re-intersected.
+  const bool copy_kept =
+      !kept.empty() && reuse != nullptr && reuse->has_pair_stats_;
+  pair_stats_.reserve(columns * (columns + 1) / 2);
   std::vector<ColumnPair> pairs;
   pairs.reserve(columns * (columns + 1) / 2);
   for (uint32_t c1 = 0; c1 < columns; ++c1) {
     for (uint32_t c2 = c1; c2 < columns; ++c2) {
-      pairs.push_back(ColumnPair{c1, c2});
+      const ColumnPair pair{c1, c2};
+      if (copy_kept && kept[c1 >> 1] && kept[c2 >> 1]) {
+        const auto it = reuse->pair_stats_.find(key_of(pair));
+        if (it != reuse->pair_stats_.end()) {
+          pair_stats_.emplace(it->first, it->second);
+          continue;
+        }
+      }
+      pairs.push_back(pair);
     }
   }
   std::vector<PairJoinStat> stats(pairs.size());
@@ -337,14 +358,8 @@ void Database::ComputePairStats(size_t max_columns, server::ThreadPool* pool) {
         entries_[pairs[i].col2 >> 1].table.replica(ReplicaForKeyRole(r2));
     stats[i] = IntersectColumns(left, right);
   });
-  pair_stats_.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    pair_stats_.emplace(
-        PairKey(static_cast<PredicateId>((pairs[i].col1 >> 1) + 1),
-                static_cast<Role>(pairs[i].col1 & 1),
-                static_cast<PredicateId>((pairs[i].col2 >> 1) + 1),
-                static_cast<Role>(pairs[i].col2 & 1)),
-        stats[i]);
+    pair_stats_.emplace(key_of(pairs[i]), stats[i]);
   }
   has_pair_stats_ = true;
 }

@@ -206,12 +206,15 @@ class Database {
  private:
   static uint64_t PairKey(PredicateId p1, Role role1, PredicateId p2,
                           Role role2);
-  void ComputePairStats(size_t max_columns, server::ThreadPool* pool);
+  /// Intersects every column pair, on `pool`. A pair whose two
+  /// predicates are both marked in `kept` copies its stat from `reuse`.
+  void ComputePairStats(size_t max_columns, server::ThreadPool* pool,
+                        const std::vector<bool>& kept, const Database* reuse);
   /// The finishing step both builders share: replica metadata for every
   /// entry not marked in `kept` (empty: none kept), then pair stats, both
-  /// on `pool`.
+  /// on `pool`. Kept entries take both from `reuse`.
   void Finish(server::ThreadPool* pool, const std::vector<bool>& kept,
-              BuildTimings* timings);
+              const Database* reuse, BuildTimings* timings);
 
   dict::Dictionary dict_;
   std::vector<PropertyEntry> entries_;  // index = predicate id - 1
