@@ -7,10 +7,12 @@
 //   sequential  scalar stepping scan   vs  SIMD block scan (active level)
 //   index       legacy sample walk     vs  popcount-block rank lookup
 //   run_member  cursor-less binary     vs  RunContains from a cursor
+//   run_intersect  RunContains per probe  vs  IntersectRuns over the list
 // Every pair computes identical results; only the time may differ. The
 // acceptance bar for the vectorized kernels is >= 1.3x on >= 1M-key arrays;
-// run_member is recorded only (it measures what uncorrelated probes lose
-// by starting from the previous probe's position).
+// run_member and run_intersect are recorded only (the first measures what
+// uncorrelated probes lose by starting from the previous probe's position,
+// the second what a sorted probe list gains from one merge/gallop pass).
 //
 // Part 2 — google-benchmark stride benches: sequential vs binary vs
 // ID-to-Position lookup as a function of the probe stride (the position
@@ -294,6 +296,33 @@ void RunKernelMatrix() {
             for (TermId v : values) sink += RunContains(run, v, &cursor);
           },
           &out, /*gated=*/false);
+    }
+  }
+
+  // A value loop's run checked against one run whose key the loop never
+  // changes, as the executor did it per tuple (RunContains from a cursor
+  // over the ascending probe list) vs as it does it now (one
+  // IntersectRuns pass). "ratioN" probe lists hold one run value in N,
+  // interleaved with as many misses; ns are per probe.
+  for (size_t size : {size_t{64}, size_t{1} << 12, size_t{1} << 16,
+                      size_t{1} << 20}) {
+    const std::vector<TermId> run = MakeKeys(size);
+    for (size_t ratio : {size_t{1}, size_t{8}, size_t{64}}) {
+      std::vector<TermId> list;
+      for (size_t i = 0; i < run.size(); i += ratio) {
+        list.push_back(run[i]);
+        list.push_back(run[i] + 1);
+      }
+      char pattern[32];
+      std::snprintf(pattern, sizeof(pattern), "ratio%zu", ratio);
+      MatrixCell(
+          "run_intersect", pattern, size, 0.5, list.size(), repeats,
+          [&] {
+            size_t cursor = 0;
+            for (TermId v : list) sink += RunContains(run, v, &cursor);
+          },
+          [&] { sink += CountIntersection(list, run); }, &out,
+          /*gated=*/false);
     }
   }
 

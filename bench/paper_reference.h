@@ -9,6 +9,7 @@
 // values are not comparable — the *shape* (who wins, by what factor,
 // where the crossovers are) is what the reproduction checks.
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -152,6 +153,17 @@ struct IndexCacheRow {
 /// lookup cycles by more than 30% on fallback-heavy queries.
 inline constexpr double kTable6MinSequentialPerBinary = 10.0;
 inline constexpr double kTable6MinCycleReduction = 0.30;
+
+/// §5.2's silent-vs-full claim as thresholds result_handling judges its
+/// own rows against: a query returning at least kSilentFullHeavyRows rows
+/// pays a visible materialization cost (the paper's LUBM2: 4x; we ask for
+/// kSilentFullMinHeavyRatio), while a query with fewer than
+/// kSilentFullLightRows results stays within kSilentFullMaxLightRatio of
+/// silent mode. Queries in between make no claim either way.
+inline constexpr uint64_t kSilentFullHeavyRows = 100000;
+inline constexpr uint64_t kSilentFullLightRows = 1000;
+inline constexpr double kSilentFullMinHeavyRatio = 1.5;
+inline constexpr double kSilentFullMaxLightRatio = 1.3;
 
 inline const std::vector<IndexCacheRow>& Table6IndexCache() {
   static const std::vector<IndexCacheRow> kRows = {

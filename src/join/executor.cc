@@ -105,6 +105,12 @@ struct alignas(64) ShardContext {
   /// key and may run through the batched prefetched pipeline (resolved
   /// once in Execute from the plan shape + ExecOptions::batch_probes).
   const std::vector<uint8_t>* batch_at = nullptr;
+  /// intersect_at[d] => the value loop at depth d intersects its run with
+  /// step d+1's run instead of probing it per tuple (IntersectNext).
+  const std::vector<uint8_t>* intersect_at = nullptr;
+  /// A value loop at the last step adds its run length to row_count
+  /// instead of emitting each row (kCount, no limit, no leaf FILTER).
+  bool count_leaf = false;
   /// filters_at[d] is checked on entry to Descend(d), i.e. as soon as the
   /// bindings of steps 0..d-1 exist (filter pushdown).
   const std::vector<std::vector<const query::EncodedFilter*>>* filters_at =
@@ -241,6 +247,22 @@ struct alignas(64) ShardContext {
       return del_run.empty() || !RunContains(del_run, value);
     }
     return !ins_run.empty() && RunContains(ins_run, value);
+  }
+
+  /// Charges `n` tuples handled run-at-a-time against the cancellation
+  /// countdown, checking the token whenever the countdown runs out as
+  /// Descend would have over those tuples; false once the shard must
+  /// stop. Only used where no LIMIT gate exists.
+  bool Charge(size_t n) {
+    if (limit_reached) return false;
+    if (!cancel_enabled) return true;
+    if (n < static_cast<size_t>(cancel_countdown)) {
+      cancel_countdown -= static_cast<int>(n);
+      return true;
+    }
+    cancel_countdown = kCancelCheckInterval;
+    if (cancel.StopRequested()) limit_reached = true;
+    return !limit_reached;
   }
 
   /// True when another shard has saturated the LIMIT gate — this shard's
@@ -410,8 +432,24 @@ struct alignas(64) ShardContext {
   ///      byte-identical — prefetching each hit's run area;
   ///   C  descend into the hits' runs, again in probe order, so Emit
   ///      order is unchanged.
+  ///
+  /// Two shapes need no per-tuple descent at all (DESIGN.md §11): a
+  /// counted leaf (count_leaf at the last step) only adds the run's
+  /// length, and an intersect_at loop intersects its run with the next
+  /// step's (IntersectNext). Both keep step_rows and counters exactly as
+  /// the per-tuple loop would leave them.
   void RunValues(size_t depth, std::span<const TermId> values,
                  SearchStrategy strategy) {
+    if (count_leaf && depth + 1 == steps->size()) {
+      if (!Charge(values.size())) return;
+      step_rows[depth] += values.size();
+      row_count += values.size();
+      return;
+    }
+    if ((*intersect_at)[depth]) {
+      IntersectNext(depth, values, strategy);
+      return;
+    }
     const StepInfo& step = (*steps)[depth];
     if (!(*batch_at)[depth]) {
       for (TermId v : values) {
@@ -488,6 +526,40 @@ struct alignas(64) ShardContext {
       }
       i += group;
     }
+  }
+
+  /// The value loop at `depth` over `values` (?v) when step depth+1 is a
+  /// clean membership check of ?v in the run of a key this loop never
+  /// changes (intersect_at). Per tuple, Descend(depth+1) would count the
+  /// tuple, reuse the key's memoized position and probe the run; here
+  /// the key goes through ProbeKey once, so the memo, counters and trace
+  /// see the same single search, and only the common values descend.
+  void IntersectNext(size_t depth, std::span<const TermId> values,
+                     SearchStrategy strategy) {
+    if (values.empty() || !Charge(values.size())) return;
+    const size_t next_depth = depth + 1;
+    const StepInfo& next = (*steps)[next_depth];
+    step_rows[depth] += values.size();
+    if (next.replica->empty()) return;
+    const TermId key =
+        next.key.is_constant() ? next.key.constant : bindings[next.key.var];
+    const size_t pos = ProbeKey(next_depth, next, key, strategy);
+    if (pos == kNotFound) return;
+    counters.run_probes += values.size();
+    const std::span<const TermId> run = next.replica->Run(pos);
+    if (count_leaf && next_depth + 1 == steps->size()) {
+      const size_t matches = CountIntersection(values, run);
+      step_rows[next_depth] += matches;
+      row_count += matches;
+      Charge(matches);
+      return;
+    }
+    const int var = next.value.var;
+    IntersectRuns(values, run, [&](TermId v) {
+      bindings[var] = v;
+      Descend(next_depth + 1, strategy);
+      return !limit_reached;
+    });
   }
 };
 
@@ -765,6 +837,8 @@ Status RunContained(Fn&& fn) {
 struct ResolvedPlan {
   std::vector<StepInfo> steps;
   std::vector<uint8_t> batch_at;
+  std::vector<uint8_t> intersect_at;
+  bool count_leaf = false;
   std::vector<std::vector<const query::EncodedFilter*>> filters_at;
 };
 
@@ -888,6 +962,33 @@ Status ResolvePlan(const storage::Database& db, const mut::DeltaView* delta,
       out->filters_at[depth].push_back(&filter);
     }
   }
+
+  // Run-at-a-time eligibility, from the plan's shape alone. Both paths
+  // fold a whole run's tuples into one step, so anything that observes
+  // single tuples between them — a LIMIT (the emit order and the point
+  // where a shard stops), or a FILTER pushed to the fused depth — keeps
+  // the per-tuple loop.
+  const bool unlimited =
+      options.per_shard_limit == 0 && options.limit_gate == nullptr;
+  out->count_leaf = unlimited && options.mode == ResultMode::kCount &&
+                    out->filters_at[steps.size()].empty();
+  out->intersect_at.assign(steps.size(), 0);
+  if (unlimited) {
+    for (size_t d = 0; d + 1 < steps.size(); ++d) {
+      const StepInfo& cur = steps[d];
+      const StepInfo& nxt = steps[d + 1];
+      // The value loop at d binds ?v; step d+1 checks ?v in the run of a
+      // key that loop never changes. A dirty step d+1 keeps its merged
+      // membership path.
+      const int loop_var =
+          query::LoopVariable(cur.key, cur.value, cur.value_bound);
+      out->intersect_at[d] = loop_var >= 0 && nxt.key_bound &&
+                             nxt.key_reuse && !nxt.dirty &&
+                             nxt.value.is_variable() &&
+                             nxt.value.var == loop_var &&
+                             out->filters_at[d + 1].empty();
+    }
+  }
   return Status::OK();
 }
 
@@ -901,6 +1002,8 @@ void InitShardContext(ShardContext* ctx, size_t shard,
   ctx->visitor = &options.visitor;
   ctx->steps = &resolved.steps;
   ctx->batch_at = &resolved.batch_at;
+  ctx->intersect_at = &resolved.intersect_at;
+  ctx->count_leaf = resolved.count_leaf;
   ctx->filters_at = &resolved.filters_at;
   ctx->projection = &plan.projection;
   ctx->mode = options.mode;

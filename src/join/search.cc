@@ -83,4 +83,14 @@ bool RunContains(std::span<const TermId> run, TermId value, size_t* cursor) {
   return BinarySearch(run, value, cursor) != kNotFound;
 }
 
+size_t CountIntersection(std::span<const TermId> a,
+                         std::span<const TermId> b) {
+  size_t matches = 0;
+  IntersectRuns(a, b, [&matches](TermId) {
+    ++matches;
+    return true;
+  });
+  return matches;
+}
+
 }  // namespace parj::join

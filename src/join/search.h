@@ -1,9 +1,11 @@
 #ifndef PARJ_JOIN_SEARCH_H_
 #define PARJ_JOIN_SEARCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/memory_policy.h"
@@ -437,6 +439,44 @@ inline bool RunContains(std::span<const TermId> run, TermId value) {
   size_t cursor = 0;
   return RunContains(run, value, &cursor);
 }
+
+/// Calls `on_match(v)` for every value present in both sorted,
+/// duplicate-free runs, in ascending order, until it returns false. Each
+/// value of the shorter run gallops through the longer one from the
+/// previous value's position. A branch-free linear merge was slower at
+/// every length ratio tried, equal lengths included: its loads form one
+/// dependency chain.
+template <typename OnMatch>
+void IntersectRuns(std::span<const TermId> a, std::span<const TermId> b,
+                   OnMatch&& on_match) {
+  if (a.size() > b.size()) std::swap(a, b);
+  const size_t nb = b.size();
+  size_t j = 0;
+  for (const TermId x : a) {
+    // Every b[< lo] is below x; the doubling stride stops at the first
+    // b[hi] >= x, so x's lower bound lies in [lo, hi].
+    size_t lo = j;
+    size_t hi = j;
+    size_t stride = 1;
+    while (hi < nb && b[hi] < x) {
+      lo = hi + 1;
+      hi += stride;
+      stride <<= 1;
+    }
+    if (hi > nb) hi = nb;
+    j = static_cast<size_t>(
+        std::lower_bound(b.begin() + lo, b.begin() + hi, x) - b.begin());
+    if (j == nb) return;
+    if (b[j] == x) {
+      if (!on_match(x)) return;
+      ++j;
+    }
+  }
+}
+
+/// |a ∩ b| for two sorted, duplicate-free runs (IntersectRuns' count).
+size_t CountIntersection(std::span<const TermId> a,
+                         std::span<const TermId> b);
 
 }  // namespace parj::join
 

@@ -10,11 +10,19 @@
 //    the searches performed;
 //  - cursor membership: bound-value checks on long runs gallop from the
 //    previous probe and must give NaiveEngine's rows for any probe order,
-//    on clean and delta-merged stores.
+//    on clean and delta-merged stores;
+//  - run-at-a-time tails: a value loop whose next step checks its value
+//    in a loop-invariant run intersects the two runs, and a counted leaf
+//    adds its run's length; both must leave rows, step_rows, counters and
+//    traces exactly as the per-tuple loop does.
 
 #include <algorithm>
+#include <chrono>
+#include <iterator>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -625,6 +633,375 @@ TEST(RunMemberTest, CursorMembershipMatchesNaiveOnEveryProbeOrder) {
         }
       }
     }
+  }
+}
+
+
+// ---- Run-at-a-time tails ------------------------------------------------
+
+/// `plan` plus a FILTER (?var != an ID no term has) that every row passes.
+/// The filter is pushed to the depth that binds ?var, which keeps that
+/// depth's value loop on the per-tuple path: the same plan, unfused.
+query::Plan WithPassingFilter(query::Plan plan, const std::string& var) {
+  int id = -1;
+  for (size_t i = 0; i < plan.var_names.size(); ++i) {
+    if (plan.var_names[i] == var || plan.var_names[i] == "?" + var) {
+      id = static_cast<int>(i);
+    }
+  }
+  PARJ_CHECK(id >= 0) << "no variable " << var;
+  query::EncodedFilter filter;
+  filter.lhs = query::PatternTerm::Variable(id);
+  filter.op = query::FilterOp::kNe;
+  filter.rhs = query::PatternTerm::Constant(kInvalidTermId);
+  plan.filters.push_back(filter);
+  return plan;
+}
+
+/// One execution's result with its rows sorted, whichever mode produced
+/// them (kVisit rows are gathered from the visitor).
+struct ModeRun {
+  ExecResult result;
+  std::vector<std::vector<TermId>> rows;
+};
+
+ModeRun RunInMode(const Executor& exec, const query::Plan& plan,
+                  ExecOptions opts) {
+  std::mutex mu;
+  std::vector<TermId> visited;
+  if (opts.mode == ResultMode::kVisit) {
+    opts.visitor = [&](size_t, std::span<const TermId> row) {
+      std::lock_guard<std::mutex> lock(mu);
+      visited.insert(visited.end(), row.begin(), row.end());
+    };
+  }
+  auto r = exec.Execute(plan, opts);
+  PARJ_CHECK(r.ok()) << r.status().ToString();
+  ModeRun run;
+  run.rows = ToSortedRows(
+      opts.mode == ResultMode::kVisit ? visited : r->rows, r->column_count);
+  run.result = std::move(r).value();
+  return run;
+}
+
+/// Runs `plan` fused and unfused (WithPassingFilter on `var`) in count,
+/// materialize and visit modes, at 1 and 4 threads, under both schedules,
+/// with and without emulation. Both must give `expected`'s rows; step_rows,
+/// every SearchCounters field and (where shards merge in a fixed order)
+/// the probe trace must be identical.
+void ExpectFusedMatchesPerTuple(const storage::Database& db,
+                                const mut::DeltaView* delta,
+                                const query::Plan& plan,
+                                const std::string& var,
+                                const std::vector<std::vector<TermId>>& expected) {
+  const query::Plan per_tuple = WithPassingFilter(plan, var);
+  Executor exec(&db, delta);
+  for (ResultMode mode :
+       {ResultMode::kCount, ResultMode::kMaterialize, ResultMode::kVisit}) {
+    for (int threads : {1, 4}) {
+      for (Scheduling scheduling : {Scheduling::kStatic, Scheduling::kMorsel}) {
+        for (bool emulate : {false, true}) {
+          SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) +
+                       " x" + std::to_string(threads) + " " +
+                       SchedulingName(scheduling) +
+                       (emulate ? " emulated" : ""));
+          ExecOptions opts;
+          opts.mode = mode;
+          opts.strategy = SearchStrategy::kAdaptiveIndex;
+          opts.num_threads = threads;
+          opts.scheduling = scheduling;
+          opts.emulate_parallel = emulate;
+          opts.collect_probe_trace = true;
+          const ModeRun fused = RunInMode(exec, plan, opts);
+          const ModeRun serial = RunInMode(exec, per_tuple, opts);
+          EXPECT_EQ(fused.result.row_count, expected.size());
+          EXPECT_EQ(serial.result.row_count, expected.size());
+          if (mode != ResultMode::kCount) {
+            EXPECT_EQ(fused.rows, expected);
+            EXPECT_EQ(serial.rows, expected);
+          }
+          EXPECT_EQ(fused.result.step_rows, serial.result.step_rows);
+          ExpectCountersEqual(fused.result.counters, serial.result.counters);
+          if (threads == 1 || scheduling == Scheduling::kStatic) {
+            EXPECT_EQ(fused.result.trace.step_values,
+                      serial.result.trace.step_values);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Nodes n0..n2999; key kj <lists> a sorted node set per j, of 3 to 2,000
+/// nodes (on both sides of the 64-element sweep limit and of the gallop
+/// ratio); classes Small (40 members), Edge (64), Big (1,200) and Apart
+/// (members no list holds); every node has one <name>.
+Spec IntersectSpec() {
+  constexpr int kNodes = 3000;
+  Spec spec;
+  Rng rng(20261020);
+  const int list_sizes[] = {3, 20, 64, 65, 300, 2000};
+  for (size_t j = 0; j < std::size(list_sizes); ++j) {
+    std::set<int> members;
+    while (static_cast<int>(members.size()) < list_sizes[j]) {
+      members.insert(static_cast<int>(rng.Uniform(kNodes - 500)));
+    }
+    for (int n : members) {
+      spec.push_back({"k" + std::to_string(j), "lists",
+                      "n" + std::to_string(n)});
+    }
+  }
+  const std::pair<const char*, int> classes[] = {
+      {"Small", 40}, {"Edge", 64}, {"Big", 1200}};
+  for (const auto& [cls, size] : classes) {
+    std::set<int> members;
+    while (static_cast<int>(members.size()) < size) {
+      members.insert(static_cast<int>(rng.Uniform(kNodes - 500)));
+    }
+    for (int n : members) {
+      spec.push_back({"n" + std::to_string(n), "type", cls});
+    }
+  }
+  for (int n = kNodes - 500; n < kNodes; n += 7) {
+    spec.push_back({"n" + std::to_string(n), "type", "Apart"});
+  }
+  for (int n = 0; n < kNodes; ++n) {
+    spec.push_back({"n" + std::to_string(n), "name",
+                    "m" + std::to_string(n % 97)});
+  }
+  return spec;
+}
+
+TEST(RunIntersectTest, ConstantKeyAtTheLeaf) {
+  // ?x from step 0's run is checked against the constant class's run:
+  // Small and Edge are swept, Big is galloped or merged, Apart never
+  // meets a list.
+  auto db = MakeDatabase(IntersectSpec());
+  for (const char* cls : {"Small", "Edge", "Big", "Apart"}) {
+    const std::string q = std::string("SELECT ?k ?x WHERE { ?k <lists> ?x . "
+                                      "?x <type> <") + cls + "> }";
+    SCOPED_TRACE(q);
+    const query::Plan plan = PlanWith(
+        db, q, {0, 1}, {storage::ReplicaKind::kSO, storage::ReplicaKind::kOS});
+    ASSERT_TRUE(plan.steps[1].key.is_constant());
+    ASSERT_TRUE(plan.steps[1].value_bound);
+    const auto expected = NaiveRows(db, q);
+    if (std::string(cls) == "Apart") {
+      ASSERT_TRUE(expected.empty());
+    } else {
+      ASSERT_FALSE(expected.empty());
+    }
+    ExpectFusedMatchesPerTuple(db, nullptr, plan, "x", expected);
+  }
+}
+
+TEST(RunIntersectTest, IntersectionBelowTheLeaf) {
+  // The intersection at depth 0 feeds a third step, whose value loop is
+  // the counted leaf in count mode.
+  auto db = MakeDatabase(IntersectSpec());
+  for (const char* cls : {"Small", "Big"}) {
+    const std::string q =
+        std::string("SELECT ?k ?x ?m WHERE { ?k <lists> ?x . ?x <type> <") +
+        cls + "> . ?x <name> ?m }";
+    SCOPED_TRACE(q);
+    const query::Plan plan =
+        PlanWith(db, q, {0, 1, 2},
+                 {storage::ReplicaKind::kSO, storage::ReplicaKind::kOS,
+                  storage::ReplicaKind::kSO});
+    const auto expected = NaiveRows(db, q);
+    ASSERT_FALSE(expected.empty());
+    ExpectFusedMatchesPerTuple(db, nullptr, plan, "x", expected);
+    // The counted leaf against the per-tuple leaf.
+    ExpectFusedMatchesPerTuple(db, nullptr, plan, "m", expected);
+  }
+}
+
+TEST(RunIntersectTest, KeyBoundTwoStepsEarlier) {
+  // LUBM9's triangle: ?p is bound at step 0 and is step 2's key, inside
+  // step 1's loop over ?c. Every fifth advisor teaches nothing (a key
+  // miss); takes runs reach 120 courses and teaches runs 200.
+  Spec spec;
+  Rng rng(7);
+  for (int i = 0; i < 120; ++i) {
+    const std::string s = "s" + std::to_string(i);
+    spec.push_back({s, "advisor", "p" + std::to_string(i % 12)});
+    const int takes = 1 + static_cast<int>(rng.Uniform(120));
+    for (int c = 0; c < takes; ++c) {
+      spec.push_back({s, "takes", "c" + std::to_string((i * 11 + c * 3) % 400)});
+    }
+  }
+  for (int p = 0; p < 12; ++p) {
+    if (p % 5 == 4) continue;
+    const int teaches = 2 + static_cast<int>(rng.Uniform(200));
+    for (int c = 0; c < teaches; ++c) {
+      spec.push_back({"p" + std::to_string(p), "teaches",
+                      "c" + std::to_string((p * 37 + c * 2) % 400)});
+    }
+  }
+  auto db = MakeDatabase(spec);
+  const std::string q =
+      "SELECT ?s ?p ?c WHERE { ?s <advisor> ?p . ?s <takes> ?c . "
+      "?p <teaches> ?c }";
+  const query::Plan plan =
+      PlanWith(db, q, {0, 1, 2},
+               {storage::ReplicaKind::kSO, storage::ReplicaKind::kSO,
+                storage::ReplicaKind::kSO});
+  ASSERT_TRUE(plan.steps[2].key.is_variable());
+  ASSERT_TRUE(plan.steps[2].value_bound);
+  const auto expected = NaiveRows(db, q);
+  ASSERT_FALSE(expected.empty());
+  ExpectFusedMatchesPerTuple(db, nullptr, plan, "c", expected);
+}
+
+TEST(RunIntersectTest, CountedLeafOfAScan) {
+  // A single-pattern key scan and a two-step chain: each value loop at
+  // the last step is counted.
+  auto db = MakeDatabase(IntersectSpec());
+  const std::string scan = "SELECT ?k ?x WHERE { ?k <lists> ?x }";
+  ExpectFusedMatchesPerTuple(
+      db, nullptr, PlanWith(db, scan, {0}, {storage::ReplicaKind::kSO}), "x",
+      NaiveRows(db, scan));
+  const std::string chain =
+      "SELECT ?k ?x ?m WHERE { ?k <lists> ?x . ?x <name> ?m }";
+  ExpectFusedMatchesPerTuple(
+      db, nullptr,
+      PlanWith(db, chain, {0, 1},
+               {storage::ReplicaKind::kSO, storage::ReplicaKind::kSO}),
+      "m", NaiveRows(db, chain));
+}
+
+TEST(RunIntersectTest, DirtyNextStepKeepsMergedMembership) {
+  // Step 1's predicate has pending writes, so its membership must see
+  // (base ∖ del) ∪ ins: fusion is off there, and the rows equal those of
+  // the store rebuilt from the merged triples.
+  const Spec spec = IntersectSpec();
+  mut::DeltaStore store(MakeDatabase(spec));
+  Spec logical = spec;
+  // A listed node joins Small; one of Small's members leaves it.
+  std::string joiner;
+  std::string leaver;
+  std::set<std::string> small;
+  for (const auto& [s, p, o] : spec) {
+    if (p == "type" && o == "Small") small.insert(s);
+  }
+  for (const auto& [s, p, o] : spec) {
+    if (p == "lists" && small.count(o) == 0 && joiner.empty()) joiner = o;
+    if (p == "lists" && small.count(o) != 0 && leaver.empty()) leaver = o;
+  }
+  ASSERT_FALSE(joiner.empty());
+  ASSERT_FALSE(leaver.empty());
+  logical.push_back({joiner, "type", "Small"});
+  ASSERT_TRUE(store.Insert(Iris(joiner, "type", "Small")).ok());
+  logical.erase(std::find(logical.begin(), logical.end(),
+                          std::make_tuple(leaver, std::string("type"),
+                                          std::string("Small"))));
+  ASSERT_TRUE(store.Remove(Iris(leaver, "type", "Small")).ok());
+  const mut::MvccSnapshot snap = store.snapshot();
+  const storage::Database compacted = Rebuild(snap.base(), logical);
+
+  const std::string q =
+      "SELECT ?k ?x WHERE { ?k <lists> ?x . ?x <type> <Small> }";
+  const query::Plan plan =
+      PlanWith(snap.base(), q, {0, 1},
+               {storage::ReplicaKind::kSO, storage::ReplicaKind::kOS},
+               &snap.delta());
+  const auto expected = NaiveRows(compacted, q);
+  ASSERT_FALSE(expected.empty());
+  ExpectFusedMatchesPerTuple(snap.base(), &snap.delta(), plan, "x", expected);
+
+  // The compacted store runs the same plan shape fused.
+  const query::Plan clean_plan = PlanWith(
+      compacted, q, {0, 1},
+      {storage::ReplicaKind::kSO, storage::ReplicaKind::kOS});
+  Executor exec(&compacted);
+  auto r = exec.Execute(clean_plan, {});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ToSortedRows(r->rows, r->column_count), expected);
+}
+
+/// The full cartesian product of `members` nodes of class <T> with itself
+/// `ways` times.
+std::string CartesianQuery(int ways) {
+  std::string q = "SELECT * WHERE { ";
+  for (int i = 0; i < ways; ++i) {
+    q += "?v" + std::to_string(i) + " <type> <T> . ";
+  }
+  return q + "}";
+}
+
+Spec ClassSpec(int members) {
+  Spec spec;
+  for (int i = 0; i < members; ++i) {
+    spec.push_back({"n" + std::to_string(i), "type", "T"});
+  }
+  return spec;
+}
+
+TEST(RunIntersectTest, PreCancelledCountedLeafReturnsCancelled) {
+  auto db = MakeDatabase(ClassSpec(300));
+  server::CancellationSource source;
+  source.Cancel();
+  ExecOptions opts;
+  opts.mode = ResultMode::kCount;
+  opts.cancel = source.token();
+  auto plan = query::Optimize(Encode(CartesianQuery(3), db), db);
+  ASSERT_TRUE(plan.ok());
+  Executor exec(&db);
+  auto result = exec.Execute(*plan, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+}
+
+TEST(RunIntersectTest, CancelStopsACountedCartesianMidQuery) {
+  // 400^5 rows: counting each leaf run still leaves 400^4 runs, far more
+  // than the moments the query gets before it is cancelled.
+  auto db = MakeDatabase(ClassSpec(400));
+  auto plan = query::Optimize(Encode(CartesianQuery(5), db), db);
+  ASSERT_TRUE(plan.ok());
+  Executor exec(&db);
+  server::CancellationSource source;
+  ExecOptions opts;
+  opts.mode = ResultMode::kCount;
+  opts.cancel = source.token();
+  std::thread canceller([&source] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    source.Cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto result = exec.Execute(*plan, opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  canceller.join();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+}
+
+TEST(RunIntersectTest, LimitKeepsThePerTuplePath) {
+  // A counted leaf would overshoot any limit by the rest of its run.
+  auto db = MakeDatabase(ClassSpec(300));
+  auto plan = query::Optimize(Encode(CartesianQuery(2), db), db);
+  ASSERT_TRUE(plan.ok());
+  Executor exec(&db);
+  for (ResultMode mode : {ResultMode::kCount, ResultMode::kMaterialize}) {
+    ExecOptions opts;
+    opts.mode = mode;
+    opts.per_shard_limit = 7;
+    auto r = exec.Execute(*plan, opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->row_count, 7u);
+    EXPECT_EQ(r->step_rows.back(), 7u);
+    if (mode == ResultMode::kMaterialize) {
+      EXPECT_EQ(r->rows.size(), 14u);
+    }
+
+    LimitGate gate;
+    gate.limit = 11;
+    opts.per_shard_limit = 0;
+    opts.limit_gate = &gate;
+    opts.num_threads = 4;
+    auto gated = exec.Execute(*plan, opts);
+    ASSERT_TRUE(gated.ok()) << gated.status().ToString();
+    EXPECT_EQ(gated->row_count, 11u);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "join/search.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -481,6 +482,59 @@ TEST(AdaptiveSearchTest, SortedProbesMostlySequential) {
                    nullptr, &counters);
   }
   EXPECT_GT(counters.sequential_searches, counters.binary_searches * 50);
+}
+
+
+/// A sorted, duplicate-free run of `size` IDs drawn from [1, universe].
+std::vector<TermId> RandomRun(Rng* rng, size_t size, uint64_t universe) {
+  std::set<TermId> ids;
+  while (ids.size() < size) {
+    ids.insert(static_cast<TermId>(1 + rng->Uniform(universe)));
+  }
+  return std::vector<TermId>(ids.begin(), ids.end());
+}
+
+TEST(RunIntersectKernelTest, MatchesSetIntersectionOnRandomRuns) {
+  // Length pairs from empty to 40x apart, over dense and sparse universes,
+  // in both argument orders.
+  Rng rng(20261020);
+  const size_t sizes[] = {0, 1, 2, 63, 64, 65, 300, 2500};
+  for (size_t na : sizes) {
+    for (size_t nb : sizes) {
+      for (uint64_t universe : {uint64_t{3000}, uint64_t{1} << 31}) {
+        const std::vector<TermId> a = RandomRun(&rng, na, universe);
+        const std::vector<TermId> b = RandomRun(&rng, nb, universe);
+        std::vector<TermId> want;
+        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                              std::back_inserter(want));
+        std::vector<TermId> got;
+        IntersectRuns(a, b, [&got](TermId v) {
+          got.push_back(v);
+          return true;
+        });
+        EXPECT_EQ(got, want) << na << " x " << nb << " of " << universe;
+        EXPECT_EQ(CountIntersection(b, a), want.size());
+      }
+    }
+  }
+}
+
+TEST(RunIntersectKernelTest, StopsWhenTheCallbackSaysSo) {
+  const std::vector<TermId> a = {2, 4, 6, 8, 10};
+  const std::vector<TermId> b = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  std::vector<TermId> got;
+  IntersectRuns(a, b, [&got](TermId v) {
+    got.push_back(v);
+    return got.size() < 3;
+  });
+  EXPECT_EQ(got, (std::vector<TermId>{2, 4, 6}));
+}
+
+TEST(RunIntersectKernelTest, ExtremeIds) {
+  const std::vector<TermId> a = {1, 0x7fffffffu, 0xfffffffeu, 0xffffffffu};
+  const std::vector<TermId> b = {0x7fffffffu, 0x80000000u, 0xffffffffu};
+  EXPECT_EQ(CountIntersection(a, b), 2u);
+  EXPECT_EQ(CountIntersection(b, a), 2u);
 }
 
 }  // namespace
