@@ -4,7 +4,9 @@
 // scalar baselines against the vectorized kernels of DESIGN.md §11 across
 // array sizes, probe patterns, and hit/miss mixes:
 //   binary      branchy binary search  vs  branchless gallop+cmov kernel
-//   sequential  scalar stepping scan   vs  SIMD block scan (active level)
+//   sequential  scalar stepping scan   vs  12-step prologue + bulk scan
+//               (the AVX2 kernel when the CPU reports AVX2, else the
+//               portable loop; the run names it as simd_scan)
 //   index       legacy sample walk     vs  popcount-block rank lookup
 //   run_member  cursor-less binary     vs  RunContains from a cursor
 //   run_intersect  RunContains per probe  vs  IntersectRuns over the list
@@ -172,9 +174,8 @@ void RunKernelMatrix() {
   const int repeats = EnvInt("PARJ_BENCH_REPEATS", 3);
   std::printf(
       "\nKernel matrix: scalar baselines vs vectorized kernels "
-      "(simd active=%s, compiled=%s, %zu probes, best of %d)\n\n",
-      simd::LevelName(simd::ActiveLevel()),
-      simd::LevelName(simd::CompiledLevel()), probes, repeats);
+      "(simd_scan=%s, %zu probes, best of %d)\n\n",
+      simd::ScanKernelName(), probes, repeats);
   std::printf("%-10s  %-10s  %9s  %5s  %8s  %8s  %7s\n", "family", "pattern",
               "keys", "hits", "base ns", "vec ns", "speedup");
 
@@ -209,7 +210,7 @@ void RunKernelMatrix() {
     }
   }
 
-  // Sequential scan near the cursor: scalar stepping vs SIMD block scan.
+  // Sequential scan near the cursor: scalar stepping vs prologue + bulk scan.
   // Short correlated strides are exactly the regime Algorithm 1 routes to
   // the sequential kernel.
   for (size_t size : {size_t{1} << 16, size_t{1} << 20, size_t{1} << 22}) {
@@ -342,10 +343,8 @@ void RunKernelMatrix() {
   std::printf("\nAcceptance (>= 1.3x geomean per family): %s\n",
               met_bar ? "MET" : "NOT MET");
   std::string payload = "{\n  \"bench\": \"kernels\",\n";
-  payload += "  \"simd_active\": \"";
-  payload += simd::LevelName(simd::ActiveLevel());
-  payload += "\",\n  \"simd_compiled\": \"";
-  payload += simd::LevelName(simd::CompiledLevel());
+  payload += "  \"simd_scan\": \"";
+  payload += simd::ScanKernelName();
   payload += "\",\n  \"probes\": " + std::to_string(probes);
   payload += ",\n  \"acceptance_met\": ";
   payload += met_bar ? "true" : "false";

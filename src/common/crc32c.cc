@@ -3,9 +3,8 @@
 #include <array>
 #include <cstring>
 
-#include "common/simd.h"
-
-#if PARJ_SIMD_CRC32C
+#if !defined(PARJ_DISABLE_SIMD) && defined(__GNUC__) && defined(__x86_64__)
+#define PARJ_CRC32C_SSE42 1
 #include <nmmintrin.h>
 #endif
 
@@ -40,7 +39,7 @@ constexpr std::array<std::array<uint32_t, 256>, 4> BuildTables() {
 
 constexpr auto kTables = BuildTables();
 
-#if PARJ_SIMD_CRC32C
+#if PARJ_CRC32C_SSE42
 /// Eight bytes per `crc32` instruction, then the tail byte by byte; the
 /// instruction applies the same reflected polynomial as the tables.
 __attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42(
@@ -60,11 +59,28 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cExtendSse42(
 
 }  // namespace
 
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t length) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-#if PARJ_SIMD_CRC32C
-  if (simd::HardwareCrc32c()) return Crc32cExtendSse42(crc, p, length);
+bool HardwareCrc32c() {
+#if PARJ_CRC32C_SSE42
+  static const bool sse42 = __builtin_cpu_supports("sse4.2");
+  return sse42;
+#else
+  return false;
 #endif
+}
+
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t length) {
+#if PARJ_CRC32C_SSE42
+  if (HardwareCrc32c()) {
+    return Crc32cExtendSse42(crc, static_cast<const uint8_t*>(data), length);
+  }
+#endif
+  return detail::Crc32cExtendTable(crc, data, length);
+}
+
+namespace detail {
+
+uint32_t Crc32cExtendTable(uint32_t crc, const void* data, size_t length) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
   while (length >= 4) {
     crc ^= static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
@@ -80,5 +96,7 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t length) {
   }
   return ~crc;
 }
+
+}  // namespace detail
 
 }  // namespace parj

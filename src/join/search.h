@@ -33,7 +33,7 @@ const char* SearchStrategyName(SearchStrategy strategy);
 /// "#Binary" / "#Sequential") plus work metrics. `sequential_steps` counts
 /// ELEMENTS ADVANCED, never vector iterations — a SIMD scan that examines
 /// 8 lanes to advance 5 elements adds 5, keeping the column comparable
-/// with the paper run whatever kernel tier executed it.
+/// with the paper run whichever scan kernel executed it.
 struct SearchCounters {
   uint64_t binary_searches = 0;
   uint64_t sequential_searches = 0;
@@ -242,8 +242,8 @@ size_t BinarySearchWith(std::span<const TermId> array, TermId value,
 /// behaviour). Scans toward `value` in whichever direction it lies;
 /// `*cursor` ends at the last accessed position on both hit and miss.
 /// This is the scalar reference; the DirectMemory overload below runs the
-/// same scan through the SIMD primitives with identical stop positions and
-/// step counts.
+/// same scan through the bulk scan kernels with identical stop positions
+/// and step counts.
 template <typename MemoryPolicy>
 size_t SequentialSearchWith(std::span<const TermId> array, TermId value,
                             size_t* cursor, MemoryPolicy& mem,
@@ -299,9 +299,9 @@ namespace detail {
 
 }  // namespace detail
 
-/// Vectorized fast path for the production (DirectMemory) policy: the scan
-/// compares 4/8 keys per instruction but stops at EXACTLY the scalar stop
-/// position, and `steps_out` accumulates elements advanced
+/// Vectorized fast path for the production (DirectMemory) policy: the bulk
+/// scan may compare 8 keys per instruction but stops at EXACTLY the scalar
+/// stop position, and `steps_out` accumulates elements advanced
 /// (|stop - start|), never vector iterations.
 inline size_t SequentialSearchWith(std::span<const TermId> array, TermId value,
                                    size_t* cursor, DirectMemory&,

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace parj::storage {
 
@@ -36,10 +35,48 @@ void AppendBlock(PackedColumn* col, const uint32_t* fields, size_t count,
   }
 }
 
-/// One zero word past the payload so the AVX2 gather's up-to-3-byte
-/// overread of the last block stays in bounds.
+/// Appends the column's zero guard word. The snapshot format requires it
+/// (CheckPackedColumn); no decoder reads it.
 void FinishColumn(PackedColumn* col) {
   col->words.push_back(0);
+}
+
+/// Calls fn(i, field_i) for the `count` fields of one block packed at
+/// `width` bits. Reads only the block's payload words.
+template <typename Fn>
+void ForEachField(const uint64_t* words, unsigned width, size_t count,
+                  Fn&& fn) {
+  if (width == 0) {
+    for (size_t i = 0; i < count; ++i) fn(i, 0u);
+    return;
+  }
+  const uint64_t mask = (uint64_t{1} << width) - 1;
+  size_t bit = 0;
+  for (size_t i = 0; i < count; ++i, bit += width) {
+    const size_t word = bit >> 6;
+    const unsigned off = bit & 63u;
+    uint64_t v = words[word] >> off;
+    if (off + width > 64) v |= words[word + 1] << (64 - off);
+    fn(i, static_cast<uint32_t>(v & mask));
+  }
+}
+
+/// Delta block (non-decreasing data): out[i] = base + field[0] + ... +
+/// field[i]. Encoders emit field[0] = 0 so out[0] == base.
+void UnpackDelta(const uint64_t* words, unsigned width, size_t count,
+                 uint32_t base, uint32_t* out) {
+  uint32_t sum = base;
+  ForEachField(words, width, count, [&](size_t i, uint32_t field) {
+    sum += field;
+    out[i] = sum;
+  });
+}
+
+/// Frame-of-reference block: out[i] = base + field[i].
+void UnpackFor(const uint64_t* words, unsigned width, size_t count,
+               uint32_t base, uint32_t* out) {
+  ForEachField(words, width, count,
+               [&](size_t i, uint32_t field) { out[i] = base + field; });
 }
 
 }  // namespace
@@ -140,9 +177,9 @@ PackedValues PackValues(std::span<const TermId> values) {
 }
 
 void DecodeKeyBlock(const PackedKeys& pk, size_t b, uint32_t* out) {
-  simd::UnpackDeltaU32(pk.col.words.data() + pk.col.block_word[b],
-                       pk.col.meta[b] & kPackWidthMask, pk.col.BlockLen(b),
-                       pk.minima[b], out);
+  UnpackDelta(pk.col.words.data() + pk.col.block_word[b],
+              pk.col.meta[b] & kPackWidthMask, pk.col.BlockLen(b),
+              pk.minima[b], out);
 }
 
 void DecodeValueBlock(const PackedValues& pv, size_t b, uint32_t* out) {
@@ -150,22 +187,23 @@ void DecodeValueBlock(const PackedValues& pv, size_t b, uint32_t* out) {
   const unsigned width = pv.col.meta[b] & kPackWidthMask;
   const size_t len = pv.col.BlockLen(b);
   if (pv.col.meta[b] & kPackDeltaFlag) {
-    simd::UnpackDeltaU32(words, width, len, pv.minima[b], out);
+    UnpackDelta(words, width, len, pv.minima[b], out);
   } else {
-    simd::UnpackForU32(words, width, len, pv.minima[b], out);
+    UnpackFor(words, width, len, pv.minima[b], out);
   }
 }
 
 void DecodeLengthBlock(const PackedLengths& pl, size_t b, uint64_t* out) {
   // Fields are cumulative excesses over the min_len ramp, so each output
   // offset is independent — no serial prefix chain.
-  uint32_t excess[kPackBlock];
   const size_t len = pl.col.BlockLen(b);
-  simd::UnpackForU32(pl.col.words.data() + pl.col.block_word[b],
-                     pl.col.meta[b] & kPackWidthMask, len, 0, excess);
   const uint64_t base = pl.base[b];
   const uint64_t min_len = pl.min_len[b];
-  for (size_t i = 0; i < len; ++i) out[i] = base + i * min_len + excess[i];
+  ForEachField(pl.col.words.data() + pl.col.block_word[b],
+               pl.col.meta[b] & kPackWidthMask, len,
+               [&](size_t i, uint32_t excess) {
+                 out[i] = base + i * min_len + excess;
+               });
   out[len] = b + 1 < pl.base.size() ? pl.base[b + 1] : pl.total;
 }
 

@@ -18,7 +18,7 @@
 //            when the block happens to be non-decreasing, FOR over the
 //            block minimum otherwise.
 //
-// Blocks decode through the simd::Unpack* kernels. Encoding is
+// Blocks decode through scalar unpack loops in compressed.cc. Encoding is
 // deterministic — the same arrays always produce the same packed bytes —
 // so a store always writes the same snapshot.
 
@@ -40,8 +40,8 @@ inline constexpr uint8_t kPackDeltaFlag = 0x40;
 
 /// One bit-packed column: fields packed LSB-first into little-endian u64
 /// words, one width per block, plus the per-block directory. A zero guard
-/// word follows the payload (the AVX2 gather may read 3 bytes past a
-/// block).
+/// word follows the payload; the snapshot format requires it, but no
+/// decoder reads past a block's payload.
 struct PackedColumn {
   uint32_t size = 0;                 ///< logical element count
   std::vector<uint64_t> words;       ///< packed payload + 1 guard word

@@ -224,7 +224,8 @@ Status ReadPackedColumn(SnapshotReader& reader, PackedColumn* col,
   PARJ_ASSIGN_OR_RETURN(uint64_t word_count, reader.ReadU64(what));
   const size_t blocks =
       (static_cast<size_t>(col->size) + kPackBlock - 1) / kPackBlock;
-  // Widest legal encoding: 32-bit fields, word-aligned blocks, one guard.
+  // Widest legal encoding: 32-bit fields, word-aligned blocks, one zero
+  // guard word.
   const uint64_t max_words =
       static_cast<uint64_t>(blocks) * (kPackBlock * 32 / 64 + 1) + 1;
   if (word_count > max_words) {
@@ -240,9 +241,10 @@ Status ReadPackedColumn(SnapshotReader& reader, PackedColumn* col,
 }
 
 /// Decode safety of one packed column: every width must be <= 32 and
-/// every block's payload (plus the decoder's one-word overread allowance)
-/// must sit inside the word array, so a decoder can never read out of
-/// bounds even on data that defeats the CRC.
+/// every block's payload must sit inside the word array, ahead of the
+/// column's zero guard word (the format keeps it, though no decoder reads
+/// it), so a decoder can never read out of bounds even on data that
+/// defeats the CRC.
 Status CheckPackedColumn(const PackedColumn& col, const char* what) {
   for (size_t b = 0; b < col.block_count(); ++b) {
     const unsigned width = col.meta[b] & kPackWidthMask;

@@ -1,8 +1,6 @@
-// Tests for the blocked FOR/delta codec that encodes snapshot v3 tables
+// Tests for the blocked FOR/delta codec that encodes snapshot tables
 // (DESIGN.md §13): PackKeys / PackLengths / PackValues round trips through
-// the Decode*Block decoders, on random and adversarial shapes. Every case
-// runs at each simd::Level the machine supports, since the decoders are
-// the only users of the simd::Unpack* tiers.
+// the Decode*Block decoders, on random and adversarial shapes.
 
 #include <cstdint>
 #include <vector>
@@ -10,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "storage/compressed.h"
 
 namespace parj {
@@ -28,9 +25,9 @@ struct Arrays {
   std::vector<TermId> values;
 };
 
-/// Packs the three arrays, decodes every block at the active SIMD level
-/// and compares with the source arrays.
-void ExpectRoundTripAtActiveLevel(const Arrays& a) {
+/// Packs the three arrays, decodes every block and compares with the
+/// source arrays.
+void ExpectRoundTrip(const Arrays& a) {
   const PackedKeys pk = storage::PackKeys(a.keys);
   const PackedLengths pl = storage::PackLengths(a.offsets);
   const PackedValues pv = storage::PackValues(a.values);
@@ -59,20 +56,6 @@ void ExpectRoundTripAtActiveLevel(const Arrays& a) {
       ASSERT_EQ(ids[i], a.values[b * kPackBlock + i]) << "value " << i;
     }
   }
-}
-
-/// ExpectRoundTripAtActiveLevel at every supported SIMD level.
-void ExpectRoundTrip(const Arrays& a) {
-  const simd::Level initial = simd::ActiveLevel();
-  for (simd::Level level : {simd::Level::kScalar, simd::Level::kSse2,
-                            simd::Level::kAvx2}) {
-    if (level > simd::SupportedLevel()) continue;
-    simd::SetActiveLevel(level);
-    SCOPED_TRACE(simd::LevelName(level));
-    ExpectRoundTripAtActiveLevel(a);
-    if (::testing::Test::HasFatalFailure()) break;
-  }
-  simd::SetActiveLevel(initial);
 }
 
 Arrays RandomArrays(Rng* rng, size_t key_count, uint32_t max_gap,

@@ -31,7 +31,6 @@
 
 #include "baseline/naive_engine.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "join/executor.h"
 #include "mutable/delta_store.h"
 #include "query/optimizer.h"
@@ -145,19 +144,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          SearchStrategy::kIndex,
                                          SearchStrategy::kAdaptiveIndex),
                        ::testing::Values(1, 2, 8)));
-
-TEST(ProbeBatchTest, MatchesSerialAtEveryKernelLevel) {
-  auto db = MakeDatabase(ChainSpec());
-  const simd::Level saved = simd::ActiveLevel();
-  for (simd::Level level :
-       {simd::Level::kScalar, simd::SupportedLevel()}) {
-    simd::SetActiveLevel(level);
-    ExpectBatchedMatchesSerial(db, kChainQuery,
-                               SearchStrategy::kAdaptiveBinary, 2,
-                               Scheduling::kStatic);
-  }
-  simd::SetActiveLevel(saved);
-}
 
 TEST(ProbeBatchTest, ConstantFirstKeyRunRange) {
   // kRunRange work source: the first step's constant key pins one value

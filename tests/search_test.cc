@@ -246,32 +246,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          SearchStrategy::kAdaptiveIndex),
                        ::testing::Values(101, 202, 303)));
 
-/// Saves the process-wide SIMD dispatch level and restores it on scope
-/// exit, so kernel-variant tests cannot leak a forced level into later
-/// tests.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : saved_(simd::ActiveLevel()) {
-    simd::SetActiveLevel(level);
-  }
-  ~ScopedSimdLevel() { simd::SetActiveLevel(saved_); }
-
- private:
-  simd::Level saved_;
-};
-
-std::vector<simd::Level> AvailableLevels() {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::SupportedLevel() >= simd::Level::kSse2) {
-    levels.push_back(simd::Level::kSse2);
-  }
-  if (simd::SupportedLevel() >= simd::Level::kAvx2) {
-    levels.push_back(simd::Level::kAvx2);
-  }
-  return levels;
-}
-
 /// A fuzzed sorted array: sizes are biased small (vector-prologue edge
 /// cases), values may repeat, and extreme keys (0, UINT32_MAX) appear.
 std::vector<TermId> FuzzArray(Rng* rng) {
@@ -348,31 +322,27 @@ TEST(BinarySearchTest, DifferentialFuzzAgainstLowerBound) {
   }
 }
 
-/// Satellite: the SIMD sequential kernel must stop at exactly the scalar
-/// reference's position with exactly its step count, at every dispatch
-/// level, across fuzzed arrays/cursors — including empty, 1-element,
-/// all-equal and UINT32_MAX-key arrays.
+/// Satellite: the sequential kernel (scalar prologue, then the bulk scan
+/// the CPU picked) must stop at exactly the scalar reference's position
+/// with exactly its step count, across fuzzed arrays/cursors — including
+/// empty, 1-element, all-equal and UINT32_MAX-key arrays. simd_test runs
+/// the portable bulk scans against their reference directly.
 TEST(SequentialSearchTest, SimdMatchesScalarAtEveryLevel) {
-  for (simd::Level level : AvailableLevels()) {
-    ScopedSimdLevel scoped(level);
-    Rng rng(4242);
-    for (int round = 0; round < 3000; ++round) {
-      const std::vector<TermId> a = FuzzArray(&rng);
-      const TermId v = FuzzProbe(&rng, a);
-      const size_t start = a.empty() ? 0 : rng.Uniform(a.size() + 2);
-      size_t cursor = start;
-      uint64_t steps = 0;
-      const size_t got = SequentialSearch(a, v, &cursor, &steps);
-      size_t ref_cursor = start;
-      uint64_t ref_steps = 0;
-      const size_t ref = SequentialSearchScalar(a, v, &ref_cursor, &ref_steps);
-      ASSERT_EQ(got, ref) << simd::LevelName(level) << " round " << round
-                          << " n=" << a.size() << " v=" << v;
-      ASSERT_EQ(cursor, ref_cursor)
-          << simd::LevelName(level) << " round " << round;
-      ASSERT_EQ(steps, ref_steps)
-          << simd::LevelName(level) << " round " << round;
-    }
+  Rng rng(4242);
+  for (int round = 0; round < 3000; ++round) {
+    const std::vector<TermId> a = FuzzArray(&rng);
+    const TermId v = FuzzProbe(&rng, a);
+    const size_t start = a.empty() ? 0 : rng.Uniform(a.size() + 2);
+    size_t cursor = start;
+    uint64_t steps = 0;
+    const size_t got = SequentialSearch(a, v, &cursor, &steps);
+    size_t ref_cursor = start;
+    uint64_t ref_steps = 0;
+    const size_t ref = SequentialSearchScalar(a, v, &ref_cursor, &ref_steps);
+    ASSERT_EQ(got, ref) << "round " << round << " n=" << a.size()
+                        << " v=" << v;
+    ASSERT_EQ(cursor, ref_cursor) << "round " << round;
+    ASSERT_EQ(steps, ref_steps) << "round " << round;
   }
 }
 
@@ -381,29 +351,37 @@ TEST(SequentialSearchTest, SimdMatchesScalarAtEveryLevel) {
 TEST(SequentialSearchTest, StepsCountElementsNotVectorIterations) {
   std::vector<TermId> a(1000);
   for (size_t i = 0; i < a.size(); ++i) a[i] = static_cast<TermId>(i * 2);
-  for (simd::Level level : AvailableLevels()) {
-    ScopedSimdLevel scoped(level);
+  for (auto search : {SequentialSearch, SequentialSearchScalar}) {
     size_t cursor = 0;
     uint64_t steps = 0;
-    EXPECT_EQ(SequentialSearch(a, 666, &cursor, &steps), 333u)
-        << simd::LevelName(level);
-    EXPECT_EQ(steps, 333u) << simd::LevelName(level);
+    EXPECT_EQ(search(a, 666, &cursor, &steps), 333u);
+    EXPECT_EQ(steps, 333u);
     steps = 0;
-    EXPECT_EQ(SequentialSearch(a, 100, &cursor, &steps), 50u)
-        << simd::LevelName(level);
-    EXPECT_EQ(steps, 283u) << simd::LevelName(level);  // backward 333 -> 50
+    EXPECT_EQ(search(a, 100, &cursor, &steps), 50u);
+    EXPECT_EQ(steps, 283u);  // backward 333 -> 50
   }
 }
 
+/// Loads like DirectMemory but is a different type, so the search
+/// templates take their generic scalar bodies instead of the DirectMemory
+/// overload's prologue + bulk scan.
+struct ScalarMemory {
+  template <typename T>
+  T Load(const T* addr) const {
+    return *addr;
+  }
+};
+
 /// Regression gate: a fixed adaptive probe workload must produce BYTE-
-/// IDENTICAL SearchCounters at every dispatch level (the Table 5/6
-/// accounting must not depend on the kernel tier).
+/// IDENTICAL SearchCounters through the production scan kernels and the
+/// scalar reference (the Table 5/6 accounting must not depend on the
+/// kernel).
 TEST(SearchCountersTest, PinnedAcrossKernelVariants) {
   Rng setup(9);
   std::vector<TermId> a = SortedDistinct(&setup, 4000, 200000);
   index::IdPositionIndex idx = index::IdPositionIndex::Build(a, 200000);
 
-  auto run_workload = [&](SearchStrategy strategy) {
+  auto run_workload = [&](SearchStrategy strategy, auto mem) {
     SearchCounters counters;
     Rng rng(31);
     size_t cursor = 0;
@@ -411,48 +389,39 @@ TEST(SearchCountersTest, PinnedAcrossKernelVariants) {
       TermId v = rng.Uniform(4) == 0
                      ? static_cast<TermId>(rng.Uniform(210000))
                      : a[rng.Uniform(a.size())] + rng.Uniform(3);
-      AdaptiveSearch(a, v, &cursor, /*threshold=*/400, strategy, &idx,
-                     &counters, /*gallop_cap=*/512);
+      AdaptiveSearchWith(a, v, &cursor, /*threshold=*/400, strategy, &idx,
+                         &counters, mem, /*gallop_cap=*/512);
     }
     return counters;
   };
 
   for (SearchStrategy strategy :
        {SearchStrategy::kAdaptiveBinary, SearchStrategy::kAdaptiveIndex}) {
-    std::vector<SearchCounters> per_level;
-    for (simd::Level level : AvailableLevels()) {
-      ScopedSimdLevel scoped(level);
-      per_level.push_back(run_workload(strategy));
-    }
-    for (size_t i = 1; i < per_level.size(); ++i) {
-      EXPECT_EQ(per_level[i].binary_searches, per_level[0].binary_searches);
-      EXPECT_EQ(per_level[i].sequential_searches,
-                per_level[0].sequential_searches);
-      EXPECT_EQ(per_level[i].sequential_steps, per_level[0].sequential_steps);
-      EXPECT_EQ(per_level[i].index_lookups, per_level[0].index_lookups);
-    }
-    EXPECT_GT(per_level[0].sequential_searches, 0u);
+    const SearchCounters got = run_workload(strategy, DirectMemory{});
+    const SearchCounters ref = run_workload(strategy, ScalarMemory{});
+    EXPECT_EQ(got.binary_searches, ref.binary_searches);
+    EXPECT_EQ(got.sequential_searches, ref.sequential_searches);
+    EXPECT_EQ(got.sequential_steps, ref.sequential_steps);
+    EXPECT_EQ(got.index_lookups, ref.index_lookups);
+    EXPECT_GT(got.sequential_searches, 0u);
   }
 }
 
 /// RunContains must agree with std::binary_search on both sides of the
-/// linear/binary crossover, at every dispatch level.
+/// linear/binary crossover.
 TEST(RunContainsTest, DifferentialAcrossSizesAndLevels) {
   Rng rng(55);
-  for (simd::Level level : AvailableLevels()) {
-    ScopedSimdLevel scoped(level);
-    for (size_t n : {0u, 1u, 3u, 8u, 9u, 16u, 63u, 64u, 65u, 200u}) {
-      std::set<TermId> s;
-      while (s.size() < n) s.insert(static_cast<TermId>(rng.Next()));
-      std::vector<TermId> run(s.begin(), s.end());
-      for (int probe = 0; probe < 200; ++probe) {
-        const TermId v = probe % 2 == 0 && !run.empty()
-                             ? run[rng.Uniform(run.size())]
-                             : static_cast<TermId>(rng.Next());
-        EXPECT_EQ(RunContains(run, v),
-                  std::binary_search(run.begin(), run.end(), v))
-            << simd::LevelName(level) << " n=" << n << " v=" << v;
-      }
+  for (size_t n : {0u, 1u, 3u, 8u, 9u, 16u, 63u, 64u, 65u, 200u}) {
+    std::set<TermId> s;
+    while (s.size() < n) s.insert(static_cast<TermId>(rng.Next()));
+    std::vector<TermId> run(s.begin(), s.end());
+    for (int probe = 0; probe < 200; ++probe) {
+      const TermId v = probe % 2 == 0 && !run.empty()
+                           ? run[rng.Uniform(run.size())]
+                           : static_cast<TermId>(rng.Next());
+      EXPECT_EQ(RunContains(run, v),
+                std::binary_search(run.begin(), run.end(), v))
+          << "n=" << n << " v=" << v;
     }
   }
 }

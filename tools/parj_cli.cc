@@ -1,7 +1,7 @@
 // parj_cli: interactive / scriptable shell for the PARJ store.
 //
 //   parj_cli [--load file.nt | --snapshot file.parj | --lubm N | --watdiv N]
-//            [--load-threads N] [--chunk-mb N] [--simd LEVEL] [--no-batch]
+//            [--load-threads N] [--chunk-mb N] [--no-batch]
 //            [--failpoints name=spec,...]
 //            [--wal-dir DIR] [--wal-sync {none,batch,always}]
 //            [--plan-cache on|off] [--result-cache-mb N]
@@ -69,7 +69,6 @@
 //   .threads N            set worker threads for queries
 //   .load-threads N       set worker threads for loads/restores
 //   .strategy NAME        Binary | AdBinary | Index | AdIndex
-//   .simd LEVEL           scalar | sse2 | avx2 | auto (probe kernel tier)
 //   .batch on|off         batched prefetched probing (default on)
 //   .calibrate            run Algorithm 2 on all tables
 //   .explain on|off       print plans before execution
@@ -93,7 +92,6 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/simd.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "engine/parj_engine.h"
@@ -331,8 +329,7 @@ struct Shell {
           ".load FILE | .gen lubm N | .gen watdiv N | .save FILE |\n"
           ".restore FILE | .verify FILE | .dump FILE | .threads N |\n"
           ".load-threads N | .strategy NAME |\n"
-          ".scheduling static|morsel |\n"
-          ".simd scalar|sse2|avx2|auto | .batch on|off |\n"
+          ".scheduling static|morsel | .batch on|off |\n"
           ".insert <s> <p> <o> . | .remove <s> <p> <o> . | .compact |\n"
           ".delta | .wal | .calibrate | .explain on|off | .limit N | "
           ".stats | .quit\n"
@@ -447,20 +444,6 @@ struct Shell {
         return true;
       }
       std::printf("scheduling = %s\n", join::SchedulingName(scheduling));
-    } else if (command == ".simd") {
-      std::string name;
-      in >> name;
-      simd::Level level;
-      if (!name.empty() && simd::ParseLevel(name.c_str(), &level)) {
-        simd::SetActiveLevel(level);
-      } else if (!name.empty()) {
-        std::printf("unknown simd level (scalar|sse2|avx2|auto)\n");
-        return true;
-      }
-      std::printf("simd = %s (compiled %s, cpu supports %s)\n",
-                  simd::LevelName(simd::ActiveLevel()),
-                  simd::LevelName(simd::CompiledLevel()),
-                  simd::LevelName(simd::SupportedLevel()));
     } else if (command == ".batch") {
       std::string name;
       in >> name;
@@ -914,8 +897,6 @@ int main(int argc, char** argv) {
                                 std::strcmp(v, "false") != 0;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       shell.HandleCommand(std::string(".threads ") + argv[++i]);
-    } else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc) {
-      shell.HandleCommand(std::string(".simd ") + argv[++i]);
     } else if (std::strcmp(argv[i], "--no-batch") == 0) {
       shell.HandleCommand(".batch off");
     } else if (std::strcmp(argv[i], "--load-threads") == 0 && i + 1 < argc) {
@@ -957,7 +938,6 @@ int main(int argc, char** argv) {
                 std::strcmp(argv[i], "--result-cache-mb") == 0 ||
                 std::strcmp(argv[i], "--shared-scan") == 0 ||
                 std::strcmp(argv[i], "--threads") == 0 ||
-                std::strcmp(argv[i], "--simd") == 0 ||
                 std::strcmp(argv[i], "--load-threads") == 0 ||
                 std::strcmp(argv[i], "--chunk-mb") == 0 ||
                 std::strcmp(argv[i], "--wal-dir") == 0 ||
