@@ -5,7 +5,7 @@
 // for binary search and ~20 for the index (a ~10x ratio).
 //
 // Windows are calibrated with the kernels the executor actually runs
-// (SIMD sequential scan, branchless gallop+cmov binary, popcount-block
+// (scalar sequential scan, branchless gallop+cmov binary, popcount-block
 // rank lookup), so they are the windows production probes use.
 
 #include "bench_util.h"

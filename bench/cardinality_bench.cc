@@ -1,6 +1,7 @@
 // Cardinality-estimation quality and plan regret of the optimizer (paper
-// §4.3: equi-depth histograms with pairwise corrective statistics, and a
-// left-deep order chosen by that cost model). For every LUBM and WatDiv
+// §4.3; PARJ estimates from per-replica average run lengths, pairwise join
+// statistics and up to 64 samples of a constant run, and picks a left-deep
+// order by that cost model). For every LUBM and WatDiv
 // basic template it reports:
 //
 //  * the chosen plan's final q-error max(est/true, true/est), and its

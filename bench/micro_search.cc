@@ -1,17 +1,14 @@
 // Ablation microbenchmarks for the search kernels.
 //
 // Part 1 — kernel matrix (runs first, emits BENCH_kernels.json): times the
-// scalar baselines against the vectorized kernels of DESIGN.md §11 across
+// baseline kernels against the production kernels of DESIGN.md §11 across
 // array sizes, probe patterns, and hit/miss mixes:
 //   binary      branchy binary search  vs  branchless gallop+cmov kernel
-//   sequential  scalar stepping scan   vs  12-step prologue + bulk scan
-//               (the AVX2 kernel when the CPU reports AVX2, else the
-//               portable loop; the run names it as simd_scan)
 //   index       legacy sample walk     vs  popcount-block rank lookup
 //   run_member  cursor-less binary     vs  RunContains from a cursor
 //   run_intersect  RunContains per probe  vs  IntersectRuns over the list
 // Every pair computes identical results; only the time may differ. The
-// acceptance bar for the vectorized kernels is >= 1.3x on >= 1M-key arrays;
+// acceptance bar, >= 1.3x on >= 1M-key arrays, covers binary and index;
 // run_member and run_intersect are recorded only (the first measures what
 // uncorrelated probes lose by starting from the previous probe's position,
 // the second what a sorted probe list gains from one merge/gallop pass).
@@ -37,7 +34,6 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/simd.h"
 #include "index/id_position_index.h"
 #include "join/search.h"
 
@@ -119,12 +115,11 @@ std::vector<TermId> MakeProbes(const std::vector<TermId>& keys, size_t probes,
 struct MatrixResult {
   std::string json;  // one JSON object per cell, appended by RunMatrix
   // Per-family speedups of the >= 1M-key cells; the acceptance bar is a
-  // >= 1.3x geomean per family (single cells legitimately sit near 1x —
-  // e.g. a scan that stops 8 elements from the cursor has no vector work).
+  // >= 1.3x geomean per family (single cells may legitimately sit near 1x).
   std::map<std::string, std::vector<double>> large_speedups;
 };
 
-/// Times baseline vs vectorized over the same probe sequence, prints one
+/// Times baseline vs production kernel over the same probe sequence, prints one
 /// table row, appends one JSON object. The two sides are warmed once and
 /// then timed as INTERLEAVED base/vec pairs, and the reported speedup is
 /// the MEDIAN of the per-pair ratios: each pair sees the same clock/noise
@@ -173,9 +168,9 @@ void RunKernelMatrix() {
   const size_t probes = static_cast<size_t>(EnvInt("PARJ_KERNEL_PROBES", 200000));
   const int repeats = EnvInt("PARJ_BENCH_REPEATS", 3);
   std::printf(
-      "\nKernel matrix: scalar baselines vs vectorized kernels "
-      "(simd_scan=%s, %zu probes, best of %d)\n\n",
-      simd::ScanKernelName(), probes, repeats);
+      "\nKernel matrix: baseline vs production kernels (%zu probes, best of "
+      "%d)\n\n",
+      probes, repeats);
   std::printf("%-10s  %-10s  %9s  %5s  %8s  %8s  %7s\n", "family", "pattern",
               "keys", "hits", "base ns", "vec ns", "speedup");
 
@@ -207,39 +202,6 @@ void RunKernelMatrix() {
             },
             &out);
       }
-    }
-  }
-
-  // Sequential scan near the cursor: scalar stepping vs prologue + bulk scan.
-  // Short correlated strides are exactly the regime Algorithm 1 routes to
-  // the sequential kernel.
-  for (size_t size : {size_t{1} << 16, size_t{1} << 20, size_t{1} << 22}) {
-    const std::vector<TermId> keys = MakeKeys(size);
-    for (size_t stride : {size_t{8}, size_t{32}, size_t{128}}) {
-      std::vector<TermId> values;
-      values.reserve(probes);
-      for (size_t i = 0, pos = 0; i < probes; ++i) {
-        pos += stride;
-        if (pos >= keys.size()) pos = 0;
-        values.push_back(keys[pos]);
-      }
-      char pattern[32];
-      std::snprintf(pattern, sizeof(pattern), "stride%zu", stride);
-      MatrixCell(
-          "sequential", pattern, size, 1.0, probes, repeats,
-          [&] {
-            size_t cursor = 0;
-            for (TermId v : values) {
-              sink += SequentialSearchScalar(keys, v, &cursor) != kNotFound;
-            }
-          },
-          [&] {
-            size_t cursor = 0;
-            for (TermId v : values) {
-              sink += SequentialSearch(keys, v, &cursor) != kNotFound;
-            }
-          },
-          &out);
     }
   }
 
@@ -343,9 +305,7 @@ void RunKernelMatrix() {
   std::printf("\nAcceptance (>= 1.3x geomean per family): %s\n",
               met_bar ? "MET" : "NOT MET");
   std::string payload = "{\n  \"bench\": \"kernels\",\n";
-  payload += "  \"simd_scan\": \"";
-  payload += simd::ScanKernelName();
-  payload += "\",\n  \"probes\": " + std::to_string(probes);
+  payload += "  \"probes\": " + std::to_string(probes);
   payload += ",\n  \"acceptance_met\": ";
   payload += met_bar ? "true" : "false";
   payload += ",\n  \"geomeans_1m\": {" + geomeans_json + "}";
@@ -381,12 +341,6 @@ void StrideProbe(benchmark::State& state, SearchFn&& search) {
 void BM_SequentialSearch(benchmark::State& state) {
   StrideProbe(state, [](std::span<const TermId> a, TermId v, size_t* cursor) {
     return SequentialSearch(a, v, cursor);
-  });
-}
-
-void BM_SequentialSearchScalar(benchmark::State& state) {
-  StrideProbe(state, [](std::span<const TermId> a, TermId v, size_t* cursor) {
-    return SequentialSearchScalar(a, v, cursor);
   });
 }
 
@@ -437,10 +391,6 @@ void RegisterAll() {
     benchmark::RegisterBenchmark(
         ("BM_SequentialSearch/stride:" + std::to_string(stride)).c_str(),
         BM_SequentialSearch)
-        ->Arg(stride);
-    benchmark::RegisterBenchmark(
-        ("BM_SequentialSearchScalar/stride:" + std::to_string(stride)).c_str(),
-        BM_SequentialSearchScalar)
         ->Arg(stride);
     benchmark::RegisterBenchmark(
         ("BM_BinarySearch/stride:" + std::to_string(stride)).c_str(),

@@ -810,14 +810,12 @@ Result<QueryResult> ParjEngine::ExecuteStreaming(
       query::Optimize(encoded, db, options.optimizer, &delta));
   result.optimize_millis = optimize_timer.ElapsedMillis();
 
-  join::ExecOptions exec = BaseExecOptions(options);
+  // The gate caps the rows streamed across all shards at LIMIT; the
+  // per-shard limit alone would let every shard stream up to LIMIT rows.
+  join::LimitGate gate;
+  join::ExecOptions exec = MakeExecOptions(plan, options, &gate);
   exec.mode = join::ResultMode::kVisit;
   exec.visitor = visitor;
-  if (plan.limit != 0) exec.per_shard_limit = plan.limit;
-  if (options.max_rows != 0 &&
-      (exec.per_shard_limit == 0 || options.max_rows < exec.per_shard_limit)) {
-    exec.per_shard_limit = options.max_rows;
-  }
 
   join::Executor executor(&db, &delta);
   PARJ_ASSIGN_OR_RETURN(join::ExecResult exec_result,

@@ -46,7 +46,7 @@ struct LoadStats {
   /// provisional IDs. FromTriples: its whole sharded encode.
   double encode_millis = 0.0;
   double build_millis = 0.0;      ///< group by predicate + CSR tables
-  double index_millis = 0.0;      ///< histograms, ID indexes, statistics
+  double index_millis = 0.0;      ///< ID indexes, statistics
   double calibrate_millis = 0.0;  ///< Algorithm 2 (when enabled)
   double total_millis = 0.0;
   uint64_t triples = 0;        ///< encoded triples handed to the store
@@ -355,7 +355,6 @@ class ParjEngine {
       : calibration_options_(calibration) {
     mut::DeltaStoreOptions store_options;
     store_options.database = database_options;
-    store_options.calibration = calibration;
     store_options.initial_epoch = initial_epoch;
     store_ = std::make_unique<mut::DeltaStore>(std::move(db), store_options);
   }

@@ -1,6 +1,35 @@
 #include "join/search.h"
 
+#if !defined(PARJ_DISABLE_SIMD) && defined(__GNUC__) && defined(__SSE2__) && \
+    (defined(__x86_64__) || defined(__i386__))
+#define PARJ_RUN_SWEEP_SSE2 1
+#include <emmintrin.h>
+#endif
+
 namespace parj::join {
+
+namespace {
+
+/// Equality sweep over a short run: 4 lanes per compare where SSE2 is
+/// compiled in (part of the x86-64 baseline, so no dispatch), a plain
+/// loop elsewhere and under -DPARJ_DISABLE_SIMD.
+bool ContainsU32(const uint32_t* data, size_t count, uint32_t value) {
+  size_t i = 0;
+#if PARJ_RUN_SWEEP_SSE2
+  const __m128i vv = _mm_set1_epi32(static_cast<int32_t>(value));
+  for (; i + 4 <= count; i += 4) {
+    const __m128i d =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
+    if (_mm_movemask_epi8(_mm_cmpeq_epi32(d, vv)) != 0) return true;
+  }
+#endif
+  for (; i < count; ++i) {
+    if (data[i] == value) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 const char* SearchStrategyName(SearchStrategy strategy) {
   switch (strategy) {
@@ -34,38 +63,6 @@ size_t SequentialSearch(std::span<const TermId> array, TermId value,
   return SequentialSearchWith(array, value, cursor, mem, steps_out);
 }
 
-size_t SequentialSearchScalar(std::span<const TermId> array, TermId value,
-                              size_t* cursor, uint64_t* steps_out) {
-  DirectMemory mem;
-  // Explicit template arguments force the generic (scalar) body instead of
-  // the DirectMemory fast-path overload.
-  return SequentialSearchWith<DirectMemory>(array, value, cursor, mem,
-                                            steps_out);
-}
-
-namespace detail {
-
-size_t SequentialVecForward(const TermId* data, size_t n, size_t start,
-                            TermId value, size_t* cursor,
-                            uint64_t* steps_out) {
-  const size_t stop = simd::detail::ScanForwardStopBulk(
-      data, start + kScanPrologue + 1, n, value);
-  if (steps_out != nullptr) *steps_out += stop - start;
-  *cursor = stop;
-  return data[stop] == value ? stop : kNotFound;
-}
-
-size_t SequentialVecBackward(const TermId* data, size_t start, TermId value,
-                             size_t* cursor, uint64_t* steps_out) {
-  const size_t stop =
-      simd::detail::ScanBackwardStopBulk(data, start - kScanPrologue, value);
-  if (steps_out != nullptr) *steps_out += start - stop;
-  *cursor = stop;
-  return data[stop] == value ? stop : kNotFound;
-}
-
-}  // namespace detail
-
 size_t AdaptiveSearch(std::span<const TermId> array, TermId value,
                       size_t* cursor, int64_t threshold,
                       SearchStrategy strategy,
@@ -78,7 +75,7 @@ size_t AdaptiveSearch(std::span<const TermId> array, TermId value,
 
 bool RunContains(std::span<const TermId> run, TermId value, size_t* cursor) {
   if (run.size() <= kRunSweepLimit) {
-    return simd::ContainsU32(run.data(), run.size(), value);
+    return ContainsU32(run.data(), run.size(), value);
   }
   return BinarySearch(run, value, cursor) != kNotFound;
 }

@@ -9,7 +9,6 @@
 
 #include "common/bits.h"
 #include "common/memory_policy.h"
-#include "common/simd.h"
 #include "common/types.h"
 #include "index/id_position_index.h"
 
@@ -31,9 +30,7 @@ const char* SearchStrategyName(SearchStrategy strategy);
 
 /// Per-run tallies of the adaptive method's decisions (Table 6 columns
 /// "#Binary" / "#Sequential") plus work metrics. `sequential_steps` counts
-/// ELEMENTS ADVANCED, never vector iterations — a SIMD scan that examines
-/// 8 lanes to advance 5 elements adds 5, keeping the column comparable
-/// with the paper run whichever scan kernel executed it.
+/// elements advanced by sequential scans.
 struct SearchCounters {
   uint64_t binary_searches = 0;
   uint64_t sequential_searches = 0;
@@ -132,9 +129,7 @@ size_t BranchyBinarySearchWith(std::span<const TermId> array, TermId value,
 /// Returns the position of `value` (its first occurrence, matching
 /// std::lower_bound) or kNotFound. `*cursor` lands on the hit position, or
 /// on the last probed position on a miss — always in bounds. The kernel is
-/// a pure function of (contents, value, incoming cursor, gallop_cap), so
-/// scalar-fallback and SIMD builds follow byte-identical cursor
-/// trajectories.
+/// a pure function of (contents, value, incoming cursor, gallop_cap).
 template <typename MemoryPolicy>
 size_t BinarySearchWith(std::span<const TermId> array, TermId value,
                         size_t* cursor, MemoryPolicy& mem,
@@ -240,10 +235,8 @@ size_t BinarySearchWith(std::span<const TermId> array, TermId value,
 
 /// Directional sequential search continuing from `*cursor` (merge-join-like
 /// behaviour). Scans toward `value` in whichever direction it lies;
-/// `*cursor` ends at the last accessed position on both hit and miss.
-/// This is the scalar reference; the DirectMemory overload below runs the
-/// same scan through the bulk scan kernels with identical stop positions
-/// and step counts.
+/// `*cursor` ends at the last accessed position on both hit and miss, and
+/// `*steps_out` grows by the elements advanced (|stop - start|).
 template <typename MemoryPolicy>
 size_t SequentialSearchWith(std::span<const TermId> array, TermId value,
                             size_t* cursor, MemoryPolicy& mem,
@@ -269,80 +262,6 @@ size_t SequentialSearchWith(std::span<const TermId> array, TermId value,
   *cursor = pos;
   if (steps_out != nullptr) *steps_out += steps;
   return current == value ? pos : kNotFound;
-}
-
-/// Elements the DirectMemory sequential overload steps with a plain
-/// scalar loop before handing the remainder to the vector scan: a scan
-/// that stops within a few elements of the cursor is pure overhead for a
-/// 4/8-lane kernel (lane setup costs more than the scan), and most
-/// Algorithm 1 scans stop inside one or two cache lines.
-inline constexpr size_t kScanPrologue = 12;
-
-namespace detail {
-
-/// Out-of-line continuations (search.cc) for scans that outrun the scalar
-/// prologue: they run the remainder through the vector kernels and finish
-/// the cursor/steps bookkeeping. Split out so the overload below stays a
-/// LEAF function — tail-calling these keeps its short-scan path free of a
-/// stack frame, which is most of the cost of an 8-element cache-resident
-/// scan. noinline keeps same-TU builds from folding them back in. Callers
-/// guarantee the prologue was exhausted: forward requires
-/// start + kScanPrologue + 1 < n, backward requires start > kScanPrologue.
-[[gnu::noinline]] size_t SequentialVecForward(const TermId* data, size_t n,
-                                              size_t start, TermId value,
-                                              size_t* cursor,
-                                              uint64_t* steps_out);
-[[gnu::noinline]] size_t SequentialVecBackward(const TermId* data,
-                                               size_t start, TermId value,
-                                               size_t* cursor,
-                                               uint64_t* steps_out);
-
-}  // namespace detail
-
-/// Vectorized fast path for the production (DirectMemory) policy: the bulk
-/// scan may compare 8 keys per instruction but stops at EXACTLY the scalar
-/// stop position, and `steps_out` accumulates elements advanced
-/// (|stop - start|), never vector iterations.
-inline size_t SequentialSearchWith(std::span<const TermId> array, TermId value,
-                                   size_t* cursor, DirectMemory&,
-                                   uint64_t* steps_out) {
-  if (array.empty()) return kNotFound;
-  const size_t n = array.size();
-  const size_t start = *cursor < n ? *cursor : n - 1;
-  const TermId* data = array.data();
-  size_t stop = start;
-  if (data[start] < value) {
-    const size_t last = n - 1;
-    const size_t pro =
-        last - start > kScanPrologue ? start + kScanPrologue : last;
-    size_t i = start;
-    while (i < pro && data[i + 1] < value) ++i;
-    if (i < pro) {
-      stop = i + 1;  // the scalar steps found the stop (data[i + 1] >= value)
-    } else if (pro == last) {
-      stop = last;  // exhausted the array without reaching value
-    } else {
-      return detail::SequentialVecForward(data, n, start, value, cursor,
-                                          steps_out);
-    }
-  } else if (data[start] > value) {
-    const size_t pro = start > kScanPrologue ? start - kScanPrologue : 0;
-    size_t i = start;
-    while (i > pro && data[i - 1] > value) --i;
-    if (i > pro) {
-      stop = i - 1;  // the scalar steps found the stop (data[i - 1] <= value)
-    } else if (pro == 0) {
-      stop = 0;  // exhausted the array without reaching value
-    } else {
-      return detail::SequentialVecBackward(data, start, value, cursor,
-                                           steps_out);
-    }
-  }
-  if (steps_out != nullptr) {
-    *steps_out += stop >= start ? stop - start : start - stop;
-  }
-  *cursor = stop;
-  return data[stop] == value ? stop : kNotFound;
 }
 
 /// ID-to-Position lookup. Updates `*cursor` on hit (the found position is
@@ -410,10 +329,6 @@ size_t BranchyBinarySearch(std::span<const TermId> array, TermId value,
                            size_t* cursor);
 size_t SequentialSearch(std::span<const TermId> array, TermId value,
                         size_t* cursor, uint64_t* steps_out = nullptr);
-/// The scalar reference scan, bypassing the SIMD dispatch (benches and
-/// differential tests).
-size_t SequentialSearchScalar(std::span<const TermId> array, TermId value,
-                              size_t* cursor, uint64_t* steps_out = nullptr);
 size_t AdaptiveSearch(std::span<const TermId> array, TermId value,
                       size_t* cursor, int64_t threshold,
                       SearchStrategy strategy,

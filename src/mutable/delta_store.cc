@@ -350,9 +350,6 @@ Status DeltaStore::Compact() {
         static_cast<uint64_t>(timings.pair_stats_millis * 1e3),
         std::memory_order_relaxed);
     storage::Database new_db = std::move(rebuilt).value();
-    if (options_.calibrate_on_compact) {
-      new_db.Calibrate(options_.calibration);
-    }
 
     // Phase 3 — swap under the writer lock: rebase mutations that raced
     // with the rebuild onto the new base (replaying them re-derives the
@@ -417,7 +414,7 @@ Status DeltaStore::Compact() {
       std::memory_order_relaxed);
   if (status.ok()) {
     compactions_.fetch_add(1, std::memory_order_relaxed);
-    // The swapped-in base carries fresh histograms/statistics; cached
+    // The swapped-in base carries fresh statistics; cached
     // plans built against the old base are still correct (TermIds are
     // stable) but may no longer be the optimizer's choice.
     plan_generation_.fetch_add(1, std::memory_order_acq_rel);

@@ -27,15 +27,13 @@ struct Mutation {
 };
 
 struct DeltaStoreOptions {
-  /// Rebuild options for compaction (histograms, indexes, pair stats and
-  /// build_threads — set build_threads > 1 to merge, transpose and
-  /// finish the touched predicates on a build pool).
+  /// Rebuild options for compaction (ID indexes, pair stats, default
+  /// windows and build_threads — set build_threads > 1 to merge,
+  /// transpose and finish the touched predicates on a build pool).
+  /// Compaction never re-runs Algorithm 2: predicates no write touched
+  /// keep their calibrated windows, touched predicates get the default
+  /// windows until CalibrateBase runs.
   storage::DatabaseOptions database;
-  /// Re-run Algorithm 2 on the compacted store (off by default: compaction
-  /// should not spend calibration wall time behind the serving path; the
-  /// rebuilt store uses the default windows until the operator asks).
-  bool calibrate_on_compact = false;
-  join::CalibrationOptions calibration;
   /// Epoch the store starts at. 0 for a fresh store; WAL recovery passes
   /// the checkpointed epoch so epoch numbering continues where the
   /// crashed process left off.

@@ -27,10 +27,10 @@ struct OptimizerOptions {
 /// Produces a left-deep plan for `query` (paper §4.3): bottom-up dynamic
 /// programming over left-deep orders, centralized cost model (parallelism
 /// deliberately ignored — the paper assumes a fixed speedup factor for
-/// every order), per-step replica selection, selectivity from equi-depth
-/// histograms plus pairwise join cardinalities (used whenever
+/// every order), per-step replica selection, selectivity from per-replica
+/// average run lengths plus pairwise join cardinalities (used whenever
 /// `db.has_pair_stats()`). A join on a variable bound to one constant run
-/// is estimated from samples of that run instead; a probe whose key
+/// is estimated from up to 64 samples of that run instead; a probe whose key
 /// outlives the previous step's value loop is charged a search per key
 /// value, not per tuple, as the executor runs it (KeyOutlivesLoop).
 ///

@@ -38,9 +38,6 @@ PairJoinStat IntersectColumns(const TableReplica& left,
 
 void InitReplicaMeta(const TableReplica& replica, TermId max_resource_id,
                      const DatabaseOptions& options, ReplicaMeta* meta) {
-  meta->histogram = EquiDepthHistogram::Build(replica.keys(),
-                                              replica.offsets(),
-                                              options.histogram_buckets);
   if (options.build_id_position_indexes && !replica.empty()) {
     meta->id_index =
         index::IdPositionIndex::Build(replica.keys(), max_resource_id);
@@ -233,7 +230,6 @@ Result<Database> Database::FromSortedRuns(
       for (const ReplicaKind kind : {ReplicaKind::kSO, ReplicaKind::kOS}) {
         const ReplicaMeta& src = from.meta(kind);
         ReplicaMeta& dst = entry.meta(kind);
-        dst.histogram = src.histogram;
         dst.has_index = src.has_index;
         if (src.has_index) {
           dst.id_index =
@@ -277,7 +273,7 @@ void Database::Finish(server::ThreadPool* pool, const std::vector<bool>& kept,
     total_triples_ += entry.table.triple_count();
   }
 
-  // --- Replica metadata (histogram, ID index, default thresholds) -------
+  // --- Replica metadata (ID index, default thresholds) -------------------
   Stopwatch meta_timer;
   const TermId max_id = dict_.resource_count();
   RunIndexed(pool, entries_.size() * 2, [&](size_t slot) {

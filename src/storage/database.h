@@ -11,7 +11,6 @@
 #include "index/id_position_index.h"
 #include "join/calibration.h"
 #include "join/search.h"
-#include "storage/histogram.h"
 #include "storage/property_table.h"
 
 namespace parj::server {
@@ -48,11 +47,10 @@ struct PairJoinStat {
   uint64_t pairs_right = 0;
 };
 
-/// Derived per-replica metadata: histogram, optional ID-to-Position index,
-/// and the adaptive-search thresholds (window sizes in positions and their
+/// Derived per-replica metadata: optional ID-to-Position index and the
+/// adaptive-search thresholds (window sizes in positions and their
 /// value-distance conversions).
 struct ReplicaMeta {
-  EquiDepthHistogram histogram;
   index::IdPositionIndex id_index;
   bool has_index = false;
 
@@ -88,8 +86,6 @@ struct PropertyEntry {
 
 /// Build-time options.
 struct DatabaseOptions {
-  /// Equi-depth histogram buckets per replica.
-  size_t histogram_buckets = 64;
   /// Build ID-to-Position indexes for every replica (paper §4.2; they are
   /// auxiliary — the kBinary / kAdaptiveBinary strategies ignore them).
   bool build_id_position_indexes = true;
@@ -119,7 +115,7 @@ struct BuildTimings {
   /// (Build), or validate the given S-O runs and transpose them
   /// (FromSortedRuns, which also copies reused predicates here).
   double tables_millis = 0.0;
-  double meta_millis = 0.0;        ///< histograms, ID indexes, thresholds
+  double meta_millis = 0.0;        ///< ID indexes, thresholds
   double pair_stats_millis = 0.0;  ///< pairwise join statistics
 };
 

@@ -106,14 +106,6 @@ TEST(ExecutorMidPlanConstantTest, ConstantObjectCheckedPerTuple) {
   EXPECT_GT(r->counters.run_probes, 0u);
 }
 
-TEST(HistogramAccessorTest, BucketCountBounded) {
-  auto db = MakeDatabase({{"a", "p", "b"}, {"c", "p", "d"}, {"e", "p", "f"}});
-  const storage::EquiDepthHistogram& h = db.entry(1).so_meta.histogram;
-  EXPECT_GE(h.bucket_count(), 1u);
-  EXPECT_LE(h.bucket_count(), 64u);
-  EXPECT_EQ(h.total_keys(), 3u);
-}
-
 TEST(ReplicaSpanAccessorsTest, SpansMatchScalars) {
   storage::TableReplica r =
       storage::TableReplica::Build({{1, 5}, {1, 7}, {3, 2}});

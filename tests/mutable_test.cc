@@ -332,7 +332,6 @@ void ExpectSameStore(const storage::Database& got,
                 arrays(want.entry(pid).table.replica(kind)));
       const storage::ReplicaMeta& a = got.entry(pid).meta(kind);
       const storage::ReplicaMeta& b = want.entry(pid).meta(kind);
-      EXPECT_TRUE(a.histogram == b.histogram);
       ASSERT_EQ(a.has_index, b.has_index);
       if (a.has_index) {
         EXPECT_EQ(a.id_index.universe(), b.id_index.universe());

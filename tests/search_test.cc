@@ -322,11 +322,28 @@ TEST(BinarySearchTest, DifferentialFuzzAgainstLowerBound) {
   }
 }
 
-/// Satellite: the sequential kernel (scalar prologue, then the bulk scan
-/// the CPU picked) must stop at exactly the scalar reference's position
-/// with exactly its step count, across fuzzed arrays/cursors — including
-/// empty, 1-element, all-equal and UINT32_MAX-key arrays. simd_test runs
-/// the portable bulk scans against their reference directly.
+/// The sequential scan's contract, written out independently of the
+/// kernel: from the clamped cursor, a forward scan stops on the first
+/// element >= v (parking on the last element), a backward scan on the last
+/// element <= v (parking on the first). Steps are |stop - start| and the
+/// scan hits iff a[stop] == v.
+size_t ReferenceSequentialStop(const std::vector<TermId>& a, size_t start,
+                               TermId v) {
+  if (a[start] < v) {
+    for (size_t i = start; i < a.size(); ++i) {
+      if (a[i] >= v) return i;
+    }
+    return a.size() - 1;
+  }
+  for (size_t i = start + 1; i > 0; --i) {
+    if (a[i - 1] <= v) return i - 1;
+  }
+  return 0;
+}
+
+/// The sequential kernel must stop at exactly the reference's
+/// position with exactly its step count, across fuzzed arrays/cursors —
+/// including empty, 1-element, all-equal and UINT32_MAX-key arrays.
 TEST(SequentialSearchTest, SimdMatchesScalarAtEveryLevel) {
   Rng rng(4242);
   for (int round = 0; round < 3000; ++round) {
@@ -336,52 +353,45 @@ TEST(SequentialSearchTest, SimdMatchesScalarAtEveryLevel) {
     size_t cursor = start;
     uint64_t steps = 0;
     const size_t got = SequentialSearch(a, v, &cursor, &steps);
-    size_t ref_cursor = start;
-    uint64_t ref_steps = 0;
-    const size_t ref = SequentialSearchScalar(a, v, &ref_cursor, &ref_steps);
-    ASSERT_EQ(got, ref) << "round " << round << " n=" << a.size()
-                        << " v=" << v;
-    ASSERT_EQ(cursor, ref_cursor) << "round " << round;
-    ASSERT_EQ(steps, ref_steps) << "round " << round;
+    if (a.empty()) {
+      ASSERT_EQ(got, kNotFound) << "round " << round;
+      ASSERT_EQ(cursor, start) << "round " << round;
+      ASSERT_EQ(steps, 0u) << "round " << round;
+      continue;
+    }
+    const size_t from = std::min(start, a.size() - 1);
+    const size_t stop = ReferenceSequentialStop(a, from, v);
+    ASSERT_EQ(got, a[stop] == v ? stop : kNotFound)
+        << "round " << round << " n=" << a.size() << " v=" << v;
+    ASSERT_EQ(cursor, stop) << "round " << round;
+    ASSERT_EQ(steps, stop > from ? stop - from : from - stop)
+        << "round " << round;
   }
 }
 
-/// Satellite: sequential_steps counts ELEMENTS ADVANCED — a scan over k
-/// elements adds exactly k whatever the vector width.
+/// sequential_steps counts ELEMENTS ADVANCED — a scan over k elements adds
+/// exactly k.
 TEST(SequentialSearchTest, StepsCountElementsNotVectorIterations) {
   std::vector<TermId> a(1000);
   for (size_t i = 0; i < a.size(); ++i) a[i] = static_cast<TermId>(i * 2);
-  for (auto search : {SequentialSearch, SequentialSearchScalar}) {
-    size_t cursor = 0;
-    uint64_t steps = 0;
-    EXPECT_EQ(search(a, 666, &cursor, &steps), 333u);
-    EXPECT_EQ(steps, 333u);
-    steps = 0;
-    EXPECT_EQ(search(a, 100, &cursor, &steps), 50u);
-    EXPECT_EQ(steps, 283u);  // backward 333 -> 50
-  }
+  size_t cursor = 0;
+  uint64_t steps = 0;
+  EXPECT_EQ(SequentialSearch(a, 666, &cursor, &steps), 333u);
+  EXPECT_EQ(steps, 333u);
+  steps = 0;
+  EXPECT_EQ(SequentialSearch(a, 100, &cursor, &steps), 50u);
+  EXPECT_EQ(steps, 283u);  // backward 333 -> 50
 }
 
-/// Loads like DirectMemory but is a different type, so the search
-/// templates take their generic scalar bodies instead of the DirectMemory
-/// overload's prologue + bulk scan.
-struct ScalarMemory {
-  template <typename T>
-  T Load(const T* addr) const {
-    return *addr;
-  }
-};
-
-/// Regression gate: a fixed adaptive probe workload must produce BYTE-
-/// IDENTICAL SearchCounters through the production scan kernels and the
-/// scalar reference (the Table 5/6 accounting must not depend on the
-/// kernel).
+/// Regression gate: a fixed adaptive probe workload must produce exactly
+/// these SearchCounters (the Table 5/6 accounting must not drift with a
+/// kernel rewrite).
 TEST(SearchCountersTest, PinnedAcrossKernelVariants) {
   Rng setup(9);
   std::vector<TermId> a = SortedDistinct(&setup, 4000, 200000);
   index::IdPositionIndex idx = index::IdPositionIndex::Build(a, 200000);
 
-  auto run_workload = [&](SearchStrategy strategy, auto mem) {
+  auto run_workload = [&](SearchStrategy strategy) {
     SearchCounters counters;
     Rng rng(31);
     size_t cursor = 0;
@@ -389,39 +399,45 @@ TEST(SearchCountersTest, PinnedAcrossKernelVariants) {
       TermId v = rng.Uniform(4) == 0
                      ? static_cast<TermId>(rng.Uniform(210000))
                      : a[rng.Uniform(a.size())] + rng.Uniform(3);
-      AdaptiveSearchWith(a, v, &cursor, /*threshold=*/400, strategy, &idx,
-                         &counters, mem, /*gallop_cap=*/512);
+      AdaptiveSearch(a, v, &cursor, /*threshold=*/400, strategy, &idx,
+                     &counters, /*gallop_cap=*/512);
     }
     return counters;
   };
 
-  for (SearchStrategy strategy :
-       {SearchStrategy::kAdaptiveBinary, SearchStrategy::kAdaptiveIndex}) {
-    const SearchCounters got = run_workload(strategy, DirectMemory{});
-    const SearchCounters ref = run_workload(strategy, ScalarMemory{});
-    EXPECT_EQ(got.binary_searches, ref.binary_searches);
-    EXPECT_EQ(got.sequential_searches, ref.sequential_searches);
-    EXPECT_EQ(got.sequential_steps, ref.sequential_steps);
-    EXPECT_EQ(got.index_lookups, ref.index_lookups);
-    EXPECT_GT(got.sequential_searches, 0u);
-  }
+  const SearchCounters binary = run_workload(SearchStrategy::kAdaptiveBinary);
+  EXPECT_EQ(binary.binary_searches, 19922u);
+  EXPECT_EQ(binary.sequential_searches, 78u);
+  EXPECT_EQ(binary.sequential_steps, 360u);
+  EXPECT_EQ(binary.index_lookups, 0u);
+  const SearchCounters index = run_workload(SearchStrategy::kAdaptiveIndex);
+  EXPECT_EQ(index.binary_searches, 0u);
+  EXPECT_EQ(index.sequential_searches, 93u);
+  EXPECT_EQ(index.sequential_steps, 405u);
+  EXPECT_EQ(index.index_lookups, 19907u);
 }
 
 /// RunContains must agree with std::binary_search on both sides of the
-/// linear/binary crossover.
+/// linear/binary crossover, with and without the extreme IDs 0 and
+/// UINT32_MAX in the run.
 TEST(RunContainsTest, DifferentialAcrossSizesAndLevels) {
+  constexpr TermId kEdges[] = {0, 1, UINT32_MAX - 1, UINT32_MAX};
   Rng rng(55);
   for (size_t n : {0u, 1u, 3u, 8u, 9u, 16u, 63u, 64u, 65u, 200u}) {
-    std::set<TermId> s;
-    while (s.size() < n) s.insert(static_cast<TermId>(rng.Next()));
-    std::vector<TermId> run(s.begin(), s.end());
-    for (int probe = 0; probe < 200; ++probe) {
-      const TermId v = probe % 2 == 0 && !run.empty()
-                           ? run[rng.Uniform(run.size())]
-                           : static_cast<TermId>(rng.Next());
-      EXPECT_EQ(RunContains(run, v),
-                std::binary_search(run.begin(), run.end(), v))
-          << "n=" << n << " v=" << v;
+    for (bool extremes : {false, true}) {
+      std::set<TermId> s;
+      if (extremes && n >= 2) s = {0, UINT32_MAX};
+      while (s.size() < n) s.insert(static_cast<TermId>(rng.Next()));
+      std::vector<TermId> run(s.begin(), s.end());
+      for (int probe = 0; probe < 200; ++probe) {
+        TermId v = probe % 2 == 0 && !run.empty()
+                       ? run[rng.Uniform(run.size())]
+                       : static_cast<TermId>(rng.Next());
+        if (probe < 4) v = kEdges[probe];
+        EXPECT_EQ(RunContains(run, v),
+                  std::binary_search(run.begin(), run.end(), v))
+            << "n=" << n << " v=" << v;
+      }
     }
   }
 }

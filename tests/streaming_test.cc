@@ -104,15 +104,32 @@ TEST(StreamingTest, EngineStreamingApi) {
   EXPECT_TRUE(r->rows.empty());
 }
 
+// LIMIT caps the rows streamed across ALL shards, not per shard: with
+// four workers each one must not stream its own 7 rows.
 TEST(StreamingTest, EngineStreamingRespectsLimit) {
-  auto engine = MakeEngine(FanSpec(50));
-  uint64_t rows_seen = 0;
-  engine::QueryOptions opts;
-  auto r = engine.ExecuteStreaming(
-      "SELECT ?s WHERE { ?s <p> ?o } LIMIT 7", opts,
-      [&](size_t, std::span<const TermId>) { ++rows_seen; });
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(rows_seen, 7u);
+  auto engine = MakeEngine(FanSpec(5000));
+  for (int threads : {1, 4}) {
+    for (Scheduling scheduling : {Scheduling::kStatic, Scheduling::kMorsel}) {
+      for (bool emulate : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << threads << " threads, " << SchedulingName(scheduling)
+                     << (emulate ? ", emulated" : ", real"));
+        std::atomic<uint64_t> rows_seen{0};
+        engine::QueryOptions opts;
+        opts.num_threads = threads;
+        opts.scheduling = scheduling;
+        opts.emulate_parallel = emulate;
+        auto r = engine.ExecuteStreaming(
+            "SELECT ?s WHERE { ?s <p> ?o } LIMIT 7", opts,
+            [&](size_t, std::span<const TermId>) {
+              rows_seen.fetch_add(1, std::memory_order_relaxed);
+            });
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(rows_seen.load(), 7u);
+        EXPECT_EQ(r->row_count, 7u);
+      }
+    }
+  }
 }
 
 TEST(StreamingTest, EngineStreamingRejectsDistinct) {
